@@ -16,13 +16,12 @@ from .errors import MRISRError
 from .rk import INNER_METHODS
 from .tableau import BUILTIN_NAMES
 
+_FIXED_ROW_KEYS = ["method", "k", "H", "M", "maxError", "runtime",
+                   "fastFEvals", "slowEEvals", "slowIEvals", "implicitSolves",
+                   "failed"]
 _ROW_KEYS = {
-    "converge": ["method", "k", "H", "M", "maxError", "runtime",
-                 "fastFEvals", "slowEEvals", "slowIEvals", "implicitSolves",
-                 "failed"],
-    "efficiency": ["method", "k", "H", "M", "maxError", "runtime",
-                   "fastFEvals", "slowEEvals", "slowIEvals",
-                   "implicitSolves", "failed"],
+    "converge": _FIXED_ROW_KEYS,
+    "efficiency": _FIXED_ROW_KEYS,
     "adaptive": ["method", "tol", "maxError", "accepted", "rejected",
                  "runtime", "fastFEvals", "implicitSolves", "failed"],
 }
@@ -43,7 +42,6 @@ def _add_common(sp):
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--json", action="store_true", default=None,
                     help="emit JSON to stdout instead of a table")
-    sp.add_argument("--seed", type=int, default=None)
 
 
 def _build_parser():
@@ -118,7 +116,7 @@ def _experiment_config(kind, opts):
               inner=_inner_map(opts, methods))
     for src, dst in (("problem", "problem"), ("H0", "H0"), ("kmin", "kmin"),
                      ("kmax", "kmax"), ("m", "M"), ("tol", "tols"),
-                     ("out", "out"), ("seed", "seed"), ("json", "json_out"),
+                     ("out", "out"), ("json", "json_out"),
                      ("which", "which"), ("alpha", "alpha"), ("rho", "rho"),
                      ("beta", "beta"), ("xi", "xi"), ("joint", "joint")):
         if opts.get(src) is not None:

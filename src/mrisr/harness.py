@@ -74,7 +74,6 @@ class ExperimentConfig:
     tols: list = None
     out: str = None
     json_out: bool = False
-    seed: int = 0
     reference_quality: str = "standard"
     # stability-scan settings
     which: str = "E"
@@ -117,7 +116,7 @@ def fit_slope(Hs, errs):
     return float(np.polyfit(np.log(Hs), np.log(errs), 1)[0])
 
 
-def _sample_points(problem, tEnd, n):
+def _sample_points(tEnd, n):
     return [tEnd * (i + 1) / n for i in range(n)]
 
 
@@ -126,7 +125,7 @@ _REF_CACHE = {}
 
 def _exact_samples(problem_name, p, sample_points, quality):
     """(samples array, error floor) for a problem; analytic where available."""
-    key = (problem_name, quality, len(sample_points))
+    key = (problem_name, quality, tuple(sample_points))
     if key in _REF_CACHE:
         return _REF_CACHE[key]
     out = _exact_samples_uncached(problem_name, p, sample_points, quality)
@@ -173,12 +172,12 @@ def _fit_rows(rows, floor):
     return fit_slope([g[0] for g in good], [g[1] for g in good])
 
 
-def run_convergence(cfg):
-    """Fixed-step convergence study over H = H0 * 2^-k, k in [kmin, kmax]."""
+def _run_fixed(cfg, H_of_k):
+    """Fixed-step runs of each method over H = H_of_k(k, tEnd), k in
+    [kmin, kmax]; a run that raises is recorded as a failed row."""
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
-    H0 = cfg.H0 if cfg.H0 is not None else PROBLEM_H0[cfg.problem]
-    pts = _sample_points(cfg.problem, tEnd, cfg.n_samples)
+    pts = _sample_points(tEnd, cfg.n_samples)
     ref, floor = _exact_samples(cfg.problem, p, pts, cfg.reference_quality)
     records = []
     for m in cfg.methods:
@@ -186,33 +185,7 @@ def run_convergence(cfg):
         rk = cfg.inner_for(m)
         rows = []
         for k in range(cfg.kmin, cfg.kmax + 1):
-            H = H0 * 2.0 ** (-k)
-            row = dict(method=m, k=k)
-            row.update(_one_fixed_run(p, t, rk, H, cfg.M, pts, ref))
-            rows.append(row)
-        records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
-                                 rows=rows, slope=_fit_rows(rows, floor),
-                                 floor=floor))
-    return records
-
-
-def run_efficiency(cfg):
-    """Efficiency study over H = 0.1 * 2^-k; failures recorded as rows."""
-    p = make_problem(cfg.problem)
-    tEnd = PROBLEM_TEND[cfg.problem]
-    pts = _sample_points(cfg.problem, tEnd, cfg.n_samples)
-    ref, floor = _exact_samples(cfg.problem, p, pts, cfg.reference_quality)
-    records = []
-    for m in cfg.methods:
-        t = load_builtin(m)
-        rk = cfg.inner_for(m)
-        rows = []
-        for k in range(cfg.kmin, cfg.kmax + 1):
-            H = 0.1 * 2.0 ** (-k)
-            n = (tEnd / cfg.n_samples) / H
-            if abs(n - round(n)) > 1e-9:
-                # snap H to divide the sampling interval evenly
-                H = (tEnd / cfg.n_samples) / math.ceil(n)
+            H = H_of_k(k, tEnd)
             row = dict(method=m, k=k)
             try:
                 row.update(_one_fixed_run(p, t, rk, H, cfg.M, pts, ref))
@@ -228,11 +201,30 @@ def run_efficiency(cfg):
     return records
 
 
+def run_convergence(cfg):
+    """Fixed-step convergence study over H = H0 * 2^-k, k in [kmin, kmax]."""
+    H0 = cfg.H0 if cfg.H0 is not None else PROBLEM_H0[cfg.problem]
+    return _run_fixed(cfg, lambda k, tEnd: H0 * 2.0 ** (-k))
+
+
+def run_efficiency(cfg):
+    """Efficiency study over H = 0.1 * 2^-k; failures recorded as rows."""
+    def H_of_k(k, tEnd):
+        H = 0.1 * 2.0 ** (-k)
+        n = (tEnd / cfg.n_samples) / H
+        if abs(n - round(n)) > 1e-9:
+            # snap H to divide the sampling interval evenly
+            H = (tEnd / cfg.n_samples) / math.ceil(n)
+        return H
+
+    return _run_fixed(cfg, H_of_k)
+
+
 def run_adaptive(cfg):
     """Adaptive runs over a tolerance schedule; reports achieved max error."""
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
-    pts = _sample_points(cfg.problem, tEnd, cfg.n_samples)
+    pts = _sample_points(tEnd, cfg.n_samples)
     ref, floor = _exact_samples(cfg.problem, p, pts, cfg.reference_quality)
     tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []

@@ -10,19 +10,19 @@ substeps, followed by the implicit correction
 
     Y_i = v_i(c_i H) + H sum_{j<=i} gamma_{i,j} fI_j
 
-solved by modified Newton when gamma_{i,i} != 0. The embedded solution, when
-present, is one extra fast pass over [0, H] with the embedding rows.
+solved by modified Newton when gamma_{i,i} != 0. The embedded solution,
+when wanted, is one more row of the same stage kernel: c = 1 with the
+embedding Omega and Gamma rows over the first s - 1 tendencies.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (FastSolveDivergence, NewtonFailure, StageSolveFailure,
-                     StepFailure)
-from .linalg import BandedMatrix, newton_solve
+from .errors import (FastSolveDivergence, NewtonFailure, SingularMatrixError,
+                     StageSolveFailure, StepFailure)
+from .linalg import BandedMatrix, newton_solve, wrms
 
 
 @dataclass
@@ -78,15 +78,6 @@ class NewtonConfig:
 
 
 @dataclass
-class StageWorkspace:
-    """Stage values and slow tendencies accumulated within one step."""
-
-    Y: list
-    fE: list
-    fI: list
-
-
-@dataclass
 class IntegrationRecord:
     """Sampled trajectory plus cost counters of one integration run."""
 
@@ -99,37 +90,6 @@ class IntegrationRecord:
     accepted: int = 0
     rejected: int = 0
     step_log: list = field(default_factory=list)
-
-
-@lru_cache(maxsize=64)
-def _float_coeffs(t):
-    """Float views of a tableau, cached per tableau object."""
-    omega = np.array([[[float(x) for x in row] for row in O]
-                      for O in t.omega])
-    gamma = np.array([[float(x) for x in row] for row in t.gamma])
-    c = np.array([float(x) for x in t.c])
-    emb_omega = emb_gamma = None
-    if t.has_embedding:
-        emb_omega = np.array([[float(x) for x in row] for row in t.emb_omega])
-        emb_gamma = np.array([float(x) for x in t.emb_gamma])
-    return c, omega, gamma, emb_omega, emb_gamma
-
-
-def forcing_eval(t, i, ws, theta, H):
-    """Forcing g_i(theta) for stage i (1-based) from stored slow tendencies."""
-    c, omega, _, _, _ = _float_coeffs(t)
-    ci = c[i - 1]
-    if ci == 0.0:
-        raise ValueError("forcing undefined for a zero abscissa")
-    tau = theta / (ci * H)
-    acc = np.zeros_like(ws.fE[0])
-    for k in range(omega.shape[0] - 1, -1, -1):
-        acc *= tau
-        for j in range(i - 1):
-            w = omega[k, i - 1, j]
-            if w != 0.0:
-                acc += w * (ws.fE[j] + ws.fI[j])
-    return acc / ci
 
 
 def _poly_forcing(coeffs, scale, span):
@@ -167,6 +127,8 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
     h = span / n_sub
     v = np.array(v0, dtype=float)
     want_err = err_weights is not None and bhat is not None
+    if want_err:
+        db = b - bhat
     K = np.empty((sF, len(v)))
     # overflow in a diverging substep is detected and reported below, so
     # the transient numpy warnings on the way there are suppressed
@@ -188,8 +150,7 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
                 raise FastSolveDivergence(
                     f"non-finite fast state at substep {m + 1}/{n_sub}")
             if want_err:
-                est = h * ((b - bhat) @ K)
-                from .linalg import wrms
+                est = h * (db @ K)
                 inner_errs.append(wrms(est, err_weights))
     return v
 
@@ -240,6 +201,8 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, guess, cfg=None,
             J = p.jacI(t_stage, y)
         else:
             J = _fd_jacobian(p.fI, t_stage, y)
+            if stats is not None:
+                stats.slow_i_evals += len(y) + 1
         return _shifted_jacobian(J, scale)
 
     counters = {}
@@ -248,12 +211,15 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, guess, cfg=None,
                                 atol=cfg.atol, rtol=cfg.rtol,
                                 max_iter=cfg.max_iter, modified=cfg.modified,
                                 counters=counters)
-    except NewtonFailure as e:
+    except (NewtonFailure, SingularMatrixError) as e:
         raise StageSolveFailure(str(e)) from e
+    finally:
+        # a failed solve's iterations were spent too
+        if stats is not None:
+            stats.newton_iters += counters.get("newton_iters", 0)
+            stats.linear_solves += counters.get("linear_solves", 0)
     if stats is not None:
         stats.implicit_solves += 1
-        stats.newton_iters += counters.get("newton_iters", 0)
-        stats.linear_solves += counters.get("linear_solves", 0)
     return y, iters
 
 
@@ -262,7 +228,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
     """One slow step from (tn, yn) to tn + H.
 
     Returns (y1, yhat_or_None, stats). want_embedded defaults to whether the
-    tableau carries an embedding; pass False to skip the extra fast pass.
+    tableau carries an embedding; pass False to skip the embedding row.
     err_weights/inner_errs feed per-substep embedded fast error norms to the
     adaptive controller.
     """
@@ -273,30 +239,37 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
         stats = StepStats()
     if want_embedded is None:
         want_embedded = t.has_embedding
-    c, omega, gamma, emb_omega, emb_gamma = _float_coeffs(t)
+    c, omega, gamma, emb_omega, emb_gamma = t.floats
     s = t.s
-    nk = omega.shape[0]
+    # stage rows (c_i, Omega row, Gamma row, gamma_ii) over the first i
+    # tendencies; the embedding is one more row with c = 1 over s - 1
+    rows = [(c[i], omega[:, i, :i], gamma[i, :i], gamma[i, i])
+            for i in range(1, s)]
+    if want_embedded and t.has_embedding:
+        rows.append((1.0, emb_omega[:, :s - 1], emb_gamma[:s - 1],
+                     emb_gamma[s - 1]))
     yn = np.asarray(yn, dtype=float)
 
-    fE = [None] * s
-    fI = [None] * s
-    fE[0] = np.asarray(p.fE(tn, yn), dtype=float)
-    fI[0] = np.asarray(p.fI(tn, yn), dtype=float)
-    stats.slow_e_evals += 1
-    stats.slow_i_evals += 1
-
-    Y = [None] * s
-    Y[0] = yn
-    for i in range(1, s):
-        ci = c[i]
+    Y = [yn]
+    fI = []
+    F = []  # fE_j + fI_j
+    ts = tn
+    for i, (ci, om, gam, gii) in enumerate(rows, start=1):
+        if len(F) < len(gam):
+            # tendencies of the stage just completed
+            fEj = np.asarray(p.fE(ts, Y[-1]), dtype=float)
+            fIj = np.asarray(p.fI(ts, Y[-1]), dtype=float)
+            stats.slow_e_evals += 1
+            stats.slow_i_evals += 1
+            fI.append(fIj)
+            F.append(fEj + fIj)
         try:
             if ci > 0.0:
-                coeffs = np.zeros((nk, p.dim))
-                for k in range(nk):
-                    for j in range(i):
-                        w = omega[k, i, j]
+                coeffs = np.zeros((len(om), p.dim))
+                for k in range(len(om)):
+                    for j, w in enumerate(om[k]):
                         if w != 0.0:
-                            coeffs[k] += w * (fE[j] + fI[j])
+                            coeffs[k] += w * F[j]
                 span = ci * H
                 forcing = _poly_forcing(coeffs, 1.0 / ci, span)
                 n_i = max(1, math.ceil(ci * M))
@@ -306,48 +279,18 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
             else:
                 v = yn.copy()
             base = v
-            for j in range(i):
-                g = gamma[i, j]
+            for j, g in enumerate(gam):
                 if g != 0.0:
                     base = base + (H * g) * fI[j]
-            Yi, _ = implicit_stage_solve(p, base, gamma[i, i], tn + ci * H, H,
-                                         base, cfg=cfg, stats=stats)
-        except (FastSolveDivergence, StageSolveFailure) as e:
-            raise StepFailure(f"stage {i + 1}: {e}", stage=i + 1) from e
-        Y[i] = Yi
-        if i < s - 1:
             ts = tn + ci * H
-            fE[i] = np.asarray(p.fE(ts, Yi), dtype=float)
-            fI[i] = np.asarray(p.fI(ts, Yi), dtype=float)
-            stats.slow_e_evals += 1
-            stats.slow_i_evals += 1
-    y1 = Y[s - 1]
-
-    yhat = None
-    if want_embedded and t.has_embedding:
-        try:
-            coeffs = np.zeros((emb_omega.shape[0], p.dim))
-            for k in range(emb_omega.shape[0]):
-                for j in range(s - 1):
-                    w = emb_omega[k, j]
-                    if w != 0.0:
-                        coeffs[k] += w * (fE[j] + fI[j])
-            forcing = _poly_forcing(coeffs, 1.0, H)
-            vhat = solve_fast_ivp(p, forcing, tn, H, yn, inner, M,
-                                  stats=stats, err_weights=err_weights,
-                                  inner_errs=inner_errs)
-            yhat = vhat
-            for j in range(s - 1):
-                g = emb_gamma[j]
-                if g != 0.0:
-                    yhat = yhat + (H * g) * fI[j]
-            if emb_gamma[s - 1] != 0.0:
-                yhat, _ = implicit_stage_solve(p, yhat, emb_gamma[s - 1],
-                                               tn + H, H, yhat, cfg=cfg,
-                                               stats=stats)
+            Yi, _ = implicit_stage_solve(p, base, gii, ts, H, base, cfg=cfg,
+                                         stats=stats)
         except (FastSolveDivergence, StageSolveFailure) as e:
-            raise StepFailure(f"embedding pass: {e}", stage=s + 1) from e
-    return y1, yhat, stats
+            where = f"stage {i + 1}" if i < s else "embedding pass"
+            raise StepFailure(f"{where}: {e}", stage=i + 1) from e
+        Y.append(Yi)
+    yhat = Y[s] if len(Y) > s else None
+    return Y[s - 1], yhat, stats
 
 
 def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None,

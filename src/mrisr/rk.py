@@ -2,11 +2,12 @@
 
 Coefficients are stored as exact rationals so that order conditions and the
 bushy-tree quadrature conditions b^T c^k = 1/(k+1) can be verified with zero
-residual. Float views are derived on demand for integration.
+residual. A table's float view is built once, on first use.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,13 @@ def _fmat(rows):
 
 def _fvec(row):
     return tuple(frac(x) for x in row)
+
+
+def _readonly(rows):
+    """Float ndarray of nested Fractions that refuses writes."""
+    a = np.array(rows, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,13 @@ class ButcherTable:
         return len(self.b)
 
     def arrays(self):
-        """Float views (A, b, c, bhat-or-None)."""
-        A = np.array([[float(x) for x in row] for row in self.A])
-        b = np.array([float(x) for x in self.b])
-        c = np.array([float(x) for x in self.c])
-        bhat = None
-        if self.bhat is not None:
-            bhat = np.array([float(x) for x in self.bhat])
-        return A, b, c, bhat
+        """Read-only float views (A, b, c, bhat-or-None), built once."""
+        return self._arrays
+
+    @cached_property
+    def _arrays(self):
+        bhat = None if self.bhat is None else _readonly(self.bhat)
+        return _readonly(self.A), _readonly(self.b), _readonly(self.c), bhat
 
 
 def _dot(u, v):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import _float_coeffs
-
 __all__ = ["phi", "eta_matrix", "stability_value", "SectorSpec",
            "sector_samples", "RegionScan", "scan_joint_region",
            "scan_component_region"]
@@ -59,7 +57,7 @@ def phi(k, z):
 
 def eta_matrix(t, zF):
     """eta(zF) = sum_k diag(phi_{k+1}(c*zF)) Omega^k, complex s-by-s."""
-    c, omega, _, _, _ = _float_coeffs(t)
+    c, omega, _, _, _ = t.floats
     s = len(c)
     eta = np.zeros((s, s), dtype=complex)
     for k in range(omega.shape[0]):
@@ -69,7 +67,7 @@ def eta_matrix(t, zF):
 
 def stability_value(t, zF, zE, zI):
     """Amplification factor R(zF, zE, zI); inf on a resolvent pole."""
-    c, _, gamma, _, _ = _float_coeffs(t)
+    c, _, gamma, _, _ = t.floats
     s = len(c)
     A = np.eye(s, dtype=complex) - (zE + zI) * eta_matrix(t, zF) - zI * gamma
     rhs = np.exp(c * zF).astype(complex)
@@ -161,7 +159,7 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular,
     re, im = _grid(window, res)
     zgrid = (re[None, :] + 1j * im[:, None]).ravel()
     ncell = zgrid.size
-    c, _, gamma, _, _ = _float_coeffs(t)
+    c, _, gamma, _, _ = t.floats
     s = len(c)
     eye = np.eye(s, dtype=complex)
 

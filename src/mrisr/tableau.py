@@ -2,8 +2,9 @@
 
 An MRISRTableau holds the slow abscissae c, the tendency-polynomial coefficient
 matrices Omega[0..n_omega-1], the implicit correction matrix Gamma, and
-(optionally) embedding rows. All entries are Fractions; convert to floats once
-per integration run.
+(optionally) embedding rows. All entries are Fractions. The read-only
+`floats` view holds them as float arrays; it is built on first use and
+cached on the tableau, and it is the only place they are converted.
 
 Stage i of a step integrates a fast IVP over [0, c_i*H] with forcing
 
@@ -16,9 +17,11 @@ followed by an implicit correction with the Gamma row.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DegenerateAbscissaeError, UnknownMethodError
-from .rk import frac
+from .errors import (DegenerateAbscissaeError, PreconditionError,
+                     UnknownMethodError)
+from .rk import _fmat, _fvec, _readonly
 
 __all__ = [
     "MRISRTableau", "load_builtin", "build_merk_tableau", "omega_poly_eval",
@@ -55,13 +58,19 @@ class MRISRTableau:
     def has_embedding(self):
         return self.emb_omega is not None
 
+    @cached_property
+    def floats(self):
+        """Read-only float arrays (c, omega, gamma, emb_omega, emb_gamma).
 
-def _mat(rows):
-    return tuple(tuple(frac(x) for x in row) for row in rows)
-
-
-def _vec(row):
-    return tuple(frac(x) for x in row)
+        omega has shape (n_omega, s, s); emb_omega (n_omega, s) and
+        emb_gamma (s,) are None without an embedding.
+        """
+        emb_omega = emb_gamma = None
+        if self.has_embedding:
+            emb_omega = _readonly(self.emb_omega)
+            emb_gamma = _readonly(self.emb_gamma)
+        return (_readonly(self.c), _readonly(self.omega),
+                _readonly(self.gamma), emb_omega, emb_gamma)
 
 
 def omega_bar(t):
@@ -86,10 +95,11 @@ def omega_poly_eval(t, i, j, tau):
     """
     if not (1 <= j < i <= t.s):
         raise IndexError(f"need 1 <= j < i <= s, got i={i}, j={j}, s={t.s}")
+    _, omega, _, _, _ = t.floats
     acc = 0.0
     for k in range(t.n_omega - 1, -1, -1):
-        acc = acc * tau + float(t.omega[k][i - 1][j - 1])
-    return acc
+        acc = acc * tau + omega[k, i - 1, j - 1]
+    return float(acc)
 
 
 def validate_structure(t):
@@ -100,6 +110,9 @@ def validate_structure(t):
         findings.append("c[1] must be 0")
     if t.c[-1] != 1:
         findings.append("c[s] must be 1 (solution stage)")
+    for i, ci in enumerate(t.c):
+        if ci < 0:
+            findings.append(f"c[{i + 1}] = {ci} is negative")
     mats = [(f"Omega[{k}]", O) for k, O in enumerate(t.omega)]
     mats.append(("Gamma", t.gamma))
     for name, M in mats:
@@ -133,37 +146,37 @@ def validate_structure(t):
 
 _SR21 = MRISRTableau(
     name="imex-mri-sr21",
-    c=_vec([0, "3/5", "4/15", 1]),
+    c=_fvec([0, "3/5", "4/15", 1]),
     omega=(
-        _mat([
+        _fmat([
             [0, 0, 0, 0],
             ["3/5", 0, 0, 0],
             ["14/165", "2/11", 0, 0],
             ["-13/54", "137/270", "11/15", 0],
         ]),
     ),
-    gamma=_mat([
+    gamma=_fmat([
         [0, 0, 0, 0],
         ["-11/23", "11/23", 0, 0],
         ["-6692/52371", "-18355/52371", "11/23", 0],
         ["11621/90666", "-215249/226665", "17287/50370", "11/23"],
     ]),
-    emb_omega=(_vec(["-1/4", "1/2", "3/4", 0]),),
-    emb_gamma=_vec(["-31/12", "-1/6", "11/4", 0]),
+    emb_omega=(_fvec(["-1/4", "1/2", "3/4", 0]),),
+    emb_gamma=_fvec(["-31/12", "-1/6", "11/4", 0]),
 )
 
 _SR32 = MRISRTableau(
     name="imex-mri-sr32",
-    c=_vec([0, "23/34", "4/5", "17/15", 1]),
+    c=_fvec([0, "23/34", "4/5", "17/15", 1]),
     omega=(
-        _mat([
+        _fmat([
             [0, 0, 0, 0, 0],
             ["23/34", 0, 0, 0, 0],
             ["71/70", "-3/14", 0, 0, 0],
             ["124/1155", "4/7", "5/11", 0, 0],
             ["162181/187680", "119/1380", "11/32", "-5/17", 0],
         ]),
-        _mat([
+        _fmat([
             [0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0],
             ["-14453/63825", "14453/63825", 0, 0, 0],
@@ -173,7 +186,7 @@ _SR32 = MRISRTableau(
              "-211274129/100368304", "89562055/106641323", 0],
         ]),
     ),
-    gamma=_mat([
+    gamma=_fmat([
         [0, 0, 0, 0, 0],
         ["-4/7", "4/7", 0, 0, 0],
         ["-2707004/3127425", "919904/3127425", "4/7", 0, 0],
@@ -182,17 +195,17 @@ _SR32 = MRISRTableau(
          "-13993902/43911133", "4/7"],
     ]),
     emb_omega=(
-        _vec(["76355/74834", "-46/31", "67/34", "-36/71", 0]),
-        _vec(["-3732974/2278035", "13857574/2278035", "-52/9", "4/3", 0]),
+        _fvec(["76355/74834", "-46/31", "67/34", "-36/71", 0]),
+        _fvec(["-3732974/2278035", "13857574/2278035", "-52/9", "4/3", 0]),
     ),
-    emb_gamma=_vec(["-179/4140", "799/14490", "1/14", "-1/12", 0]),
+    emb_gamma=_fvec(["-179/4140", "799/14490", "1/14", "-1/12", 0]),
 )
 
 _SR43 = MRISRTableau(
     name="imex-mri-sr43",
-    c=_vec([0, "1/4", "3/4", "11/20", "1/2", 1, 1]),
+    c=_fvec([0, "1/4", "3/4", "11/20", "1/2", 1, 1]),
     omega=(
-        _mat([
+        _fmat([
             [0, 0, 0, 0, 0, 0, 0],
             ["1/4", 0, 0, 0, 0, 0, 0],
             ["9/8", "-3/8", 0, 0, 0, 0, 0],
@@ -202,7 +215,7 @@ _SR43 = MRISRTableau(
              0, 0],
             [0, "7/11", "-2203/264", "10825/792", "-85/12", "841/396", 0],
         ]),
-        _mat([
+        _fmat([
             [0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0],
             ["-11/4", "11/4", 0, 0, 0, 0, 0],
@@ -213,7 +226,7 @@ _SR43 = MRISRTableau(
             [0, "107/132", "1289/88", "-9275/792", 0, "-371/99", 0],
         ]),
     ),
-    gamma=_mat([
+    gamma=_fmat([
         [0, 0, 0, 0, 0, 0, 0],
         ["-1/4", "1/4", 0, 0, 0, 0, 0],
         ["1/4", "-1/2", "1/4", 0, 0, 0, 0],
@@ -223,10 +236,10 @@ _SR43 = MRISRTableau(
         [0, 0, 0, 0, 0, 0, 0],
     ]),
     emb_omega=(
-        _vec(["1/400", "49/12", "43/6", "-7/10", "-85/12", "-2963/1200", 0]),
-        _vec(["-1/200", "-137/24", "-235/16", "1237/80", 0, "2963/600", 0]),
+        _fvec(["1/400", "49/12", "43/6", "-7/10", "-85/12", "-2963/1200", 0]),
+        _fvec(["-1/200", "-137/24", "-235/16", "1237/80", 0, "2963/600", 0]),
     ),
-    emb_gamma=_vec([0, 0, 0, 0, 0, 0, 0]),
+    emb_gamma=_fvec([0, 0, 0, 0, 0, 0, 0]),
 )
 
 
@@ -298,10 +311,10 @@ _MERK_GROUPS = {
 }
 
 _MERK_DEFAULT_C = {
-    2: _vec([0, "1/2", 1]),
-    3: _vec([0, "1/2", "2/3", 1]),
-    4: _vec([0, "1/2", "1/2", "1/3", "5/6", "1/3", 1]),
-    5: _vec([0, "1/2", "1/2", "1/3", "1/2", "1/3", "1/4", "7/10", "1/2",
+    2: _fvec([0, "1/2", 1]),
+    3: _fvec([0, "1/2", "2/3", 1]),
+    4: _fvec([0, "1/2", "1/2", "1/3", "5/6", "1/3", 1]),
+    5: _fvec([0, "1/2", "1/2", "1/3", "1/2", "1/3", "1/4", "7/10", "1/2",
              "2/3", 1]),
 }
 
@@ -326,7 +339,7 @@ def _make_merk(order, c=None, name=None):
     if c is None:
         c = _MERK_DEFAULT_C[order]
     else:
-        c = _vec(c)
+        c = _fvec(c)
         if len(c) != len(_MERK_DEFAULT_C[order]):
             raise DegenerateAbscissaeError(
                 f"merk{order} needs {len(_MERK_DEFAULT_C[order])} abscissae")
@@ -401,19 +414,25 @@ def tableau_to_dict(t):
 
 
 def tableau_from_dict(d):
+    """Tableau from its interchange dict; PreconditionError if invalid."""
     emb_omega = None
     emb_gamma = None
     if d.get("embOmega") is not None:
-        emb_omega = tuple(_vec(row) for row in d["embOmega"])
-        emb_gamma = _vec(d["embGamma"])
-    return MRISRTableau(
+        emb_omega = tuple(_fvec(row) for row in d["embOmega"])
+        emb_gamma = _fvec(d["embGamma"])
+    t = MRISRTableau(
         name=d["name"],
-        c=_vec(d["c"]),
-        omega=tuple(_mat(O) for O in d["omega"]),
-        gamma=_mat(d["gamma"]),
+        c=_fvec(d["c"]),
+        omega=tuple(_fmat(O) for O in d["omega"]),
+        gamma=_fmat(d["gamma"]),
         emb_omega=emb_omega,
         emb_gamma=emb_gamma,
     )
+    findings = validate_structure(t)
+    if findings:
+        raise PreconditionError(
+            f"invalid tableau {t.name!r}: " + "; ".join(findings))
+    return t
 
 
 def save_tableau(t, path):

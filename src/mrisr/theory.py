@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateEmbeddingError, PreconditionError
-from .rk import bushy_tree_residuals
+from .rk import _dot, _matvec, bushy_tree_residuals
 from .tableau import omega_bar
 
 __all__ = [
@@ -17,14 +17,6 @@ __all__ = [
     "check_internal_consistency", "check_coupling_order", "check_ark_order",
     "method_order", "c_statistic", "gark_linear_step",
 ]
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-def _matvec(A, v):
-    return [_dot(row, v) for row in A]
 
 
 def _zeros(n, m):

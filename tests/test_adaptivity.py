@@ -200,6 +200,24 @@ def test_adaptive_reports_repeated_rejection():
     assert rec.rejected >= 5 and rec.accepted == 0
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_adaptive_rejects_singular_stage_matrix_and_goes_on():
+    # I - H*gamma_22*J is exactly 0 for SR21 at H0 = 0.1: that attempt is
+    # rejected and the run continues with a smaller step
+    J = np.array([[1.0 / (0.1 * 11 / 23)]])
+    p = SplitIVP(dim=1, fF=lambda t, y: 0.0 * y, fE=lambda t, y: 0.0 * y,
+                 fI=lambda t, y: J @ y, jacI=lambda t, y: J,
+                 y0=np.array([1.0]))
+    rec = integrate_adaptive(p, load_builtin("imex-mri-sr21"),
+                             inner_method("bogacki-shampine"), 0.2, 1e-2,
+                             H0=0.1, M0=2)
+    assert not rec.failed, rec.failure
+    first = rec.step_log[0]
+    assert first["H"] == 0.1 and not first["accepted"]
+    assert math.isinf(first["epsS"])
+    assert rec.accepted > 0 and rec.t[-1] == 0.2
+
+
 @pytest.fixture(scope="module")
 def brusselator_tv_ref():
     from scipy.integrate import solve_ivp

@@ -116,6 +116,15 @@ def test_write_csv_header_and_sidecar(tmp_path):
     assert side == dict(seed=0, note="x", v=1.5)
 
 
+def test_reference_cache_keys_on_the_sample_points():
+    from mrisr.harness import _exact_samples
+    from mrisr.problems import kpr_exact, make_problem
+    p = make_problem("kpr")
+    for pts in ([0.5, 1.0, 1.5], [0.25, 0.75, 1.25]):
+        ref, _ = _exact_samples("kpr", p, pts, "standard")
+        assert np.array_equal(ref, [list(kpr_exact(s)) for s in pts])
+
+
 def test_problem_tables_cover_registry():
     from mrisr.problems import PROBLEMS
     assert set(PROBLEM_TEND) == set(PROBLEMS) == set(PROBLEM_H0)

@@ -208,3 +208,81 @@ def test_integrate_fixed_partial_record_on_failure():
     rec = integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4)
     assert rec.failed and "stage" in rec.failure
     assert rec.accepted < 4
+
+
+def _singular_at_first_stage():
+    # I - H*gamma_22*J is exactly 0 for SR21 (gamma_22 = 11/23) at H = 0.1
+    J = np.array([[1.0 / (0.1 * 11 / 23)]])
+    return SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
+                    fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: J @ y,
+                    jacI=lambda tt, y: J, y0=np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_stage_matrix_fails_fixed_run():
+    rec = integrate_fixed(_singular_at_first_stage(),
+                          load_builtin("imex-mri-sr21"), inner_method("heun"),
+                          0.2, 0.1, 2)
+    assert rec.failed and "stage 2" in rec.failure
+    assert rec.accepted == 0
+
+
+def test_fd_jacobian_calls_are_counted():
+    calls = {"n": 0}
+
+    def fI(tt, y):
+        calls["n"] += 1
+        return np.array([-0.5 * y[0] + 0.1 * y[1] ** 2, -2.0 * y[1]])
+
+    p = SplitIVP(dim=2, fF=lambda tt, y: -y, fE=lambda tt, y: 0.3 * y,
+                 fI=fI, jacI=None, y0=np.array([1.0, 0.5]))
+    rec = integrate_fixed(p, load_builtin("imex-mri-sr32"),
+                          inner_method("bogacki-shampine"), 0.5, 0.125, 4,
+                          embedded=True)
+    assert not rec.failed
+    assert rec.stats.slow_i_evals == calls["n"]
+
+
+def test_failed_newton_iterations_are_counted():
+    # one Newton iteration is not enough to meet the update tolerance
+    p = _nonstiff_problem()
+    stats = StepStats()
+    with pytest.raises(StepFailure):
+        step(p, load_builtin("imex-mri-sr21"), inner_method("heun"), p.y0,
+             0.0, 0.1, 4, cfg=NewtonConfig(max_iter=1), stats=stats)
+    assert stats.newton_iters == stats.linear_solves == 1
+    assert stats.implicit_solves == 0
+
+
+def _load_tracing():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_hooks_resolve_and_see_every_layer():
+    import importlib
+    tracing = _load_tracing()
+    for module, path, _ in tracing.WRAPPED:
+        owner = importlib.import_module(f"mrisr.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, path)
+    # step() reaches the fast solve, the implicit solve and Newton through
+    # module globals, so the traced run attributes time to each of them
+    from mrisr import integrator
+    p = _nonstiff_problem()
+    with tracing.Tracer(problems=(p,)) as tr:
+        rec = integrator.integrate_fixed(p, load_builtin("imex-mri-sr21"),
+                                         inner_method("heun"), 0.2, 0.1, 2,
+                                         embedded=True)
+    for layer in ("integrator.driver", "integrator.step", "integrator.fast",
+                  "integrator.implicit", "linalg.newton", "linalg.factor",
+                  "linalg.backsolve", "problems.fF", "problems.fI"):
+        assert tr.calls[layer] > 0, layer
+    assert tr.calls["linalg.backsolve"] == rec.stats.newton_iters
+    assert tr.calls["problems.fI"] == rec.stats.slow_i_evals

@@ -79,6 +79,11 @@ def test_arrays_are_floats():
     A, b, c, bhat = BOGACKI_SHAMPINE.arrays()
     assert A.dtype == float and bhat is not None
     assert np.allclose(A.sum(axis=1), c)
+    # built once, and shared read-only
+    assert BOGACKI_SHAMPINE.arrays() is BOGACKI_SHAMPINE.arrays()
+    assert list(bhat) == [float(x) for x in BOGACKI_SHAMPINE.bhat]
+    with pytest.raises(ValueError):
+        b[0] = 0.0
 
 
 @given(st.sampled_from(sorted(INNER_METHODS)))

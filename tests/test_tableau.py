@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mrisr.errors import DegenerateAbscissaeError, UnknownMethodError
+from mrisr.errors import (DegenerateAbscissaeError, PreconditionError,
+                          UnknownMethodError)
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, build_merk_tableau,
                            load_builtin, load_tableau, omega_bar,
                            omega_poly_eval, save_tableau, tableau_from_dict,
@@ -129,6 +131,40 @@ def test_structure_findings_for_corrupt_tableau():
     bad2 = MRISRTableau(name="bad2", c=(F(1, 2),) + t.c[1:],
                         omega=t.omega, gamma=t.gamma)
     assert any("c[1]" in f for f in validate_structure(bad2))
+    bad3 = MRISRTableau(name="bad3", c=t.c[:2] + (F(-4, 15),) + t.c[3:],
+                        omega=t.omega, gamma=t.gamma)
+    assert validate_structure(bad3) == ["c[3] = -4/15 is negative"]
+
+
+def test_load_rejects_invalid_tableau(tmp_path):
+    d = tableau_to_dict(load_builtin("imex-mri-sr21"))
+    d["gamma"][1][2] = "1/7"  # above the diagonal
+    with pytest.raises(PreconditionError, match="not lower triangular"):
+        tableau_from_dict(d)
+    d = tableau_to_dict(load_builtin("imex-mri-sr21"))
+    d["c"][2] = "-4/15"
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(PreconditionError, match="negative"):
+        load_tableau(path)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_float_view_is_exact_and_read_only(name):
+    t = load_builtin(name)
+    c, omega, gamma, emb_omega, emb_gamma = t.floats
+    assert t.floats is t.floats  # built once
+    exact = [(c, t.c), (omega, t.omega), (gamma, t.gamma)]
+    if t.has_embedding:
+        exact += [(emb_omega, t.emb_omega), (emb_gamma, t.emb_gamma)]
+    else:
+        assert emb_omega is None and emb_gamma is None
+    for arr, fracs in exact:
+        want = np.vectorize(float)(np.array(fracs, dtype=object))
+        assert arr.dtype == float and arr.shape == want.shape
+        assert np.array_equal(arr, want)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
