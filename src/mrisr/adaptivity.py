@@ -76,7 +76,7 @@ def estimate_slow_error(y1, yhat, atol, rtol):
 
 
 def accumulate_fast_error(inner_errs):
-    """Largest of the per-substep embedded error norms.
+    """Largest of the per-substep embedded error norms (a flat list).
 
     The fast estimate must see the worst substep: a few substeps where the
     explicit inner method is unstable can carry all of a step's error, and
@@ -84,12 +84,9 @@ def accumulate_fast_error(inner_errs):
     embedding, which cannot see fast error, lets the step through.
     Returns (max, available); an empty list yields (0.0, False).
     """
-    vals = [e for group in inner_errs for e in np.atleast_1d(group)] \
-        if inner_errs and isinstance(inner_errs[0], (list, np.ndarray)) \
-        else list(inner_errs)
-    if not vals:
+    if not inner_errs:
         return 0.0, False
-    return float(np.max(vals)), True
+    return float(np.max(inner_errs)), True
 
 
 def _clamp_factor(factor, st):

@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands: verify, converge, efficiency, adaptive, stability,
-list-methods. A JSON config file can set any flag; explicit flags win.
+list-methods. A JSON config file can set any flag; explicit flags win, and
+a key that names no flag is a usage error.
 Exit codes: 0 all runs completed, 2 some rows failed, 1 usage error.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -16,15 +16,14 @@ from .errors import MRISRError
 from .rk import INNER_METHODS
 from .tableau import BUILTIN_NAMES
 
-_FIXED_ROW_KEYS = ["method", "k", "H", "M", "maxError", "runtime",
-                   "fastFEvals", "slowEEvals", "slowIEvals", "implicitSolves",
-                   "failed"]
 _ROW_KEYS = {
-    "converge": _FIXED_ROW_KEYS,
-    "efficiency": _FIXED_ROW_KEYS,
-    "adaptive": ["method", "tol", "maxError", "accepted", "rejected",
-                 "runtime", "fastFEvals", "implicitSolves", "failed"],
+    "converge": ["method", "k", "H", "M", *harness.RUN_KEYS],
+    "efficiency": ["method", "k", "H", "M", *harness.RUN_KEYS],
+    "adaptive": ["method", "tol", *harness.RUN_KEYS],
 }
+
+# flags whose names differ from their ExperimentConfig field
+_FLAG_FIELDS = {"m": "M", "tol": "tols", "json": "json_out"}
 
 
 def _add_common(sp):
@@ -67,12 +66,18 @@ def _build_parser():
 
 
 def _merge_config(args):
+    """Options from the --config file overlaid by explicit flags; a config
+    key that names no flag of the subcommand is a usage error."""
+    flags = set(vars(args)) - {"command", "config"}
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
             merged.update(json.load(f))
+    unknown = sorted(set(merged) - flags)
+    if unknown:
+        raise ValueError(f"unknown option {unknown[0]!r}")
     for k, v in vars(args).items():
-        if k not in ("command", "config") and v is not None:
+        if k in flags and v is not None:
             merged[k] = v
     return merged
 
@@ -111,23 +116,20 @@ def _inner_map(opts, methods):
 
 
 def _experiment_config(kind, opts):
+    """ExperimentConfig from merged options, passed by field name."""
     methods = _methods(opts, default_all=(kind in ("verify", "stability")))
     kw = dict(kind=kind, methods=methods,
               inner=_inner_map(opts, methods))
-    for src, dst in (("problem", "problem"), ("H0", "H0"), ("kmin", "kmin"),
-                     ("kmax", "kmax"), ("m", "M"), ("tol", "tols"),
-                     ("out", "out"), ("json", "json_out"),
-                     ("which", "which"), ("alpha", "alpha"), ("rho", "rho"),
-                     ("beta", "beta"), ("xi", "xi"), ("joint", "joint")):
-        if opts.get(src) is not None:
-            kw[dst] = opts[src]
-    if opts.get("window") is not None:
-        w = opts["window"]
-        kw["window"] = tuple(float(x) for x in str(w).split(",")) \
+    for key, value in opts.items():
+        if key not in ("method", "inner") and value is not None:
+            kw[_FLAG_FIELDS.get(key, key)] = value
+    w = kw.get("window")
+    if w is not None:
+        kw["window"] = tuple(float(x) for x in w.split(",")) \
             if isinstance(w, str) else tuple(w)
-    if opts.get("res") is not None:
-        r = opts["res"]
-        kw["res"] = tuple(int(x) for x in str(r).lower().split("x")) \
+    r = kw.get("res")
+    if r is not None:
+        kw["res"] = tuple(int(x) for x in r.lower().split("x")) \
             if isinstance(r, str) else tuple(r)
     return harness.ExperimentConfig(**kw)
 

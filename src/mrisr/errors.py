@@ -13,7 +13,7 @@ class DegenerateAbscissaeError(MRISRError):
     """Coincident abscissae appear in a denominator of a generator formula."""
 
 
-class PreconditionError(MRISRError):
+class PreconditionError(MRISRError, ValueError):
     """A documented operation precondition was violated."""
 
 
@@ -34,14 +34,7 @@ class FastSolveDivergence(MRISRError):
 
 
 class StageSolveFailure(MRISRError):
-    """Implicit stage correction failed to converge.
-
-    Carries the failing stage index (1-based) when known.
-    """
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
+    """Implicit stage correction failed to converge."""
 
 
 class StepFailure(MRISRError):

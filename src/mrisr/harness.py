@@ -11,16 +11,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptivity, stability, theory
-from .errors import MRISRError, ReferenceFailure
-from .integrator import integrate_fixed
-from .problems import PROBLEMS, kpr_exact, make_problem, reference_solution
+from .errors import MRISRError
+from .integrator import IntegrationRecord, StepStats, integrate_fixed
+from .problems import REF_GATE, kpr_exact, make_problem, reference_solution
 from .rk import inner_method
 from .tableau import BUILTIN_NAMES, load_builtin, validate_structure
 
 __all__ = ["ExperimentConfig", "RunRecord", "default_inner", "fit_slope",
            "run_convergence", "run_efficiency", "run_adaptive",
            "run_stability_export", "run_verify", "write_csv",
-           "PROBLEM_TEND", "PROBLEM_H0"]
+           "PROBLEM_TEND", "PROBLEM_H0", "RUN_KEYS"]
 
 PROBLEM_TEND = {
     "kpr": 5.0 * math.pi / 2.0,
@@ -70,11 +70,9 @@ class ExperimentConfig:
     kmin: int = 0
     kmax: int = 8
     M: int = 10
-    n_samples: int = 10
     tols: list = None
     out: str = None
     json_out: bool = False
-    reference_quality: str = "standard"
     # stability-scan settings
     which: str = "E"
     alpha: float = 45.0
@@ -104,7 +102,6 @@ class RunRecord:
     rows: list
     slope: float = None
     floor: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 def fit_slope(Hs, errs):
@@ -116,50 +113,57 @@ def fit_slope(Hs, errs):
     return float(np.polyfit(np.log(Hs), np.log(errs), 1)[0])
 
 
-def _sample_points(tEnd, n):
-    return [tEnd * (i + 1) / n for i in range(n)]
+# every study samples the solution at N_SAMPLES evenly spaced times
+N_SAMPLES = 10
+
+
+def _sample_points(tEnd):
+    return [tEnd * (i + 1) / N_SAMPLES for i in range(N_SAMPLES)]
 
 
 _REF_CACHE = {}
 
 
-def _exact_samples(problem_name, p, sample_points, quality):
+def _exact_samples(problem_name, p, sample_points):
     """(samples array, error floor) for a problem; analytic where available."""
-    key = (problem_name, quality, tuple(sample_points))
-    if key in _REF_CACHE:
-        return _REF_CACHE[key]
-    out = _exact_samples_uncached(problem_name, p, sample_points, quality)
-    _REF_CACHE[key] = out
-    return out
+    key = (problem_name, tuple(sample_points))
+    if key not in _REF_CACHE:
+        if problem_name == "kpr":
+            out = (np.array([list(kpr_exact(s)) for s in sample_points]), 0.0)
+        else:
+            # the brusselator variants are unstable at coarse H; start low
+            ref = reference_solution(p, sample_points[-1], sample_points,
+                                     H0=3.0 / 512.0)
+            out = (ref, 100.0 * REF_GATE)
+        _REF_CACHE[key] = out
+    return _REF_CACHE[key]
 
 
-def _exact_samples_uncached(problem_name, p, sample_points, quality):
-    if problem_name == "kpr":
-        return (np.array([list(kpr_exact(s)) for s in sample_points]), 0.0)
-    gate = {"draft": 1e-7, "standard": 1e-10}[quality]
-    # brusselator variants are unstable at coarse H; start refinement low
-    H0 = 3.0 / 512.0 if problem_name.startswith("brusselator") else None
-    ref, _h = reference_solution(p, sample_points[-1], sample_points,
-                                 quality=quality, H0=H0)
-    return ref, 100.0 * gate
+# columns every run row carries, after its study's leading keys
+RUN_KEYS = ["maxError", "runtime", "accepted", "rejected",
+            *StepStats().as_dict(), "failed"]
 
 
-def _one_fixed_run(p, t, rk, H, M, sample_points, ref):
+def _run_row(run, ref):
+    """Time run() and summarise its IntegrationRecord as the RUN_KEYS of one
+    row, plus 'failure' when it failed. A run that raises gives a failed row
+    with zero counters; that includes integrate_fixed's PreconditionError
+    for a step size or sample point that does not fit the interval."""
     start = time.monotonic()
-    rec = integrate_fixed(p, t, rk, sample_points[-1], H, M,
-                          sample_points=sample_points)
-    runtime = time.monotonic() - start
-    row = dict(H=H, M=M, runtime=runtime,
-               fastFEvals=rec.stats.fast_f_evals,
-               slowEEvals=rec.stats.slow_e_evals,
-               slowIEvals=rec.stats.slow_i_evals,
-               implicitSolves=rec.stats.implicit_solves,
-               failed=int(rec.failed), maxError=math.nan)
-    if not rec.failed:
-        ys = np.array(rec.y)  # t0 is not a sample point
-        row["maxError"] = float(np.max(np.abs(ys - ref)))
-    else:
+    try:
+        rec = run()
+    except MRISRError as e:
+        rec = IntegrationRecord(t=[], y=[], stats=StepStats(), config={},
+                                failed=True, failure=str(e))
+    row = dict(maxError=math.nan, runtime=time.monotonic() - start,
+               accepted=rec.accepted, rejected=rec.rejected,
+               **rec.stats.as_dict(), failed=int(rec.failed))
+    if rec.failed:
         row["failure"] = rec.failure
+    else:
+        # adaptive records also hold t0, which is not a sample point
+        ys = np.array(rec.y[-len(ref):])
+        row["maxError"] = float(np.max(np.abs(ys - ref)))
     return row
 
 
@@ -177,8 +181,8 @@ def _run_fixed(cfg, H_of_k):
     [kmin, kmax]; a run that raises is recorded as a failed row."""
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
-    pts = _sample_points(tEnd, cfg.n_samples)
-    ref, floor = _exact_samples(cfg.problem, p, pts, cfg.reference_quality)
+    pts = _sample_points(tEnd)
+    ref, floor = _exact_samples(cfg.problem, p, pts)
     records = []
     for m in cfg.methods:
         t = load_builtin(m)
@@ -186,15 +190,9 @@ def _run_fixed(cfg, H_of_k):
         rows = []
         for k in range(cfg.kmin, cfg.kmax + 1):
             H = H_of_k(k, tEnd)
-            row = dict(method=m, k=k)
-            try:
-                row.update(_one_fixed_run(p, t, rk, H, cfg.M, pts, ref))
-            except MRISRError as e:
-                row.update(H=H, M=cfg.M, failed=1, failure=str(e),
-                           maxError=math.nan, runtime=math.nan,
-                           fastFEvals=0, slowEEvals=0, slowIEvals=0,
-                           implicitSolves=0)
-            rows.append(row)
+            rows.append(dict(method=m, k=k, H=H, M=cfg.M, **_run_row(
+                lambda: integrate_fixed(p, t, rk, pts[-1], H, cfg.M,
+                                        sample_points=pts), ref)))
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
                                  rows=rows, slope=_fit_rows(rows, floor),
                                  floor=floor))
@@ -211,10 +209,10 @@ def run_efficiency(cfg):
     """Efficiency study over H = 0.1 * 2^-k; failures recorded as rows."""
     def H_of_k(k, tEnd):
         H = 0.1 * 2.0 ** (-k)
-        n = (tEnd / cfg.n_samples) / H
+        n = (tEnd / N_SAMPLES) / H
         if abs(n - round(n)) > 1e-9:
             # snap H to divide the sampling interval evenly
-            H = (tEnd / cfg.n_samples) / math.ceil(n)
+            H = (tEnd / N_SAMPLES) / math.ceil(n)
         return H
 
     return _run_fixed(cfg, H_of_k)
@@ -224,8 +222,8 @@ def run_adaptive(cfg):
     """Adaptive runs over a tolerance schedule; reports achieved max error."""
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
-    pts = _sample_points(tEnd, cfg.n_samples)
-    ref, floor = _exact_samples(cfg.problem, p, pts, cfg.reference_quality)
+    pts = _sample_points(tEnd)
+    ref, floor = _exact_samples(cfg.problem, p, pts)
     tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []
     for m in cfg.methods:
@@ -236,28 +234,10 @@ def run_adaptive(cfg):
         if rk.bhat is None:
             # adaptive runs need an embedded inner estimate
             rk = inner_method("bogacki-shampine")
-        rows = []
-        for tol in tols:
-            row = dict(method=m, tol=tol)
-            start = time.monotonic()
-            try:
-                rec = adaptivity.integrate_adaptive(
-                    p, t, rk, tEnd, tol, sample_points=pts, M0=cfg.M)
-                row.update(runtime=time.monotonic() - start,
-                           accepted=rec.accepted, rejected=rec.rejected,
-                           fastFEvals=rec.stats.fast_f_evals,
-                           implicitSolves=rec.stats.implicit_solves,
-                           failed=int(rec.failed), maxError=math.nan)
-                if not rec.failed:
-                    ys = np.array(rec.y[1:])
-                    row["maxError"] = float(np.max(np.abs(ys - ref)))
-                else:
-                    row["failure"] = rec.failure
-            except MRISRError as e:
-                row.update(runtime=time.monotonic() - start, failed=1,
-                           failure=str(e), maxError=math.nan, accepted=0,
-                           rejected=0, fastFEvals=0, implicitSolves=0)
-            rows.append(row)
+        rows = [dict(method=m, tol=tol, **_run_row(
+            lambda: adaptivity.integrate_adaptive(
+                p, t, rk, tEnd, tol, sample_points=pts, M0=cfg.M), ref))
+            for tol in tols]
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
                                  rows=rows, floor=floor))
     return records

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FastSolveDivergence, NewtonFailure, SingularMatrixError,
-                     StageSolveFailure, StepFailure)
+from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
+                     SingularMatrixError, StageSolveFailure, StepFailure)
 from .linalg import BandedMatrix, newton_solve, wrms
 
 
@@ -53,14 +53,6 @@ class StepStats:
     newton_iters: int = 0
     linear_solves: int = 0
 
-    def add(self, other):
-        self.fast_f_evals += other.fast_f_evals
-        self.slow_e_evals += other.slow_e_evals
-        self.slow_i_evals += other.slow_i_evals
-        self.implicit_solves += other.implicit_solves
-        self.newton_iters += other.newton_iters
-        self.linear_solves += other.linear_solves
-
     def as_dict(self):
         return dict(fastFEvals=self.fast_f_evals, slowEEvals=self.slow_e_evals,
                     slowIEvals=self.slow_i_evals,
@@ -74,7 +66,6 @@ class NewtonConfig:
     atol: float = 1e-12
     rtol: float = 1e-10
     max_iter: int = 10
-    modified: bool = True
 
 
 @dataclass
@@ -205,19 +196,12 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, guess, cfg=None,
                 stats.slow_i_evals += len(y) + 1
         return _shifted_jacobian(J, scale)
 
-    counters = {}
     try:
-        y, iters = newton_solve(residual, jacobian, guess, tol=1.0,
-                                atol=cfg.atol, rtol=cfg.rtol,
-                                max_iter=cfg.max_iter, modified=cfg.modified,
-                                counters=counters)
+        y, iters = newton_solve(residual, jacobian, guess, atol=cfg.atol,
+                                rtol=cfg.rtol, max_iter=cfg.max_iter,
+                                stats=stats)
     except (NewtonFailure, SingularMatrixError) as e:
         raise StageSolveFailure(str(e)) from e
-    finally:
-        # a failed solve's iterations were spent too
-        if stats is not None:
-            stats.newton_iters += counters.get("newton_iters", 0)
-            stats.linear_solves += counters.get("linear_solves", 0)
     if stats is not None:
         stats.implicit_solves += 1
     return y, iters
@@ -293,25 +277,27 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
     return Y[s - 1], yhat, stats
 
 
-def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None,
-                    embedded=False):
+def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None):
     """Fixed-step integration from (p.t0, p.y0) to tEnd.
 
-    sample_points must coincide with step boundaries (checked). Step failures
-    abort with a partial record and the failed flag set.
+    Steps skip the embedding row. PreconditionError (a ValueError) unless
+    (tEnd - t0)/H is an integer and sample_points are step boundaries. Step
+    failures abort with a partial record and the failed flag set.
     """
     t0 = p.t0
     n_steps_f = (tEnd - t0) / H
     n_steps = round(n_steps_f)
     if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, abs(n_steps_f)):
-        raise ValueError(f"(tEnd - t0)/H = {n_steps_f} is not an integer")
+        raise PreconditionError(
+            f"(tEnd - t0)/H = {n_steps_f} is not an integer")
     samples = list(sample_points) if sample_points is not None else [tEnd]
     sample_idx = {}
     for ts in samples:
         k_f = (ts - t0) / H
         k = round(k_f)
         if abs(k_f - k) > 1e-9 * max(1.0, abs(k_f)) or not 0 <= k <= n_steps:
-            raise ValueError(f"sample point {ts} is not a step boundary")
+            raise PreconditionError(
+                f"sample point {ts} is not a step boundary")
         sample_idx.setdefault(k, ts)
 
     stats = StepStats()
@@ -326,7 +312,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None,
         tn = t0 + k * H
         try:
             y, _, _ = step(p, t, inner, y, tn, H, M, cfg=cfg, stats=stats,
-                           want_embedded=embedded)
+                           want_embedded=False)
         except StepFailure as e:
             record.failed = True
             record.failure = f"step {k + 1} at t = {tn:.6g}: {e}"

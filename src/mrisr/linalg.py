@@ -78,25 +78,21 @@ class Factorization:
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs)
 
 
-def linear_solve(A, rhs):
-    """Solve A x = rhs via LU with partial pivoting (dense or banded A)."""
-    return Factorization(A).solve(rhs)
-
-
 def wrms(v, weights):
     """Weighted root-mean-square norm: sqrt(mean((v * weights)^2))."""
     v = np.asarray(v, dtype=float)
     return float(np.sqrt(np.mean((v * weights) ** 2)))
 
 
-def newton_solve(residual, jacobian, guess, tol=1.0, atol=1e-12, rtol=1e-10,
-                 max_iter=10, modified=True, counters=None):
-    """Solve residual(x) = 0 by (modified) Newton iteration.
+def newton_solve(residual, jacobian, guess, atol=1e-12, rtol=1e-10,
+                 max_iter=10, stats=None):
+    """Solve residual(x) = 0 by modified Newton iteration.
 
-    Convergence: WRMS norm of the update, with weights 1/(atol + rtol*|x|)
-    frozen at the initial guess, falls to <= tol. With modified=True the
-    Jacobian is factored once at the guess and reused. `counters`, when
-    given, is a dict accumulating 'newton_iters' and 'linear_solves'.
+    The Jacobian is factored once at the guess and reused. Convergence: the
+    WRMS norm of the update, with weights 1/(atol + rtol*|x|) frozen at the
+    initial guess, falls to <= 1. Each iteration adds one to
+    `stats.newton_iters` and `stats.linear_solves` when a StepStats is
+    given, so a solve that fails still counts the iterations it spent.
 
     Returns (root, iterations).
     """
@@ -109,13 +105,11 @@ def newton_solve(residual, jacobian, guess, tol=1.0, atol=1e-12, rtol=1e-10,
             raise NewtonFailure("non-finite residual during Newton iteration")
         delta = fac.solve(-f)
         x = x + delta
-        if counters is not None:
-            counters["newton_iters"] = counters.get("newton_iters", 0) + 1
-            counters["linear_solves"] = counters.get("linear_solves", 0) + 1
+        if stats is not None:
+            stats.newton_iters += 1
+            stats.linear_solves += 1
         if not np.all(np.isfinite(x)):
             raise NewtonFailure("Newton iteration diverged")
-        if wrms(delta, weights) <= tol:
+        if wrms(delta, weights) <= 1.0:
             return x, it
-        if not modified:
-            fac = Factorization(jacobian(x))
     raise NewtonFailure(f"no convergence in {max_iter} Newton iterations")

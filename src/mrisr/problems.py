@@ -5,17 +5,19 @@ integrator, analytic implicit Jacobians, and a registry keyed by name.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ReferenceFailure
 from .integrator import SplitIVP, integrate_fixed
 from .linalg import BandedMatrix
+from .rk import inner_method
+from .tableau import load_builtin
 
 __all__ = ["KPRParams", "BrusselatorParams", "kpr_problem", "kpr_exact",
-           "brusselator_problem", "reference_solution", "PROBLEMS",
-           "make_problem"]
+           "brusselator_problem", "reference_solution", "REF_GATE",
+           "PROBLEMS", "make_problem"]
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +30,6 @@ class KPRParams:
     eps: float = 0.1
     alpha: float = 1.0
     beta: float = 20.0
-    tEnd: float = 5.0 * math.pi / 2.0
 
 
 def kpr_exact(t, beta=20.0):
@@ -92,7 +93,6 @@ class BrusselatorParams:
     alpha: float = 1e-2    # diffusion (fixed variant)
     rho: float = 1e-3      # advection (fixed variant)
     r: float = 1.0         # reaction scale (fixed variant)
-    tEnd: float = 3.0
     layout: str = "species"  # "species" or "interleaved"
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ class BrusselatorParams:
 
 def _tv_brusselator_defaults(pr):
     return BrusselatorParams(N=pr.N, variant="time-varying", a=1.0, b=3.5,
-                             eps=1e-3, tEnd=pr.tEnd, layout=pr.layout)
+                             eps=1e-3, layout=pr.layout)
 
 
 def brusselator_problem(params=None):
@@ -218,22 +218,23 @@ def brusselator_problem(params=None):
 # ---------------------------------------------------------------------------
 # Reference solutions
 
-def reference_solution(p, tEnd, sample_points, quality="standard",
-                       method=None, inner=None, H0=None, M=10,
-                       gate=None, max_halvings=9):
+# relative change between successive halvings that accepts a reference
+REF_GATE = 1e-10
+
+
+def reference_solution(p, tEnd, sample_points, H0=None, gate=REF_GATE,
+                       max_halvings=9):
     """Self-generated reference samples with a convergence gate.
 
-    Integrates with a fixed-step scheme, halving H until two successive
-    halvings change every sample by less than the gate (relative, worst
-    component). Returns (samples, achieved_H). Raises ReferenceFailure when
-    the gate is not met within max_halvings.
+    Integrates with IMEX-MRI-SR32, the Bogacki-Shampine inner method and
+    M = 10, starting from steps of about H0 (default (tEnd - t0)/64) and
+    halving H until two successive halvings change every sample by less
+    than the gate (relative, worst component). Returns the samples, one
+    row per sample point. Raises ReferenceFailure when the gate is not met
+    within max_halvings.
     """
-    from .rk import inner_method
-    from .tableau import load_builtin
-    t = method or load_builtin("imex-mri-sr32")
-    rk = inner or inner_method("bogacki-shampine")
-    if gate is None:
-        gate = {"draft": 1e-7, "standard": 1e-10}.get(quality, 1e-10)
+    t = load_builtin("imex-mri-sr32")
+    rk = inner_method("bogacki-shampine")
     sample_points = sorted(sample_points)
     n0 = max(8, int(math.ceil((tEnd - p.t0) / (H0 or (tEnd - p.t0) / 64))))
     # step counts must make every sample point a step boundary
@@ -242,30 +243,26 @@ def reference_solution(p, tEnd, sample_points, quality="standard",
         raise ValueError("last sample point must equal tEnd")
 
     def run(refine):
-        Hs = spans / np.ceil(refine * spans / (tEnd - p.t0) * n0)
-        H = float(np.min(Hs))
-        # a common H that divides every span: use span-wise integration
+        # span-wise integration: each span gets a step that divides it
         ys = []
         tn, yn = p.t0, np.array(p.y0, dtype=float)
-        q = SplitIVP(dim=p.dim, fF=p.fF, fE=p.fE, fI=p.fI, jacI=p.jacI,
-                     t0=tn, y0=yn, name=p.name)
         for span, tgt in zip(spans, sample_points):
+            q = SplitIVP(dim=p.dim, fF=p.fF, fE=p.fE, fI=p.fI, jacI=p.jacI,
+                         t0=tn, y0=yn, name=p.name)
             n = int(math.ceil(refine * span / (tEnd - p.t0) * n0))
-            rec = integrate_fixed(q, t, rk, tgt, span / n, M)
+            rec = integrate_fixed(q, t, rk, tgt, span / n, 10)
             if rec.failed:
                 raise ReferenceFailure(
                     f"reference integration failed: {rec.failure}")
             tn, yn = tgt, rec.y[-1]
             ys.append(yn)
-            q = SplitIVP(dim=p.dim, fF=p.fF, fE=p.fE, fI=p.fI, jacI=p.jacI,
-                         t0=tn, y0=yn, name=p.name)
-        return np.array(ys), H
+        return np.array(ys)
 
     prev = None
     change = math.inf
     for k in range(max_halvings + 1):
         try:
-            cur, H = run(2 ** k)
+            cur = run(2 ** k)
         except ReferenceFailure:
             if k == max_halvings:
                 raise
@@ -275,7 +272,7 @@ def reference_solution(p, tEnd, sample_points, quality="standard",
             scale = np.maximum(np.abs(cur), 1.0)
             change = float(np.max(np.abs(cur - prev) / scale))
             if change < gate:
-                return cur, H
+                return cur
         prev = cur
     raise ReferenceFailure(
         f"convergence gate {gate:g} unmet after {max_halvings} halvings "

@@ -118,7 +118,7 @@ class RegionScan:
 
     indicator[i, j] is True when max |R| over the sampled sectors stayed
     <= 1 + tol at grid point re[j] + 1i*im[i]. max_abs_r holds the largest
-    |R| evaluated per cell (cells ruled out early stop accumulating).
+    |R| evaluated per cell (cells ruled out stop accumulating).
     """
 
     re: np.ndarray
@@ -149,8 +149,7 @@ def _grid(window, res):
     return np.linspace(re0, re1, nre), np.linspace(im0, im1, nim)
 
 
-def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular,
-          early_exit):
+def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
     """Shared scan core.
 
     grid_role is 'E' or 'I' (which variable the grid runs over); fixed maps
@@ -177,7 +176,7 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular,
         eta = eta_matrix(t, zF)
         rhs = np.exp(c * zF).astype(complex)
         for zother in np.atleast_1d(other_samples):
-            idx = np.nonzero(alive)[0] if early_exit else np.arange(ncell)
+            idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
             zg = zgrid[idx]
@@ -220,18 +219,20 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular,
 
 
 def scan_joint_region(t, fast, implicit, window, res, n_radial=16,
-                      n_angular=16, early_exit=True):
-    """Joint stability scan: grid over zE, max over zF and zI sectors."""
+                      n_angular=16):
+    """Joint stability scan: grid over zE, max over zF and zI sectors; a
+    cell's samples stop at its first |R| > 1 + tol."""
     return _scan(t, "E", {}, {"F": fast, "I": implicit}, window, res,
-                 n_radial, n_angular, early_exit)
+                 n_radial, n_angular)
 
 
 def scan_component_region(t, which, fast, window, res, n_radial=16,
-                          n_angular=16, early_exit=True):
+                          n_angular=16):
     """Single-variable scan: grid over zE (which='E', zI=0) or zI
-    (which='I', zE=0), maximizing over the fast sector only."""
+    (which='I', zE=0), maximizing over the fast sector only; a cell's
+    samples stop at its first |R| > 1 + tol."""
     if which not in ("E", "I"):
         raise ValueError("which must be 'E' or 'I'")
     fixed = {"I": 0.0} if which == "E" else {"E": 0.0}
     return _scan(t, which, fixed, {"F": fast}, window, res,
-                 n_radial, n_angular, early_exit)
+                 n_radial, n_angular)

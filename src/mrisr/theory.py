@@ -5,7 +5,7 @@ All residuals are computed in exact rational arithmetic; a residual of 0 means
 the condition holds identically, not merely to rounding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEmbeddingError, PreconditionError

@@ -126,8 +126,6 @@ def test_accumulate_fast_error():
     assert accumulate_fast_error([]) == (0.0, False)
     m, ok = accumulate_fast_error([1.0, 2.0, 3.0])
     assert ok and m == 3.0
-    m, ok = accumulate_fast_error([[1.0, 3.0], [2.0]])
-    assert ok and m == 3.0
 
 
 def _scalar_problem():

@@ -34,6 +34,7 @@ def test_converge_writes_csv(tmp_path, capsys):
     assert csv_path.exists()
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("method,k,H,M,maxError")
+    assert "newtonIters" in lines[0].split(",")
     assert len(lines) == 4
     side = json.loads((tmp_path / "converge-kpr.csv.json").read_text())
     assert side["slopes"]["imex-mri-sr21"] == pytest.approx(2.0, abs=0.5)
@@ -77,6 +78,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in data["rows"]] == [2, 3]
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    # n_samples and M are ExperimentConfig names but no flag; a config file
+    # sets M through its flag name m
+    for bad in ("kmaxx", "seed", "n_samples", "M"):
+        cfg = tmp_path / f"{bad}.json"
+        cfg.write_text(json.dumps({"method": "imex-mri-sr21",
+                                   "problem": "kpr", "kmin": 2, "kmax": 3,
+                                   bad: 1}))
+        assert main(["converge", "--config", str(cfg)]) == 1
+        assert repr(bad) in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

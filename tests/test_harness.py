@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, ExperimentConfig,
-                           default_inner, fit_slope, run_adaptive,
-                           run_convergence, run_stability_export, run_verify,
-                           write_csv)
+from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
+                           ExperimentConfig, default_inner, fit_slope,
+                           run_adaptive, run_convergence, run_stability_export,
+                           run_verify, write_csv)
+from mrisr.integrator import StepStats
 
 
 def test_fit_slope_recovers_synthetic_order():
@@ -74,6 +75,41 @@ def test_run_adaptive_kpr():
     assert rows[1]["fastFEvals"] > rows[0]["fastFEvals"]
 
 
+def test_run_convergence_records_h_that_does_not_divide_interval():
+    # H = pi leaves 2.5 steps on [0, 5pi/2]; H = pi/2 misses the sample
+    # points pi/4, 3pi/4, ...; the study records both and goes on
+    rows = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
+    assert [r["k"] for r in rows] == [0, 1, 2]
+    assert rows[0]["failed"] and "2.5 is not an integer" in rows[0]["failure"]
+    assert rows[1]["failed"] and "not a step boundary" in rows[1]["failure"]
+    assert not rows[2]["failed"] and math.isfinite(rows[2]["maxError"])
+
+
+def test_rows_carry_every_counter():
+    counters = set(StepStats().as_dict()) | {"accepted", "rejected"}
+    assert len(counters) == 8 and counters <= set(RUN_KEYS)
+    fixed = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
+    adaptive = run_adaptive(_kpr_cfg(kind="adaptive", tols=[1e-3]))[0].rows
+    failed, good = fixed[0], fixed[2]
+    for row in (good, adaptive[0], failed):
+        assert set(RUN_KEYS) <= set(row)
+    assert good["accepted"] == 10 and good["rejected"] == 0
+    assert good["newtonIters"] == good["linearSolves"] > 0
+    assert adaptive[0]["accepted"] > 0 and adaptive[0]["newtonIters"] > 0
+    assert all(failed[k] == 0 for k in counters)
+
+
+def test_value_error_inside_a_run_is_not_a_failed_row(monkeypatch):
+    # only MRISRError becomes a failed row; a ValueError from a bug (say a
+    # shape mismatch in a right-hand side) must surface
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("mrisr.harness.integrate_fixed", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_convergence(_kpr_cfg(kmin=2, kmax=2))
+
+
 def test_run_adaptive_skips_methods_without_embedding():
     cfg = _kpr_cfg(kind="adaptive", methods=["merk3", "imex-mri-sr21"],
                    tols=[1e-3])
@@ -121,7 +157,7 @@ def test_reference_cache_keys_on_the_sample_points():
     from mrisr.problems import kpr_exact, make_problem
     p = make_problem("kpr")
     for pts in ([0.5, 1.0, 1.5], [0.25, 0.75, 1.25]):
-        ref, _ = _exact_samples("kpr", p, pts, "standard")
+        ref, _ = _exact_samples("kpr", p, pts)
         assert np.array_equal(ref, [list(kpr_exact(s)) for s in pts])
 
 

@@ -237,8 +237,7 @@ def test_fd_jacobian_calls_are_counted():
     p = SplitIVP(dim=2, fF=lambda tt, y: -y, fE=lambda tt, y: 0.3 * y,
                  fI=fI, jacI=None, y0=np.array([1.0, 0.5]))
     rec = integrate_fixed(p, load_builtin("imex-mri-sr32"),
-                          inner_method("bogacki-shampine"), 0.5, 0.125, 4,
-                          embedded=True)
+                          inner_method("bogacki-shampine"), 0.5, 0.125, 4)
     assert not rec.failed
     assert rec.stats.slow_i_evals == calls["n"]
 
@@ -278,8 +277,7 @@ def test_benchmark_hooks_resolve_and_see_every_layer():
     p = _nonstiff_problem()
     with tracing.Tracer(problems=(p,)) as tr:
         rec = integrator.integrate_fixed(p, load_builtin("imex-mri-sr21"),
-                                         inner_method("heun"), 0.2, 0.1, 2,
-                                         embedded=True)
+                                         inner_method("heun"), 0.2, 0.1, 2)
     for layer in ("integrator.driver", "integrator.step", "integrator.fast",
                   "integrator.implicit", "linalg.newton", "linalg.factor",
                   "linalg.backsolve", "problems.fF", "problems.fI"):

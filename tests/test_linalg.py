@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrisr.errors import NewtonFailure, SingularMatrixError
-from mrisr.linalg import (BandedMatrix, Factorization, linear_solve,
-                          newton_solve, wrms)
+from mrisr.integrator import StepStats
+from mrisr.linalg import BandedMatrix, Factorization, newton_solve, wrms
 
 
 def _random_banded(n, ml, mu, rng):
@@ -32,7 +32,7 @@ def test_banded_solve_matches_dense(n, seed):
     mu = int(rng.integers(1, min(3, n - 1) + 1))
     B = _random_banded(n, ml, mu, rng)
     rhs = rng.standard_normal(n)
-    x_b = linear_solve(B, rhs)
+    x_b = Factorization(B).solve(rhs)
     x_d = np.linalg.solve(B.to_dense(), rhs)
     assert np.allclose(x_b, x_d, atol=1e-10)
 
@@ -48,13 +48,13 @@ def test_factorization_reuse():
 
 def test_singular_dense_raises():
     with pytest.raises(SingularMatrixError):
-        linear_solve(np.zeros((3, 3)), np.ones(3))
+        Factorization(np.zeros((3, 3))).solve(np.ones(3))
 
 
 def test_singular_banded_raises():
     data = np.zeros((3, 4))
     with pytest.raises(SingularMatrixError):
-        linear_solve(BandedMatrix(ml=1, mu=1, data=data), np.ones(4))
+        Factorization(BandedMatrix(ml=1, mu=1, data=data)).solve(np.ones(4))
 
 
 def test_wrms():
@@ -64,18 +64,20 @@ def test_wrms():
 
 
 def test_newton_scalar_quadratic():
+    # the Jacobian stays frozen at x = 3, so the error contracts by
+    # |1 - 2*2/6| = 1/3 per iteration: about 20 to reach the 3e-10 update
     root, it = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]),
                             lambda x: np.array([[2.0 * x[0]]]),
-                            np.array([3.0]), tol=1e-3, modified=False)
+                            np.array([3.0]), max_iter=40)
     assert root[0] == pytest.approx(2.0, abs=1e-8)
-    assert it <= 8
+    assert it <= 25
 
 
 def test_newton_modified_linear_system_one_iteration():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, 2.0])
     root, it = newton_solve(lambda x: A @ x - b, lambda x: A,
-                            np.zeros(2), tol=1e-3)
+                            np.zeros(2))
     assert np.allclose(A @ root, b)
     assert it == 2  # one exact update plus the zero-update confirmation
 
@@ -84,12 +86,12 @@ def test_newton_divergence_raises():
     with pytest.raises(NewtonFailure):
         newton_solve(lambda x: np.array([np.exp(x[0])]),
                      lambda x: np.array([[np.exp(x[0])]]),
-                     np.array([0.0]), tol=1e-6, max_iter=5)
+                     np.array([0.0]), max_iter=5)
 
 
 def test_newton_counters():
-    counters = {}
+    stats = StepStats()
     newton_solve(lambda x: np.array([x[0] - 1.0]),
                  lambda x: np.array([[1.0]]),
-                 np.array([0.0]), tol=1e-3, counters=counters)
-    assert counters["newton_iters"] == counters["linear_solves"] == 2
+                 np.array([0.0]), stats=stats)
+    assert stats.newton_iters == stats.linear_solves == 2

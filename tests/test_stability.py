@@ -169,13 +169,21 @@ def test_scan_meta_and_shape():
 
 
 def test_early_exit_does_not_change_indicator():
+    # the scan drops a cell at its first |R| > 1 + tol; a brute-force max
+    # over every sample of every cell must give the same indicator
     t = load_builtin("imex-mri-sr32")
-    args = (t, "E", SectorSpec(45.0, 5.0), (-4.0, 0.5, -3.0, 3.0), (9, 9))
-    a = scan_component_region(*args, n_radial=5, n_angular=5,
-                              early_exit=True)
-    b = scan_component_region(*args, n_radial=5, n_angular=5,
-                              early_exit=False)
-    assert np.array_equal(a.indicator, b.indicator)
+    fast = SectorSpec(45.0, 5.0)
+    scan = scan_component_region(t, "E", fast, (-4.0, 0.5, -3.0, 3.0),
+                                 (9, 9), n_radial=5, n_angular=5)
+    zFs = sector_samples(fast, 5, 5)
+    worst = np.array([[max(abs(stability_value(t, zF, x + 1j * y, 0.0))
+                           for zF in zFs) for x in scan.re] for y in scan.im])
+    oracle = worst <= 1.0 + 1e-12
+    assert 0 < oracle.sum() < oracle.size
+    assert np.array_equal(scan.indicator, oracle)
+    # a stable cell saw every sample, so its max |R| is the full max
+    assert np.allclose(scan.max_abs_r[oracle], worst[oracle], rtol=1e-12,
+                       atol=0.0)
 
 
 def test_joint_scan_origin_neighborhood_stable():
