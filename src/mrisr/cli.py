@@ -16,10 +16,11 @@ from .errors import MRISRError
 from .rk import INNER_METHODS
 from .tableau import BUILTIN_NAMES
 
+# 'failure' is empty on good rows and holds the reason on failed ones
 _ROW_KEYS = {
-    "converge": ["method", "k", "H", "M", *harness.RUN_KEYS],
-    "efficiency": ["method", "k", "H", "M", *harness.RUN_KEYS],
-    "adaptive": ["method", "tol", *harness.RUN_KEYS],
+    "converge": ["method", "k", "H", "M", *harness.RUN_KEYS, "failure"],
+    "efficiency": ["method", "k", "H", "M", *harness.RUN_KEYS, "failure"],
+    "adaptive": ["method", "tol", *harness.RUN_KEYS, "failure"],
 }
 
 # flags whose names differ from their ExperimentConfig field
@@ -152,7 +153,7 @@ def _emit_records(kind, cfg, records):
     else:
         print("  ".join(f"{k:>14}" for k in keys))
         for row in all_rows:
-            print("  ".join(_fmt(row.get(k)) for k in keys))
+            print("  ".join(_fmt(row.get(k, "")) for k in keys))
         for rec in records:
             if rec.slope is not None:
                 print(f"{rec.config['method']}: fitted slope "

@@ -5,10 +5,12 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy
 
 from . import adaptivity, stability, theory
 from .errors import MRISRError
@@ -19,7 +21,7 @@ from .tableau import BUILTIN_NAMES, load_builtin, validate_structure
 
 __all__ = ["ExperimentConfig", "RunRecord", "default_inner", "fit_slope",
            "run_convergence", "run_efficiency", "run_adaptive",
-           "run_stability_export", "run_verify", "write_csv",
+           "run_stability_export", "run_verify", "versions", "write_csv",
            "PROBLEM_TEND", "PROBLEM_H0", "RUN_KEYS"]
 
 PROBLEM_TEND = {
@@ -307,8 +309,16 @@ def _echo(cfg, **extra):
     return d
 
 
+def versions():
+    """Versions of mrisr, Python, numpy and scipy, as recorded in sidecars."""
+    from . import __version__
+    return dict(mrisr=__version__, python=platform.python_version(),
+                numpy=np.__version__, scipy=scipy.__version__)
+
+
 def write_csv(path, header, rows, sidecar=None):
-    """Write rows (dicts or sequences) as CSV; optional JSON sidecar."""
+    """Write rows (dicts or sequences) as CSV; optional JSON sidecar, to
+    which write_csv adds the versions() under 'versions'."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -319,7 +329,8 @@ def write_csv(path, header, rows, sidecar=None):
                 w.writerow(list(r))
     if sidecar is not None:
         with open(path + ".json", "w") as f:
-            json.dump(_jsonable(sidecar), f, indent=2, sort_keys=True)
+            json.dump(_jsonable(dict(sidecar, versions=versions())), f,
+                      indent=2, sort_keys=True)
             f.write("\n")
     return path
 

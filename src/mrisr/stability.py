@@ -6,12 +6,17 @@ amplification factor is
     R(zF, zE, zI) = e_s^T (I - (zE + zI) eta(zF) - zI Gamma)^{-1} phi_0(c zF)
 
 with eta_{i,j}(zF) = sum_k omega^k_{i,j} phi_{k+1}(c_i zF) and z* = H lam*.
+stability_value solves this s-by-s system densely. The region scans use
+that eta is strictly lower and Gamma lower triangular, and solve it by
+forward substitution batched over grid cells and sector samples.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import PreconditionError
 
 __all__ = ["phi", "eta_matrix", "stability_value", "SectorSpec",
            "sector_samples", "RegionScan", "scan_joint_region",
@@ -117,8 +122,11 @@ class RegionScan:
     """Indicator grid over a complex-plane window.
 
     indicator[i, j] is True when max |R| over the sampled sectors stayed
-    <= 1 + tol at grid point re[j] + 1i*im[i]. max_abs_r holds the largest
-    |R| evaluated per cell (cells ruled out stop accumulating).
+    <= 1 + tol at grid point re[j] + 1i*im[i]. max_abs_r[i, j] is the
+    largest |R| the scan evaluated there: over every sample for a stable
+    cell; for a ruled-out cell, over the samples in scan order (zF outer,
+    the other sector inner) up to and including its first |R| > 1 + tol.
+    A resolvent pole counts as |R| = inf.
     """
 
     re: np.ndarray
@@ -139,6 +147,10 @@ class RegionScan:
 
 
 _SCAN_TOL = 1e-12
+# alive cells x inner-sector samples solved together per fast sample: a
+# block of max(1, _BATCH // alive cells) samples bounds a scan's working
+# arrays at s x max(_BATCH, alive cells) complex entries
+_BATCH = 8192
 
 
 def _grid(window, res):
@@ -149,18 +161,55 @@ def _grid(window, res):
     return np.linspace(re0, re1, nre), np.linspace(im0, im1, nim)
 
 
+def _last_abs(eta, gamma, rhs, zsum, zI):
+    """|x_s| where (I - zsum*eta - zI*Gamma) x = rhs, for every entry of the
+    2-D array zsum; zI broadcasts to its shape.
+
+    eta is strictly lower and Gamma lower triangular, so this is forward
+    substitution, x_i = (rhs_i + sum_{j<i} (zsum eta_ij + zI gamma_ij) x_j)
+    / (1 - zI gamma_ii), one row at a time over the whole batch. A zero
+    pivot gives a non-finite value, returned as inf.
+    """
+    s = len(rhs)
+    x = np.empty((s,) + zsum.shape, dtype=complex)
+    flat = x.reshape(s, -1)
+    for i in range(s):
+        xi = x[i]
+        xi[...] = rhs[i]
+        for coef, z in ((eta, zsum), (gamma, zI)):
+            if coef[i, :i].any():
+                term = (coef[i, :i] @ flat[:i]).reshape(zsum.shape)
+                term *= z
+                xi += term
+        if gamma[i, i]:
+            xi /= 1.0 - zI * gamma[i, i]
+    out = np.abs(x[-1])
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
 def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
     """Shared scan core.
 
     grid_role is 'E' or 'I' (which variable the grid runs over); fixed maps
     role -> constant value; sampled maps role -> SectorSpec to maximize over.
+
+    Samples are visited with zF outer and the other sampled variable inner.
+    For each zF the resolvent is solved by forward substitution (the
+    tableau's Omega is strictly lower and Gamma lower triangular, checked
+    here) over a block of inner samples times the cells still alive; the
+    block holds max(1, _BATCH // alive cells) samples. A cell keeps the max
+    |R| of its samples up to and including its first |R| > 1 + tol and is
+    then dropped, so it sees no later sample.
     """
     re, im = _grid(window, res)
     zgrid = (re[None, :] + 1j * im[:, None]).ravel()
     ncell = zgrid.size
-    c, _, gamma, _, _ = t.floats
-    s = len(c)
-    eye = np.eye(s, dtype=complex)
+    c, omega, gamma, _, _ = t.floats
+    if np.triu(omega).any() or np.triu(gamma, 1).any():
+        raise PreconditionError(
+            f"{t.name}: a stability scan needs a strictly lower-triangular "
+            "Omega and a lower-triangular Gamma")
 
     sample_sets = {}
     for role, spec in sampled.items():
@@ -172,38 +221,29 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
 
     alive = np.ones(ncell, dtype=bool)
     max_abs = np.zeros(ncell)
-    for zF in np.atleast_1d(fast_samples):
-        eta = eta_matrix(t, zF)
-        rhs = np.exp(c * zF).astype(complex)
-        for zother in np.atleast_1d(other_samples):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            zg = zgrid[idx]
-            if grid_role == "E":
-                zE = zg
-                zI = zother
-                A = (eye[None] - (zE + zI)[:, None, None] * eta[None]
-                     - zI * gamma[None])
-            else:
-                zI = zg
-                zE = zother
-                A = (eye[None] - (zE + zI)[:, None, None] * eta[None]
-                     - zI[:, None, None] * gamma[None])
-            vals = np.full(idx.size, np.inf)
-            try:
-                B = np.broadcast_to(rhs[:, None], (idx.size, s, 1)).copy()
-                x = np.linalg.solve(A, B)
-                vals = np.abs(x[:, -1, 0])
-                vals[~np.isfinite(vals)] = np.inf
-            except np.linalg.LinAlgError:
-                for q in range(idx.size):
-                    try:
-                        vals[q] = abs(np.linalg.solve(A[q], rhs)[-1])
-                    except np.linalg.LinAlgError:
-                        vals[q] = np.inf
-            np.maximum.at(max_abs, idx, vals)
-            alive[idx[vals > 1.0 + _SCAN_TOL]] = False
+    with np.errstate(all="ignore"):
+        for zF in np.atleast_1d(fast_samples):
+            eta = eta_matrix(t, zF)
+            rhs = np.exp(c * zF).astype(complex)
+            b = 0
+            while b < other_samples.size:
+                idx = np.nonzero(alive)[0]
+                if idx.size == 0:
+                    break
+                zother = other_samples[b:b + max(1, _BATCH // idx.size),
+                                       None]
+                b += len(zother)
+                zg = zgrid[idx][None, :]
+                zsum = zg + zother  # zE + zI, (block samples, alive cells)
+                vals = _last_abs(eta, gamma, rhs, zsum,
+                                 zother if grid_role == "E" else zg)
+                over = vals > 1.0 + _SCAN_TOL
+                dropped = over.any(axis=0)
+                stop = np.where(dropped, over.argmax(axis=0), len(zother) - 1)
+                seen = np.arange(len(zother))[:, None] <= stop
+                max_abs[idx] = np.maximum(
+                    max_abs[idx], np.where(seen, vals, 0.0).max(axis=0))
+                alive[idx[dropped]] = False
     nim, nre = len(im), len(re)
     return RegionScan(
         re=re, im=im,
@@ -221,7 +261,9 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
 def scan_joint_region(t, fast, implicit, window, res, n_radial=16,
                       n_angular=16):
     """Joint stability scan: grid over zE, max over zF and zI sectors; a
-    cell's samples stop at its first |R| > 1 + tol."""
+    cell's samples stop at its first |R| > 1 + tol. Solved by batched
+    forward substitution; PreconditionError for a tableau whose Omega is
+    not strictly lower or whose Gamma is not lower triangular."""
     return _scan(t, "E", {}, {"F": fast, "I": implicit}, window, res,
                  n_radial, n_angular)
 
@@ -230,7 +272,8 @@ def scan_component_region(t, which, fast, window, res, n_radial=16,
                           n_angular=16):
     """Single-variable scan: grid over zE (which='E', zI=0) or zI
     (which='I', zE=0), maximizing over the fast sector only; a cell's
-    samples stop at its first |R| > 1 + tol."""
+    samples stop at its first |R| > 1 + tol. Solved and checked as
+    scan_joint_region."""
     if which not in ("E", "I"):
         raise ValueError("which must be 'E' or 'I'")
     fixed = {"I": 0.0} if which == "E" else {"E": 0.0}

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -39,6 +40,25 @@ def test_converge_writes_csv(tmp_path, capsys):
     side = json.loads((tmp_path / "converge-kpr.csv.json").read_text())
     assert side["slopes"]["imex-mri-sr21"] == pytest.approx(2.0, abs=0.5)
     assert "fitted slope" in capsys.readouterr().out
+
+
+def test_failed_rows_say_why(tmp_path, capsys):
+    # H = pi at k = 0 leaves 2.5 steps; at k = 1 a sample point falls
+    # between steps; both rows carry their reason in the CSV and the table
+    code = main(["converge", "--method", "imex-mri-sr21", "--problem", "kpr",
+                 "--kmax", "3", "--out", str(tmp_path)])
+    assert code == 2
+    table = capsys.readouterr().out
+    with open(tmp_path / "converge-kpr.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0])[-1] == "failure"
+    assert [r["k"] for r in rows] == ["0", "1", "2", "3"]
+    assert [r["failed"] for r in rows] == ["1", "1", "0", "0"]
+    assert "(tEnd - t0)/H = 2.5 is not an integer" in rows[0]["failure"]
+    assert "sample point" in rows[1]["failure"]
+    assert rows[2]["failure"] == rows[3]["failure"] == ""
+    for r in rows[:2]:
+        assert r["failure"] in table
 
 
 def test_converge_json_output(capsys):

@@ -1,14 +1,17 @@
 import copy
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import mrisr
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
                            run_adaptive, run_convergence, run_stability_export,
-                           run_verify, write_csv)
+                           run_verify, versions, write_csv)
 from mrisr.integrator import StepStats
 
 
@@ -149,7 +152,20 @@ def test_write_csv_header_and_sidecar(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines == ["a,b", "1,2.5", "3,"]
     side = json.loads((tmp_path / "out.csv.json").read_text())
-    assert side == dict(seed=0, note="x", v=1.5)
+    assert side == dict(seed=0, note="x", v=1.5, versions=versions())
+
+
+def test_sidecar_records_versions(tmp_path):
+    # read back from a stability export, against versions found here
+    cfg = ExperimentConfig(kind="stability", methods=["merk2"], which="E",
+                           alpha=45.0, rho=1.0,
+                           window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2))
+    files = run_stability_export(cfg, str(tmp_path))
+    meta = json.load(open(files[0] + ".json"))
+    assert meta["versions"] == dict(
+        mrisr=mrisr.__version__, python=platform.python_version(),
+        numpy=np.__version__, scipy=scipy.__version__)
+    assert meta["method"] == "merk2"
 
 
 def test_reference_cache_keys_on_the_sample_points():

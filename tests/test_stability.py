@@ -1,15 +1,19 @@
 import cmath
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from mrisr import stability
+from mrisr.errors import PreconditionError
 from mrisr.stability import (RegionScan, SectorSpec, eta_matrix, phi,
                              scan_component_region, scan_joint_region,
                              sector_samples, stability_value)
-from mrisr.tableau import BUILTIN_NAMES, load_builtin
+from mrisr.tableau import BUILTIN_NAMES, load_builtin, validate_structure
 
 
 def _phi_quad(k, z):
@@ -184,6 +188,84 @@ def test_early_exit_does_not_change_indicator():
     # a stable cell saw every sample, so its max |R| is the full max
     assert np.allclose(scan.max_abs_r[oracle], worst[oracle], rtol=1e-12,
                        atol=0.0)
+
+
+def _scan_oracle(t, scan, zFs, others):
+    # dense per-cell oracle in the scan's order, zF outer and the other
+    # sector inner, stopping at the first |R| > 1 + 1e-12 (a pole is inf)
+    ind = np.ones(scan.indicator.shape, dtype=bool)
+    upto = np.zeros(scan.indicator.shape)
+    for a, y in enumerate(scan.im):
+        for b, x in enumerate(scan.re):
+            for zF in zFs:
+                for zo in others:
+                    zE, zI = ((x + 1j * y, zo) if scan.meta["grid_role"] == "E"
+                              else (zo, x + 1j * y))
+                    r = abs(stability_value(t, zF, zE, zI))
+                    upto[a, b] = max(upto[a, b], r if math.isfinite(r)
+                                     else math.inf)
+                    if not r <= 1.0 + 1e-12:
+                        ind[a, b] = False
+                        break
+                if not ind[a, b]:
+                    break
+    return ind, upto
+
+
+def test_joint_scan_matches_dense_oracle(monkeypatch):
+    t = load_builtin("imex-mri-sr32")
+    fast, implicit = SectorSpec(45.0, 5.0), SectorSpec(45.0, 50.0)
+    args = (t, fast, implicit, (-4.0, 0.5, -3.0, 3.0), (9, 9))
+    scan = scan_joint_region(*args, n_radial=3, n_angular=5)
+    ind, upto = _scan_oracle(t, scan, sector_samples(fast, 3, 5),
+                             sector_samples(implicit, 3, 5))
+    assert 0 < ind.sum() < ind.size
+    # the default batch takes all 16 implicit samples at once; 250 starts
+    # with blocks of 3, which grow as cells drop out
+    for batch in (stability._BATCH, 250):
+        monkeypatch.setattr(stability, "_BATCH", batch)
+        scan = scan_joint_region(*args, n_radial=3, n_angular=5)
+        assert np.array_equal(scan.indicator, ind)
+        # ruled-out cells too: the max up to the first exceedance
+        assert np.allclose(scan.max_abs_r, upto, rtol=1e-12, atol=0.0)
+
+
+def test_implicit_component_scan_matches_dense_oracle():
+    # the grid's right edge ends on the resolvent pole zI = 1/gamma_ii
+    t = load_builtin("imex-mri-sr32")
+    pole = 1.0 / t.floats[2][1, 1]
+    assert 1.0 - pole * t.floats[2][1, 1] == 0.0
+    fast = SectorSpec(45.0, 100.0)
+    scan = scan_component_region(t, "I", fast, (pole - 4.0, pole, -6.0, 6.0),
+                                 (9, 9), n_radial=4, n_angular=4)
+    ind, upto = _scan_oracle(t, scan, sector_samples(fast, 4, 4), [0.0])
+    assert 0 < ind.sum() < ind.size
+    assert scan.max_abs_r[4, 8] == math.inf
+    assert np.array_equal(scan.indicator, ind)
+    assert np.allclose(scan.max_abs_r, upto, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("where", ["omega diagonal", "gamma upper"])
+def test_scan_rejects_non_triangular_tableau(where):
+    # a hand-built tableau that skipped validate_structure must not give a
+    # silently wrong region from the triangular solve
+    t = load_builtin("imex-mri-sr21")
+    if where == "omega diagonal":
+        om = [list(r) for r in t.omega[0]]
+        om[2][2] = Fraction(1, 3)
+        bad = replace(t, omega=(tuple(map(tuple, om)),))
+    else:
+        gam = [list(r) for r in t.gamma]
+        gam[1][3] = Fraction(1, 5)
+        bad = replace(t, gamma=tuple(map(tuple, gam)))
+    assert validate_structure(bad)
+    with pytest.raises(PreconditionError):
+        scan_joint_region(bad, SectorSpec(45.0, 1.0), SectorSpec(45.0, 1.0),
+                          (-1.0, 0.0, -1.0, 1.0), (3, 3))
+    for which in ("E", "I"):
+        with pytest.raises(PreconditionError):
+            scan_component_region(bad, which, SectorSpec(45.0, 1.0),
+                                  (-1.0, 0.0, -1.0, 1.0), (3, 3))
 
 
 def test_joint_scan_origin_neighborhood_stable():
