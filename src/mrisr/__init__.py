@@ -11,9 +11,9 @@ from .adaptivity import (ControllerState, ErrorEstimate,
 from .errors import MRISRError
 from .integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                          StepStats, integrate_fixed, step)
-from .problems import (BrusselatorParams, KPRParams, PROBLEMS,
-                       brusselator_problem, kpr_exact, kpr_problem,
-                       make_problem, reference_solution)
+from .problems import (BrusselatorParams, PROBLEMS, brusselator_problem,
+                       kpr_exact, kpr_problem, make_problem,
+                       reference_solution)
 from .rk import ButcherTable, INNER_METHODS, inner_method
 from .stability import (RegionScan, SectorSpec, scan_component_region,
                         scan_joint_region, stability_value)

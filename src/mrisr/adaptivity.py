@@ -10,12 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OscillationError, StepFailure, StepSizeUnderflow
-from .integrator import (IntegrationRecord, NewtonConfig, StepStats, step)
+from .errors import (OscillationError, PreconditionError, StepFailure,
+                     StepSizeUnderflow)
+from .integrator import IntegrationRecord, StepStats, step
 from .linalg import wrms
+from .theory import method_order
 
 __all__ = ["ControllerState", "ErrorEstimate", "estimate_slow_error",
            "accumulate_fast_error", "controller_update", "integrate_adaptive"]
+
+# integrate_adaptive fails a run after this many rejections of one step
+MAX_REJECTS = 30
+# and raises OscillationError after this many accept/reject alternations
+OSCILLATION_CAP = 50
 
 
 @dataclass
@@ -53,7 +60,6 @@ class ErrorEstimate:
 
     slow: float
     fast: float
-    fast_available: bool = True
 
     def finite(self):
         return math.isfinite(self.slow) and math.isfinite(self.fast)
@@ -82,11 +88,8 @@ def accumulate_fast_error(inner_errs):
     explicit inner method is unstable can carry all of a step's error, and
     a mean over the M*(stages) substeps dilutes them below 1 while the slow
     embedding, which cannot see fast error, lets the step through.
-    Returns (max, available); an empty list yields (0.0, False).
     """
-    if not inner_errs:
-        return 0.0, False
-    return float(np.max(inner_errs)), True
+    return float(np.max(inner_errs))
 
 
 def _clamp_factor(factor, st):
@@ -107,8 +110,7 @@ def controller_update(st, est, H, M):
         eS, eF = max(est.slow, 1e-10), max(est.fast, 1e-10)
     accept = est.finite() and est.slow <= 1.0 and est.fast <= 1.0
     fH = st.safety * eS ** (-st.k1 / (st.slow_order + 1))
-    fh = st.safety * eF ** (-st.k2 / (st.fast_order + 1)) \
-        if est.fast_available else fH
+    fh = st.safety * eF ** (-st.k2 / (st.fast_order + 1))
     fH = _clamp_factor(fH, st)
     fh = _clamp_factor(fh, st)
     if not accept:
@@ -135,40 +137,39 @@ def controller_update(st, est, H, M):
     return accept, Hnext, Mnext
 
 
-def integrate_adaptive(p, t, inner, tEnd, tol, st=None, sample_points=None,
-                       H0=None, M0=10, cfg=None, max_rejects=30,
-                       oscillation_cap=50):
+def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
+                       M0=10):
     """Adaptive integration from (p.t0, p.y0) to tEnd.
 
     Slow and fast tolerances are both tol/2. The slow estimate is the WRMS
     norm of the slow embedding; the fast estimate is the largest
     per-substep embedded norm of the inner method over all stages of the
-    step (see accumulate_fast_error). Steps are truncated to hit
-    sample points and tEnd exactly. Raises OscillationError after
-    oscillation_cap consecutive accept/reject alternations and records
-    StepSizeUnderflow / repeated step failure in the returned record.
+    step (see accumulate_fast_error). The controller uses the default
+    ControllerState for the method orders. Steps are truncated to hit
+    sample points and tEnd exactly. PreconditionError (a ValueError)
+    unless both methods carry an embedding and every sample point lies in
+    (t0, tEnd]. Raises OscillationError after OSCILLATION_CAP (50)
+    consecutive accept/reject alternations. StepSizeUnderflow, and more
+    than MAX_REJECTS (30) rejections of one step, end the run with a
+    partial record and the failed flag set.
     """
     if not t.has_embedding:
-        raise ValueError(f"tableau {t.name!r} has no embedding")
+        raise PreconditionError(f"tableau {t.name!r} has no embedding")
     if inner.bhat is None:
-        raise ValueError(f"inner method {inner.name!r} has no embedding")
-    if st is None:
-        from .theory import method_order
-        q = inner.emb_order if inner.emb_order is not None else inner.order
-        st = ControllerState(slow_order=method_order(t, inner.order),
-                             fast_order=q)
-    tolS = tolF = 0.5 * tol
-    cfg = cfg or NewtonConfig()
-    stats = StepStats()
+        raise PreconditionError(
+            f"inner method {inner.name!r} has no embedding")
     targets = sorted(set(list(sample_points or []) + [tEnd]))
-    if any(x <= p.t0 or x > tEnd for x in targets[:-1]):
-        raise ValueError("sample points must lie in (t0, tEnd]")
+    if any(x <= p.t0 or x > tEnd for x in targets):
+        raise PreconditionError("sample points must lie in (t0, tEnd]")
+    q = inner.emb_order if inner.emb_order is not None else inner.order
+    st = ControllerState(slow_order=method_order(t, inner.order),
+                         fast_order=q)
+    tolS = tolF = 0.5 * tol
+    stats = StepStats()
 
     tn = p.t0
     yn = np.array(p.y0, dtype=float)
-    rec = IntegrationRecord(t=[tn], y=[yn.copy()], stats=stats,
-                            config=dict(method=t.name, inner=inner.name,
-                                        tol=tol, mode="adaptive"))
+    rec = IntegrationRecord(t=[tn], y=[yn.copy()], stats=stats)
     H = H0 if H0 is not None else (tEnd - p.t0) / 100.0
     M = max(1, int(M0))
     alternations = 0
@@ -184,13 +185,12 @@ def integrate_adaptive(p, t, inner, tEnd, tol, st=None, sample_points=None,
         err_w = 1.0 / (tolF * (1.0 + np.abs(yn)))
         inner_errs = []
         try:
-            y1, yhat, _ = step(p, t, inner, yn, tn, H_try, M, cfg=cfg,
-                               stats=stats, want_embedded=True,
-                               err_weights=err_w, inner_errs=inner_errs)
-            eS = estimate_slow_error(y1, yhat, tolS, tolS)
-            eF, have_fast = accumulate_fast_error(inner_errs)
-            est = ErrorEstimate(slow=eS, fast=eF, fast_available=have_fast)
-        except StepFailure as e:
+            y1, yhat, _ = step(p, t, inner, yn, tn, H_try, M, stats=stats,
+                               want_embedded=True, err_weights=err_w,
+                               inner_errs=inner_errs)
+            est = ErrorEstimate(slow=estimate_slow_error(y1, yhat, tolS, tolS),
+                                fast=accumulate_fast_error(inner_errs))
+        except StepFailure:
             est = ErrorEstimate(slow=math.inf, fast=math.inf)
             y1 = None
         try:
@@ -205,9 +205,9 @@ def integrate_adaptive(p, t, inner, tEnd, tol, st=None, sample_points=None,
         else:
             alternations = 0
         prev_accept = accept
-        if alternations >= oscillation_cap:
+        if alternations >= OSCILLATION_CAP:
             raise OscillationError(
-                f"{oscillation_cap} consecutive accept/reject alternations "
+                f"{OSCILLATION_CAP} consecutive accept/reject alternations "
                 f"at t={tn:.6g}")
         if accept:
             rec.accepted += 1
@@ -222,7 +222,7 @@ def integrate_adaptive(p, t, inner, tEnd, tol, st=None, sample_points=None,
         else:
             rec.rejected += 1
             rejects_here += 1
-            if rejects_here > max_rejects:
+            if rejects_here > MAX_REJECTS:
                 rec.failed = True
                 rec.failure = (f"step at t={tn:.6g} rejected "
                                f"{rejects_here} times")

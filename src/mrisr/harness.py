@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from . import adaptivity, stability, theory
-from .errors import MRISRError
+from .errors import MRISRError, UnknownMethodError
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
 from .problems import REF_GATE, kpr_exact, make_problem, reference_solution
 from .rk import inner_method
@@ -49,17 +49,13 @@ _DEFAULT_INNER = {
     "merk5": "cash-karp",
 }
 
-_INNER_BY_ORDER = {1: "heun", 2: "heun", 3: "bogacki-shampine",
-                   4: "zonneveld", 5: "cash-karp"}
-
 
 def default_inner(method_name):
-    """Inner explicit RK paired with a slow method, matching its order."""
-    if method_name in _DEFAULT_INNER:
-        return inner_method(_DEFAULT_INNER[method_name])
-    t = load_builtin(method_name)
-    p = theory.method_order(t, 6)
-    return inner_method(_INNER_BY_ORDER[min(max(p, 1), 5)])
+    """Inner explicit RK paired with a builtin slow method, matching its
+    order."""
+    if method_name not in _DEFAULT_INNER:
+        raise UnknownMethodError(f"unknown method {method_name!r}")
+    return inner_method(_DEFAULT_INNER[method_name])
 
 
 @dataclass
@@ -155,8 +151,8 @@ def _run_row(run, ref):
     try:
         rec = run()
     except MRISRError as e:
-        rec = IntegrationRecord(t=[], y=[], stats=StepStats(), config={},
-                                failed=True, failure=str(e))
+        rec = IntegrationRecord(t=[], y=[], stats=StepStats(), failed=True,
+                                failure=str(e))
     row = dict(maxError=math.nan, runtime=time.monotonic() - start,
                accepted=rec.accepted, rejected=rec.rejected,
                **rec.stats.as_dict(), failed=int(rec.failed))

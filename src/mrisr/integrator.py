@@ -75,7 +75,6 @@ class IntegrationRecord:
     t: list
     y: list
     stats: StepStats
-    config: dict
     failed: bool = False
     failure: str = None
     accepted: int = 0
@@ -146,11 +145,10 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
     return v
 
 
-def _fd_jacobian(fI, t, y, f0=None):
+def _fd_jacobian(fI, t, y):
     """Forward finite-difference dense Jacobian of fI at (t, y)."""
     n = len(y)
-    if f0 is None:
-        f0 = fI(t, y)
+    f0 = fI(t, y)
     J = np.empty((n, n))
     sq = math.sqrt(np.finfo(float).eps)
     for j in range(n):
@@ -277,7 +275,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
     return Y[s - 1], yhat, stats
 
 
-def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None):
+def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
     """Fixed-step integration from (p.t0, p.y0) to tEnd.
 
     Steps skip the embedding row. PreconditionError (a ValueError) unless
@@ -301,9 +299,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None):
         sample_idx.setdefault(k, ts)
 
     stats = StepStats()
-    record = IntegrationRecord(t=[], y=[], stats=stats, config=dict(
-        method=t.name, inner=inner.name, H=H, M=M, tEnd=tEnd,
-        problem=p.name))
+    record = IntegrationRecord(t=[], y=[], stats=stats)
     y = np.array(p.y0, dtype=float)
     if 0 in sample_idx:
         record.t.append(sample_idx[0])
@@ -311,7 +307,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None, cfg=None):
     for k in range(n_steps):
         tn = t0 + k * H
         try:
-            y, _, _ = step(p, t, inner, y, tn, H, M, cfg=cfg, stats=stats,
+            y, _, _ = step(p, t, inner, y, tn, H, M, stats=stats,
                            want_embedded=False)
         except StepFailure as e:
             record.failed = True

@@ -15,7 +15,7 @@ from .linalg import BandedMatrix
 from .rk import inner_method
 from .tableau import load_builtin
 
-__all__ = ["KPRParams", "BrusselatorParams", "kpr_problem", "kpr_exact",
+__all__ = ["BrusselatorParams", "kpr_problem", "kpr_exact",
            "brusselator_problem", "reference_solution", "REF_GATE",
            "PROBLEMS", "make_problem"]
 
@@ -23,35 +23,34 @@ __all__ = ["KPRParams", "BrusselatorParams", "kpr_problem", "kpr_exact",
 # ---------------------------------------------------------------------------
 # KPR
 
-@dataclass
-class KPRParams:
-    lamF: float = -10.0
-    lamS: float = -1.0
-    eps: float = 0.1
-    alpha: float = 1.0
-    beta: float = 20.0
+# the KPR parameters of the paper's experiments
+KPR_LAMBDA_F = -10.0
+KPR_LAMBDA_S = -1.0
+KPR_EPS = 0.1
+KPR_ALPHA = 1.0
+KPR_BETA = 20.0
 
 
-def kpr_exact(t, beta=20.0):
+def kpr_exact(t):
     """Analytic solution (u, v) = (sqrt(3 + cos(beta t)), sqrt(2 + cos t))."""
     t = np.asarray(t, dtype=float)
-    return np.sqrt(3.0 + np.cos(beta * t)), np.sqrt(2.0 + np.cos(t))
+    return np.sqrt(3.0 + np.cos(KPR_BETA * t)), np.sqrt(2.0 + np.cos(t))
 
 
-def kpr_problem(params=None):
+def kpr_problem():
     """KPR coupled fast/slow system with the row-masked splitting.
 
     The nonlinear vector g = ((-3 + u^2 - cos(beta t))/(2u),
-    (-2 + v^2 - cos t)/(2v)) vanishes along the exact solution; Lambda mixes
-    the components. fF carries row 1 of Lambda*g plus the fast forcing term
-    -beta sin(beta t)/(2u), fI carries row 2, and fE the slow forcing
-    -sin(t)/(2v), so that fF + fE + fI equals the full right-hand side.
+    (-2 + v^2 - cos t)/(2v)) vanishes along the exact solution kpr_exact;
+    Lambda mixes the components. fF carries row 1 of Lambda*g plus the fast
+    forcing term -beta sin(beta t)/(2u), fI carries row 2, and fE the slow
+    forcing -sin(t)/(2v), so that fF + fE + fI equals the full right-hand
+    side. The parameters are the module constants KPR_*.
     """
-    pr = params or KPRParams()
-    lamF, lamS = pr.lamF, pr.lamS
-    L12 = (1.0 - pr.eps) / pr.alpha * (lamF - lamS)
-    L21 = -pr.alpha * pr.eps * (lamF - lamS)
-    beta = pr.beta
+    lamF, lamS = KPR_LAMBDA_F, KPR_LAMBDA_S
+    L12 = (1.0 - KPR_EPS) / KPR_ALPHA * (lamF - lamS)
+    L21 = -KPR_ALPHA * KPR_EPS * (lamF - lamS)
+    beta = KPR_BETA
 
     def g(t, y):
         u, v = y
@@ -83,30 +82,23 @@ def kpr_problem(params=None):
 # ---------------------------------------------------------------------------
 # Stiff brusselator
 
+# reaction constants (a, b, eps) of each variant
+_BRUSSELATOR_ABE = {"fixed": (0.6, 2.0, 1e-2),
+                    "time-varying": (1.0, 3.5, 1e-3)}
+# diffusion, advection and reaction scale of the fixed variant
+_FIXED_ALPHA, _FIXED_RHO, _FIXED_R = 1e-2, 1e-3, 1.0
+
+
 @dataclass
 class BrusselatorParams:
     N: int = 201
     variant: str = "fixed"  # "fixed" or "time-varying"
-    a: float = 0.6
-    b: float = 2.0
-    eps: float = 1e-2
-    alpha: float = 1e-2    # diffusion (fixed variant)
-    rho: float = 1e-3      # advection (fixed variant)
-    r: float = 1.0         # reaction scale (fixed variant)
-    layout: str = "species"  # "species" or "interleaved"
 
     def __post_init__(self):
         if self.N < 3:
             raise ValueError("N must be at least 3")
-        if self.variant not in ("fixed", "time-varying"):
+        if self.variant not in _BRUSSELATOR_ABE:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.layout not in ("species", "interleaved"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-
-
-def _tv_brusselator_defaults(pr):
-    return BrusselatorParams(N=pr.N, variant="time-varying", a=1.0, b=3.5,
-                             eps=1e-3, layout=pr.layout)
 
 
 def brusselator_problem(params=None):
@@ -115,104 +107,71 @@ def brusselator_problem(params=None):
     fI = diffusion, fE = advection, fF = reaction; second-order centered
     differences on a uniform N-point grid, with stationary boundaries
     (time derivative pinned to zero at x = 0, 1 in every partition).
-    State is species-major (all u, then v, then w) by default, which makes
-    the implicit Jacobian a single bandwidth-1 banded matrix; the
-    interleaved layout (u1, v1, w1, u2, ...) gives bandwidth 3.
+    The state is species-major (all u, then v, then w), which makes the
+    implicit Jacobian a single bandwidth-1 banded matrix. The variant alone
+    sets the coefficients; the time-varying one modulates diffusion,
+    advection and reaction in t.
     """
     pr = params or BrusselatorParams()
     N = pr.N
     dx = 1.0 / (N - 1)
     x = np.linspace(0.0, 1.0, N)
     tv = pr.variant == "time-varying"
+    a, b, eps = _BRUSSELATOR_ABE[pr.variant]
 
     def alpha_t(t):
-        return 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else pr.alpha
+        return 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else _FIXED_ALPHA
 
     def rho_t(t):
-        return 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else pr.rho
+        return 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else _FIXED_RHO
 
     def r_t(t):
-        return 0.6 + 0.5 * math.cos(4.0 * math.pi * t) if tv else pr.r
+        return 0.6 + 0.5 * math.cos(4.0 * math.pi * t) if tv else _FIXED_R
 
-    if tv:
-        u0 = 1.2 + 0.1 * np.sin(math.pi * x)
-        v0 = 3.1 + 0.1 * np.sin(math.pi * x)
-        w0 = 3.0 + 0.1 * np.sin(math.pi * x)
-    else:
-        u0 = pr.a + 0.1 * np.sin(math.pi * x)
-        v0 = pr.b / pr.a + 0.1 * np.sin(math.pi * x)
-        w0 = pr.b + 0.1 * np.sin(math.pi * x)
+    base = np.array([1.2, 3.1, 3.0]) if tv else np.array([a, b / a, b])
+    y0 = (base[:, None] + 0.1 * np.sin(math.pi * x)).ravel()
 
-    species = pr.layout == "species"
-    if species:
-        def split(y):
-            return y[:N], y[N:2 * N], y[2 * N:]
-
-        def join(u, v, w):
-            return np.concatenate([u, v, w])
-    else:
-        def split(y):
-            return y[0::3], y[1::3], y[2::3]
-
-        def join(u, v, w):
-            out = np.empty(3 * N)
-            out[0::3], out[1::3], out[2::3] = u, v, w
-            return out
-
-    inner = slice(1, N - 1)
-
+    # species-major state viewed as rows u, v, w
     def lap(q):
-        out = np.zeros(N)
-        out[inner] = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / dx ** 2
+        out = np.zeros((3, N))
+        out[:, 1:-1] = (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / dx ** 2
         return out
 
     def adv(q):
-        out = np.zeros(N)
-        out[inner] = (q[2:] - q[:-2]) / (2.0 * dx)
+        out = np.zeros((3, N))
+        out[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2.0 * dx)
         return out
 
     def fI(t, y):
-        u, v, w = split(y)
-        al = alpha_t(t)
-        return join(al * lap(u), al * lap(v), al * lap(w))
+        return (alpha_t(t) * lap(y.reshape(3, N))).ravel()
 
     def fE(t, y):
-        u, v, w = split(y)
-        ro = rho_t(t)
-        return join(ro * adv(u), ro * adv(v), ro * adv(w))
+        return (rho_t(t) * adv(y.reshape(3, N))).ravel()
 
     def fF(t, y):
-        u, v, w = split(y)
+        u, v, w = y.reshape(3, N)
         r = r_t(t)
-        fu = r * (pr.a - (w - 1.0) * u + u * u * v)
-        fv = r * (w * u - u * u * v)
-        fw = r * ((pr.b - w) / pr.eps - w * u)
-        fu[0] = fu[-1] = fv[0] = fv[-1] = fw[0] = fw[-1] = 0.0
-        return join(fu, fv, fw)
+        out = np.empty((3, N))
+        out[0] = r * (a - (w - 1.0) * u + u * u * v)
+        out[1] = r * (w * u - u * u * v)
+        out[2] = r * ((b - w) / eps - w * u)
+        out[:, 0] = out[:, -1] = 0.0
+        return out.ravel()
 
     stencil = np.array([1.0, -2.0, 1.0]) / dx ** 2
 
     def jacI(t, y):
         al = alpha_t(t)
-        ml = mu = 1 if species else 3
-        data = np.zeros((ml + mu + 1, 3 * N))
-        if species:
-            for blk in range(3):
-                lo = blk * N
-                data[0, lo + 2:lo + N] = al * stencil[2]      # super
-                data[1, lo + 1:lo + N - 1] = al * stencil[1]  # diag
-                data[2, lo:lo + N - 2] = al * stencil[0]      # sub
-        else:
-            for sp in range(3):
-                rows = 3 * np.arange(1, N - 1) + sp
-                data[mu, rows] = al * stencil[1]
-                data[mu - 3, rows + 3] = al * stencil[2]
-                data[mu + 3, rows - 3] = al * stencil[0]
-        return BandedMatrix(ml=ml, mu=mu, data=data)
+        data = np.zeros((3, 3 * N))
+        for lo in (0, N, 2 * N):
+            data[0, lo + 2:lo + N] = al * stencil[2]      # super
+            data[1, lo + 1:lo + N - 1] = al * stencil[1]  # diag
+            data[2, lo:lo + N - 2] = al * stencil[0]      # sub
+        return BandedMatrix(ml=1, mu=1, data=data)
 
     name = f"brusselator-{'tv-' if tv else ''}{N}"
     return SplitIVP(dim=3 * N, fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,
-                    y0=join(u0, v0, w0), name=name)
+                    y0=y0, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +243,7 @@ PROBLEMS = {
     "brusselator-201": lambda: brusselator_problem(BrusselatorParams(N=201)),
     "brusselator-801": lambda: brusselator_problem(BrusselatorParams(N=801)),
     "brusselator-tv-101": lambda: brusselator_problem(
-        _tv_brusselator_defaults(BrusselatorParams(N=101))),
+        BrusselatorParams(N=101, variant="time-varying")),
 }
 
 

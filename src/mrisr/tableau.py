@@ -24,8 +24,8 @@ from .errors import (DegenerateAbscissaeError, PreconditionError,
 from .rk import _fmat, _fvec, _readonly
 
 __all__ = [
-    "MRISRTableau", "load_builtin", "build_merk_tableau", "omega_poly_eval",
-    "omega_bar", "validate_structure", "tableau_to_dict", "tableau_from_dict",
+    "MRISRTableau", "load_builtin", "build_merk_tableau", "omega_bar",
+    "validate_structure", "tableau_to_dict", "tableau_from_dict",
     "save_tableau", "load_tableau", "BUILTIN_NAMES",
 ]
 
@@ -86,20 +86,6 @@ def omega_bar(t):
             for j in range(s):
                 out[i][j] += O[i][j] / (k + 1)
     return tuple(tuple(row) for row in out)
-
-
-def omega_poly_eval(t, i, j, tau):
-    """Evaluate omega_{i,j}(tau) = sum_k omega^k_{i,j} tau^k in floats (Horner).
-
-    i, j are 1-based stage indices with 1 <= j < i <= s.
-    """
-    if not (1 <= j < i <= t.s):
-        raise IndexError(f"need 1 <= j < i <= s, got i={i}, j={j}, s={t.s}")
-    _, omega, _, _, _ = t.floats
-    acc = 0.0
-    for k in range(t.n_omega - 1, -1, -1):
-        acc = acc * tau + omega[k, i - 1, j - 1]
-    return float(acc)
 
 
 def validate_structure(t):

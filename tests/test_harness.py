@@ -8,11 +8,14 @@ import pytest
 import scipy
 
 import mrisr
+from mrisr import harness
+from mrisr.errors import UnknownMethodError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
                            run_adaptive, run_convergence, run_stability_export,
                            run_verify, versions, write_csv)
 from mrisr.integrator import StepStats
+from mrisr.tableau import BUILTIN_NAMES
 
 
 def test_fit_slope_recovers_synthetic_order():
@@ -28,6 +31,10 @@ def test_default_inner_pairing():
     assert default_inner("imex-mri-sr43").name == "zonneveld"
     assert default_inner("merk2").name == "heun"
     assert default_inner("merk5").name == "cash-karp"
+    # every builtin has a pairing: there is no fallback by order
+    assert set(harness._DEFAULT_INNER) == set(BUILTIN_NAMES)
+    with pytest.raises(UnknownMethodError):
+        default_inner("rk4")
 
 
 def test_experiment_config_validation():

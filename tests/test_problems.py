@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mrisr.errors import ReferenceFailure
-from mrisr.problems import (PROBLEMS, BrusselatorParams, KPRParams,
-                            brusselator_problem, kpr_exact, kpr_problem,
-                            make_problem, reference_solution)
+from mrisr import problems
+from mrisr.problems import (PROBLEMS, BrusselatorParams, brusselator_problem,
+                            kpr_exact, kpr_problem, make_problem,
+                            reference_solution)
 
 
 def _kpr_rhs_exact(t, beta=20.0):
     # time derivative of the analytic solution
-    u, v = kpr_exact(t, beta)
+    u, v = kpr_exact(t)
     return np.array([-beta * math.sin(beta * t) / (2.0 * u),
                      -math.sin(t) / (2.0 * v)])
 
@@ -56,30 +57,28 @@ def test_kpr_jacobian_matches_fd():
     assert np.allclose(p.jacI(t, y), _fd_jac(p.fI, t, y), atol=1e-6)
 
 
-@pytest.mark.parametrize("layout", ["species", "interleaved"])
-def test_brusselator_jacobian_matches_fd(layout):
-    pr = BrusselatorParams(N=9, layout=layout)
+@pytest.mark.parametrize("variant", ["fixed", "time-varying"])
+def test_brusselator_jacobian_matches_fd(variant):
+    pr = BrusselatorParams(N=9, variant=variant)
     p = brusselator_problem(pr)
     t, y = 0.3, p.y0
     J = p.jacI(t, y).to_dense()
     assert np.allclose(J, _fd_jac(p.fI, t, y), atol=1e-4)
-    ml = mu = 1 if layout == "species" else 3
-    assert p.jacI(t, y).ml == ml and p.jacI(t, y).mu == mu
+    assert p.jacI(t, y).ml == 1 and p.jacI(t, y).mu == 1
 
 
-def test_brusselator_layouts_are_permutations():
-    ps = brusselator_problem(BrusselatorParams(N=11, layout="species"))
-    pi = brusselator_problem(BrusselatorParams(N=11, layout="interleaved"))
-    N = 11
-    perm = np.empty(3 * N, dtype=int)  # species index -> interleaved index
-    for sp in range(3):
-        perm[sp * N:(sp + 1) * N] = 3 * np.arange(N) + sp
-    assert np.array_equal(ps.y0, pi.y0[perm])
-    y = ps.y0 + 0.01 * np.sin(np.arange(3 * N))
-    for fs, fi in ((ps.fF, pi.fF), (ps.fE, pi.fE), (ps.fI, pi.fI)):
-        a = fs(0.4, y)
-        b = fi(0.4, y[np.argsort(perm)])[perm]
-        assert np.allclose(a, b, atol=0.0)
+def test_direct_tv_brusselator_equals_registry():
+    # the variant alone fixes the coefficients: built directly, the
+    # time-varying problem is the registry's, bit for bit
+    pd = brusselator_problem(BrusselatorParams(N=101, variant="time-varying"))
+    pr = make_problem("brusselator-tv-101")
+    assert pd.name == pr.name and np.array_equal(pd.y0, pr.y0)
+    y = pr.y0 * (1.0 + 0.05 * np.sin(np.arange(pr.dim)))
+    for t in (0.0, 0.37, 1.3):
+        for f in ("fF", "fE", "fI"):
+            assert getattr(pd, f)(t, y).tobytes() == \
+                getattr(pr, f)(t, y).tobytes()
+        assert pd.jacI(t, y).data.tobytes() == pr.jacI(t, y).data.tobytes()
 
 
 def test_brusselator_boundaries_are_stationary():
@@ -109,8 +108,6 @@ def test_brusselator_params_validation():
         BrusselatorParams(N=2)
     with pytest.raises(ValueError):
         BrusselatorParams(variant="chaotic")
-    with pytest.raises(ValueError):
-        BrusselatorParams(layout="columns")
 
 
 def test_registry():
@@ -124,8 +121,7 @@ def test_registry():
 
 
 def test_kpr_params_defaults():
-    pr = KPRParams()
-    assert pr.lamF == -10.0 and pr.beta == 20.0
+    assert problems.KPR_LAMBDA_F == -10.0 and problems.KPR_BETA == 20.0
 
 
 def test_reference_solution_draft_matches_analytic():

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import (DegenerateAbscissaeError, PreconditionError,
                           UnknownMethodError)
+from mrisr.integrator import _poly_forcing
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, build_merk_tableau,
                            load_builtin, load_tableau, omega_bar,
-                           omega_poly_eval, save_tableau, tableau_from_dict,
-                           tableau_to_dict, validate_structure)
+                           save_tableau, tableau_from_dict, tableau_to_dict,
+                           validate_structure)
 
 F = Fraction
 
@@ -60,16 +61,6 @@ def test_omega_bar_first_column():
     ob = omega_bar(t)
     # single Omega matrix: omega_bar equals Omega[0]
     assert ob == t.omega[0]
-
-
-def test_omega_poly_eval():
-    t = load_builtin("imex-mri-sr32")
-    # row 3, col 1: omega(tau) = Omega0[2][0] + Omega1[2][0] * tau
-    v = omega_poly_eval(t, 3, 1, 0.5)
-    expect = float(t.omega[0][2][0]) + 0.5 * float(t.omega[1][2][0])
-    assert abs(v - expect) < 1e-15
-    with pytest.raises(IndexError):
-        omega_poly_eval(t, 2, 2, 0.3)
 
 
 def test_merk2_generated_entries():
@@ -192,7 +183,13 @@ def test_poly_eval_matches_naive(i, j):
     t = load_builtin("imex-mri-sr43")
     if not (1 <= j < i <= t.s):
         return
-    tau = 0.37
+    # the step's forcing: omega_{i,j}(theta/span) * scale, per component
+    tau, span, scale = 0.37, 0.8, 1.0 / 0.3
+    coeffs = np.array([[float(t.omega[k][i - 1][j - 1])] * 2
+                       for k in range(t.n_omega)])
+    coeffs[:, 1] *= -2.0
     naive = sum(float(t.omega[k][i - 1][j - 1]) * tau ** k
                 for k in range(t.n_omega))
-    assert abs(omega_poly_eval(t, i, j, tau) - naive) < 1e-14
+    got = _poly_forcing(coeffs, scale, span)(tau * span)
+    assert np.allclose(got, [scale * naive, -2.0 * scale * naive],
+                       rtol=0.0, atol=1e-13)
