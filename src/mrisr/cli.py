@@ -16,6 +16,8 @@ from .errors import MRISRError
 from .rk import INNER_METHODS
 from .tableau import BUILTIN_NAMES
 
+__all__ = ["main"]
+
 # 'failure' is empty on good rows and holds the reason on failed ones
 _ROW_KEYS = {
     "converge": ["method", "k", "H", "M", *harness.RUN_KEYS, "failure"],
@@ -182,7 +184,7 @@ def main(argv=None):
             return 0
         if cmd == "verify":
             cfg = _experiment_config("verify", opts)
-            report = harness.run_verify(cfg)
+            report = harness.run_verify(cfg.methods)
             if cfg.json_out:
                 print(json.dumps(report, indent=2, default=str))
             else:
@@ -198,7 +200,7 @@ def main(argv=None):
             cfg = _experiment_config("stability", opts)
             if min(cfg.res) < 2:
                 raise ValueError("resolution must be at least 2 per axis")
-            files = harness.run_stability_export(cfg, cfg.out or ".")
+            files = harness.run_stability_export(cfg)
             for f in files:
                 print(f"wrote {f}")
             return 0

@@ -1,5 +1,11 @@
 """Exception hierarchy for the mrisr package."""
 
+__all__ = ["MRISRError", "UnknownMethodError", "DegenerateAbscissaeError",
+           "PreconditionError", "DegenerateEmbeddingError",
+           "SingularMatrixError", "NewtonFailure", "FastSolveDivergence",
+           "StageSolveFailure", "StepFailure", "StepSizeUnderflow",
+           "OscillationError", "ReferenceFailure"]
+
 
 class MRISRError(Exception):
     """Base class for all package-specific errors."""

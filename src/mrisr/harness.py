@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from . import adaptivity, stability, theory
-from .errors import MRISRError, UnknownMethodError
+from .errors import MRISRError, PreconditionError, UnknownMethodError
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
 from .problems import REF_GATE, kpr_exact, make_problem, reference_solution
 from .rk import inner_method
@@ -217,21 +217,34 @@ def run_efficiency(cfg):
 
 
 def run_adaptive(cfg):
-    """Adaptive runs over a tolerance schedule; reports achieved max error."""
+    """Adaptive runs over a tolerance schedule; reports achieved max error.
+
+    Both the slow method and its inner method need an embedding. Before any
+    run starts, PreconditionError names a method without one, and an inner
+    method without one that cfg.inner asks for. A default pairing without
+    one (heun, for imex-mri-sr21) is replaced by bogacki-shampine.
+    """
+    pairs = []
+    for m in cfg.methods:
+        t = load_builtin(m)
+        if not t.has_embedding:
+            raise PreconditionError(
+                f"{m} has no embedding; adaptive runs need one")
+        rk = cfg.inner_for(m)
+        if rk.bhat is None:
+            if m in cfg.inner:
+                raise PreconditionError(
+                    f"inner method {rk.name} of {m} has no embedding; "
+                    "adaptive runs need one")
+            rk = inner_method("bogacki-shampine")
+        pairs.append((m, t, rk))
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
     pts = _sample_points(tEnd)
     ref, floor = _exact_samples(cfg.problem, p, pts)
     tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []
-    for m in cfg.methods:
-        t = load_builtin(m)
-        if not t.has_embedding:
-            continue
-        rk = cfg.inner_for(m)
-        if rk.bhat is None:
-            # adaptive runs need an embedded inner estimate
-            rk = inner_method("bogacki-shampine")
+    for m, t, rk in pairs:
         rows = [dict(method=m, tol=tol, **_run_row(
             lambda: adaptivity.integrate_adaptive(
                 p, t, rk, tEnd, tol, sample_points=pts, M0=cfg.M), ref))
@@ -241,9 +254,10 @@ def run_adaptive(cfg):
     return records
 
 
-def run_stability_export(cfg, outdir=None):
-    """Region scans written as CSV grids with JSON metadata sidecars."""
-    outdir = outdir or cfg.out or "."
+def run_stability_export(cfg):
+    """Region scans written as CSV grids with JSON metadata sidecars, in
+    cfg.out (default: the working directory)."""
+    outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     files = []
     for m in cfg.methods:
@@ -265,21 +279,18 @@ def run_stability_export(cfg, outdir=None):
     return files
 
 
-def run_verify(cfg=None, methods=None):
-    """Structural and order verification report for builtin methods."""
-    methods = methods or (cfg.methods if cfg else list(BUILTIN_NAMES))
+def run_verify(methods=None):
+    """Structural and order verification report for builtin methods (all of
+    them by default)."""
+    methods = methods or list(BUILTIN_NAMES)
     report = {}
     for m in methods:
         t = load_builtin(m)
         entry = dict(structure=validate_structure(t))
         entry["internal_consistency"] = \
             theory.check_internal_consistency(t).order == 2
-        ark = theory.base_ark(t)
-        base = 0
-        for q in range(1, 5):
-            if theory.check_ark_order(ark, q).all_pass:
-                base = q
-        entry["base_order"] = base
+        entry["base_order"] = theory.check_ark_order(
+            theory.base_ark(t), 4).order
         coup = 2
         for q in (3, 4):
             if theory.check_coupling_order(t, q).all_pass:

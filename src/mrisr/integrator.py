@@ -24,6 +24,10 @@ from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
                      SingularMatrixError, StageSolveFailure, StepFailure)
 from .linalg import BandedMatrix, newton_solve, wrms
 
+__all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
+           "solve_fast_ivp", "implicit_stage_solve", "step",
+           "integrate_fixed"]
+
 
 @dataclass
 class SplitIVP:

@@ -12,6 +12,8 @@ from scipy.linalg import lapack
 
 from .errors import NewtonFailure, SingularMatrixError
 
+__all__ = ["BandedMatrix", "Factorization", "wrms", "newton_solve"]
+
 
 @dataclass
 class BandedMatrix:

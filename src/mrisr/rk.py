@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import PreconditionError, UnknownMethodError
 
+__all__ = ["frac", "ButcherTable", "rk_order_residuals", "rk_order",
+           "bushy_tree_residuals", "certify", "HEUN", "BOGACKI_SHAMPINE",
+           "ZONNEVELD", "CASH_KARP", "INNER_METHODS", "inner_method"]
+
 
 def frac(x):
     """Coerce ints, strings like '7/24', and Fractions to Fraction."""
@@ -75,65 +79,89 @@ def _matvec(A, v):
     return [_dot(row, v) for row in A]
 
 
+# Rooted trees of order 1..5 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.2) as (label template, density, elementary weight Phi(A, B, c)); the
+# order condition is b.Phi = 1/density. {s}, {n} and {m} in a template name
+# the colours of b, A and B, and a tree without {n} or {m} ignores A or B.
+# Order 5 is only evaluated with one colour, so no tree names a third.
+_TREES = {
+    1: [("b{s}.1", 1, lambda A, B, c: c ** 0)],
+    2: [("b{s}.c", 2, lambda A, B, c: c)],
+    3: [("b{s}.c2", 3, lambda A, B, c: c ** 2),
+        ("b{s}.A{n}c", 6, lambda A, B, c: A @ c)],
+    4: [("b{s}.c3", 4, lambda A, B, c: c ** 3),
+        ("b{s}.cA{n}c", 8, lambda A, B, c: c * (A @ c)),
+        ("b{s}.A{n}c2", 12, lambda A, B, c: A @ c ** 2),
+        ("b{s}.A{n}A{m}c", 24, lambda A, B, c: A @ (B @ c))],
+    5: [("b{s}.c4", 5, lambda A, B, c: c ** 4),
+        ("b{s}.c2A{n}c", 10, lambda A, B, c: c ** 2 * (A @ c)),
+        ("b{s}.A{n}cA{m}c", 20, lambda A, B, c: (A @ c) * (B @ c)),
+        ("b{s}.cA{n}c2", 15, lambda A, B, c: c * (A @ c ** 2)),
+        ("b{s}.A{n}c3", 20, lambda A, B, c: A @ c ** 3),
+        ("b{s}.cA{n}A{m}c", 30, lambda A, B, c: c * (A @ (B @ c))),
+        ("b{s}.A{n}cA{m}c_", 40, lambda A, B, c: A @ (c * (B @ c))),
+        ("b{s}.A{n}A{m}c2", 60, lambda A, B, c: A @ (B @ c ** 2)),
+        ("b{s}.A{n}A{m}A{m}c", 120, lambda A, B, c: A @ (B @ (B @ c)))],
+}
+
+
+def _exact(x):
+    """Object ndarray of exact entries, so @ and * stay exact."""
+    return np.array(x, dtype=object)
+
+
+def _tree_residuals(weights, mats, c, p):
+    """{q: {label: b.Phi - 1/density}} for every tree of order q <= p (<= 5).
+
+    weights and mats map colour letters to weight vectors and coefficient
+    matrices; each tree is evaluated for every colouring of b, A and B.
+    """
+    if p > 5:
+        raise ValueError("conditions enumerated up to order 5 only")
+    c = _exact(c)
+    weights = {s: _exact(b) for s, b in weights.items()}
+    mats = {n: _exact(A) for n, A in mats.items()}
+    groups = {q: {} for q in range(1, p + 1)}
+    for q, res in groups.items():
+        for tmpl, density, phi in _TREES[q]:
+            Phis = {(n, m): phi(mats.get(n), mats.get(m), c)
+                    for n in (mats if "{n}" in tmpl else [""])
+                    for m in (mats if "{m}" in tmpl else [""])}
+            for s, b in weights.items():
+                for (n, m), Phi in Phis.items():
+                    res[tmpl.format(s=s, n=n, m=m)] = \
+                        b @ Phi - Fraction(1, density)
+    return groups
+
+
+def _leading_order(groups):
+    """Largest q such that every residual of orders 1..q is zero."""
+    q = 0
+    while q + 1 in groups and not any(groups[q + 1].values()):
+        q += 1
+    return q
+
+
 def rk_order_residuals(A, b, c, p):
     """Residuals of the rooted-tree order conditions for a single RK method.
 
-    Returns {label: Fraction} covering every condition of order <= p (p <= 5):
+    Returns {label: Fraction} covering every condition of order <= p, one
+    per rooted tree (1, 1, 2, 4 and 9 of orders 1 to 5), in order:
       order 1: b.1 = 1
       order 2: b.c = 1/2
       order 3: b.c^2 = 1/3, b.Ac = 1/6
       order 4: b.c^3 = 1/4, b.(c*Ac) = 1/8, b.Ac^2 = 1/12, b.AAc = 1/24
       order 5: the nine rooted trees of order five
+    The same tree table serves the additive pairs of
+    theory.check_ark_order, in two colours. Raises ValueError for p > 5.
     """
-    res = {}
-    res["b.1"] = sum(b) - 1
-    if p >= 2:
-        res["b.c"] = _dot(b, c) - Fraction(1, 2)
-    if p >= 3:
-        res["b.c2"] = _dot(b, [x * x for x in c]) - Fraction(1, 3)
-        Ac = _matvec(A, c)
-        res["b.Ac"] = _dot(b, Ac) - Fraction(1, 6)
-    if p >= 4:
-        Ac = _matvec(A, c)
-        res["b.c3"] = _dot(b, [x ** 3 for x in c]) - Fraction(1, 4)
-        res["b.cAc"] = _dot(b, [ci * x for ci, x in zip(c, Ac)]) - Fraction(1, 8)
-        res["b.Ac2"] = _dot(b, _matvec(A, [x * x for x in c])) - Fraction(1, 12)
-        res["b.AAc"] = _dot(b, _matvec(A, Ac)) - Fraction(1, 24)
-    if p >= 5:
-        Ac = _matvec(A, c)
-        c2 = [x * x for x in c]
-        Ac2 = _matvec(A, c2)
-        res["b.c4"] = _dot(b, [x ** 4 for x in c]) - Fraction(1, 5)
-        res["b.c2Ac"] = _dot(b, [ci * ci * x for ci, x in zip(c, Ac)]) \
-            - Fraction(1, 10)
-        res["b.AcAc"] = _dot(b, [x * x for x in Ac]) - Fraction(1, 20)
-        res["b.cAc2"] = _dot(b, [ci * x for ci, x in zip(c, Ac2)]) \
-            - Fraction(1, 15)
-        res["b.Ac3"] = _dot(b, _matvec(A, [x ** 3 for x in c])) \
-            - Fraction(1, 20)
-        res["b.cAAc"] = _dot(b, [ci * x for ci, x in
-                                 zip(c, _matvec(A, Ac))]) - Fraction(1, 30)
-        res["b.AcAc_"] = _dot(b, _matvec(A, [ci * x for ci, x in
-                                             zip(c, Ac)])) - Fraction(1, 40)
-        res["b.AAc2"] = _dot(b, _matvec(A, Ac2)) - Fraction(1, 60)
-        res["b.AAAc"] = _dot(b, _matvec(A, _matvec(A, Ac))) - Fraction(1, 120)
-    return res
+    groups = _tree_residuals({"": b}, {"": A}, c, p)
+    return {lbl: r for g in groups.values() for lbl, r in g.items()}
 
 
 def rk_order(A, b, c, maxp=5):
     """Largest order <= maxp at which all conditions hold exactly."""
-    by_order = {1: ["b.1"], 2: ["b.c"], 3: ["b.c2", "b.Ac"],
-                4: ["b.c3", "b.cAc", "b.Ac2", "b.AAc"],
-                5: ["b.c4", "b.c2Ac", "b.AcAc", "b.cAc2", "b.Ac3",
-                    "b.cAAc", "b.AcAc_", "b.AAc2", "b.AAAc"]}
-    res = rk_order_residuals(A, b, c, maxp)
-    p = 0
-    for q in range(1, maxp + 1):
-        if all(res[lbl] == 0 for lbl in by_order[q]):
-            p = q
-        else:
-            break
-    return p
+    return _leading_order(_tree_residuals({"": b}, {"": A}, c, maxp))
 
 
 def bushy_tree_residuals(b, c, kmax):

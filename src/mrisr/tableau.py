@@ -25,7 +25,7 @@ from .rk import _fmat, _fvec, _readonly
 
 __all__ = [
     "MRISRTableau", "load_builtin", "build_merk_tableau", "omega_bar",
-    "validate_structure", "tableau_to_dict", "tableau_from_dict",
+    "omega_row", "validate_structure", "tableau_to_dict", "tableau_from_dict",
     "save_tableau", "load_tableau", "BUILTIN_NAMES",
 ]
 
@@ -73,19 +73,26 @@ class MRISRTableau:
                 _readonly(self.gamma), emb_omega, emb_gamma)
 
 
+def omega_row(rows, weight):
+    """sum_k weight(k) * rows[k], as a tuple of Fractions.
+
+    rows holds one row per tendency power k. Row i of every Omega[k] gives
+    row i of a weighted Omega sum (of omega_bar, with weight 1/(k+1)), and
+    t.emb_omega with the same weight gives the embedded slow weights.
+    """
+    ws = [weight(k) for k in range(len(rows))]
+    return tuple(sum((w * row[j] for w, row in zip(ws, rows)), Fraction(0))
+                 for j in range(len(rows[0])))
+
+
 def omega_bar(t):
     """Integral of the tendency polynomials over tau in [0,1].
 
-    Returns sum_k Omega[k]/(k+1) as an s-by-s tuple of Fractions. This is the
-    explicit slow base table.
+    Returns sum_k Omega[k]/(k+1) as an s-by-s tuple of Fractions, one
+    omega_row per stage. This is the explicit slow base table.
     """
-    s = t.s
-    out = [[Fraction(0)] * s for _ in range(s)]
-    for k, O in enumerate(t.omega):
-        for i in range(s):
-            for j in range(s):
-                out[i][j] += O[i][j] / (k + 1)
-    return tuple(tuple(row) for row in out)
+    return tuple(omega_row([O[i] for O in t.omega],
+                           lambda k: Fraction(1, k + 1)) for i in range(t.s))
 
 
 def validate_structure(t):

@@ -9,18 +9,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEmbeddingError, PreconditionError
-from .rk import _dot, _matvec, bushy_tree_residuals
-from .tableau import omega_bar
+from .rk import (_dot, _leading_order, _matvec, _tree_residuals,
+                 bushy_tree_residuals)
+from .tableau import omega_bar, omega_row
 
 __all__ = [
     "GarkTables", "ARKPair", "OrderReport", "assemble_gark", "base_ark",
     "check_internal_consistency", "check_coupling_order", "check_ark_order",
     "method_order", "c_statistic", "gark_linear_step",
 ]
-
-
-def _zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -102,44 +99,22 @@ def assemble_gark(t, inner):
             "inner method fails quadrature condition b^T c^k = 1/(k+1) "
             f"for k in {bad} (needed for n_omega = {t.n_omega})")
     s, sF = t.s, inner.stages
-    n = s * sF
-    Ob = omega_bar(t)
-
-    AFF = _zeros(n, n)
-    for i in range(s):
-        for p in range(sF):
-            for q in range(sF):
-                AFF[i * sF + p][i * sF + q] = t.c[i] * inner.A[p][q]
-
-    # Column j of the fast-slow coupling: sum_k Omega[k][i][j] * (A^F c^F^k)
-    AFE = _zeros(n, s)
-    powc = [[x ** k for x in inner.c] for k in range(t.n_omega)]
-    Ack = [_matvec(inner.A, powc[k]) for k in range(t.n_omega)]
-    for i in range(s):
-        for j in range(s):
-            for k in range(t.n_omega):
-                w = t.omega[k][i][j]
-                if w:
-                    for p in range(sF):
-                        AFE[i * sF + p][j] += w * Ack[k][p]
-
-    ASF = _zeros(s, n)
-    for i in range(s):
-        for p in range(sF):
-            ASF[i][i * sF + p] = t.c[i] * inner.b[p]
-
-    ASI = tuple(tuple(Ob[i][j] + t.gamma[i][j] for j in range(s))
-                for i in range(s))
+    ark = base_ark(t)
+    # the fast blocks are block diagonal: stage i scales the inner table by c_i
+    AFF = tuple(tuple(t.c[i] * inner.A[p][q] if j == i else Fraction(0)
+                      for j in range(s) for q in range(sF))
+                for i in range(s) for p in range(sF))
+    ASF = tuple(tuple(t.c[i] * inner.b[p] if j == i else Fraction(0)
+                      for j in range(s) for p in range(sF)) for i in range(s))
+    # Row (i, p) of the fast-slow coupling: sum_k (A^F c^F^k)[p] * Omega[k][i]
+    Ack = [_matvec(inner.A, [x ** k for x in inner.c])
+           for k in range(t.n_omega)]
+    AFE = tuple(omega_row([O[i] for O in t.omega], lambda k: Ack[k][p])
+                for i in range(s) for p in range(sF))
     cF = tuple(t.c[i] * inner.c[p] for i in range(s) for p in range(sF))
-    bF = tuple(ASF[s - 1])
-
-    frz = lambda M: tuple(tuple(row) for row in M)
-    AFE = frz(AFE)
     return GarkTables(
-        AFF=frz(AFF), AFE=AFE, AFI=AFE, ASF=frz(ASF),
-        ASE=Ob, ASI=ASI,
-        bF=bF, bE=Ob[s - 1], bI=ASI[s - 1],
-        cF=cF, cS=t.c,
+        AFF=AFF, AFE=AFE, AFI=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
+        bF=ASF[s - 1], bE=ark.bE, bI=ark.bI, cF=cF, cS=t.c,
     )
 
 
@@ -160,18 +135,6 @@ def check_internal_consistency(t):
     return OrderReport(order=order, residuals=res)
 
 
-def _weighted_omega_sum(t, denom):
-    """sum_k Omega[k] * denom(k) as an s-by-s Fraction matrix."""
-    s = t.s
-    out = _zeros(s, s)
-    for k, O in enumerate(t.omega):
-        w = denom(k)
-        for i in range(s):
-            for j in range(s):
-                out[i][j] += O[i][j] * w
-    return out
-
-
 def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
     """Coupling-condition residuals at exactly order p (3 or 4).
 
@@ -184,30 +147,20 @@ def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
         final_omega_rows = tuple(t.omega[k][s - 1] for k in range(t.n_omega))
         final_gamma_row = t.gamma[s - 1]
 
-    def fin(denom):
-        # final-row weighted omega sum, as a length-s vector
-        out = [Fraction(0)] * s
-        for k, row in enumerate(final_omega_rows):
-            w = denom(k)
-            for j in range(s):
-                out[j] += row[j] * w
-        return out
-
-    L = _weighted_omega_sum(t, lambda k: Fraction(1, (k + 1) * (k + 2)))
-    res = {}
+    fin = lambda weight: omega_row(final_omega_rows, weight)
+    wL = lambda k: Fraction(1, (k + 1) * (k + 2))
+    finL = fin(wL)
     if p == 3:
-        res["coupling3"] = _dot(fin(
-            lambda k: Fraction(1, (k + 1) * (k + 2))), c) - Fraction(1, 6)
-        return res
+        return {"coupling3": _dot(finL, c) - Fraction(1, 6)}
     if p != 4:
         raise ValueError("coupling conditions available for p = 3 or 4 only")
     Ob = omega_bar(t)
     bE = fin(lambda k: Fraction(1, k + 1))
-    Lc = _matvec(L, c)
+    Lc = _matvec([omega_row([O[i] for O in t.omega], wL) for i in range(s)], c)
     CLc = [c[i] * Lc[i] for i in range(s)]
+    res = {}
     res["coupling4a"] = _dot(fin(
         lambda k: Fraction(1, (k + 1) * (k + 3))), c) - Fraction(1, 8)
-    finL = fin(lambda k: Fraction(1, (k + 1) * (k + 2)))
     res["coupling4b"] = _dot(finL, [x * x for x in c]) - Fraction(1, 12)
     res["coupling4c"] = _dot(final_gamma_row, CLc)
     res["coupling4d"] = _dot(bE, CLc) - Fraction(1, 24)
@@ -230,16 +183,6 @@ def check_coupling_order(t, p):
     return OrderReport(order=order, residuals=res, notes=notes)
 
 
-# Condition labels of the 2-additive RK (shared c) colored-tree set, by order.
-# Counts: 2 at order 1, 2 at order 2, 6 at order 3, 18 at order 4.
-_ARK_BY_ORDER = {
-    1: ["b{s}.1"],
-    2: ["b{s}.c"],
-    3: ["b{s}.c2", "b{s}.A{n}c"],
-    4: ["b{s}.c3", "b{s}.cA{n}c", "b{s}.A{n}c2", "b{s}.A{n}A{m}c"],
-}
-
-
 def check_ark_order(ark, p):
     """Residuals of every additive-RK order condition up to order p (<= 4).
 
@@ -253,54 +196,22 @@ def check_ark_order(ark, p):
       order 4: b_s.c^3 = 1/4, b_s.(c*A_n c) = 1/8,
                b_s.A_n c^2 = 1/12, b_s.A_n A_m c = 1/24   (18)
 
-    for s, n, m ranging over {E, I}. Literature countings that also include
-    fast-coupled trees arrive at different totals; those conditions live in
-    check_coupling_order.
+    for s, n, m ranging over {E, I}: the rooted trees of the table behind
+    rk.rk_order_residuals, evaluated for every colouring. Literature
+    countings that also include fast-coupled trees arrive at different
+    totals; those conditions live in check_coupling_order. Raises
+    ValueError for p > 4.
     """
     if p > 4:
         raise ValueError("conditions enumerated up to order 4 only")
-    c = list(ark.c)
-    mats = {"E": ark.AE, "I": ark.AI}
-    bs = {"E": ark.bE, "I": ark.bI}
-    res = {}
-    for s_lbl, b in bs.items():
-        res[f"b{s_lbl}.1"] = sum(b) - 1
-        if p >= 2:
-            res[f"b{s_lbl}.c"] = _dot(b, c) - Fraction(1, 2)
-        if p >= 3:
-            res[f"b{s_lbl}.c2"] = _dot(b, [x * x for x in c]) - Fraction(1, 3)
-        if p >= 4:
-            res[f"b{s_lbl}.c3"] = _dot(b, [x ** 3 for x in c]) - Fraction(1, 4)
-        for n_lbl, A in mats.items():
-            Ac = _matvec(A, c)
-            if p >= 3:
-                res[f"b{s_lbl}.A{n_lbl}c"] = _dot(b, Ac) - Fraction(1, 6)
-            if p >= 4:
-                res[f"b{s_lbl}.cA{n_lbl}c"] = _dot(
-                    b, [ci * x for ci, x in zip(c, Ac)]) - Fraction(1, 8)
-                res[f"b{s_lbl}.A{n_lbl}c2"] = _dot(
-                    b, _matvec(A, [x * x for x in c])) - Fraction(1, 12)
-                for m_lbl, A2 in mats.items():
-                    res[f"b{s_lbl}.A{n_lbl}A{m_lbl}c"] = _dot(
-                        b, _matvec(A, _matvec(A2, c))) - Fraction(1, 24)
-    order = 0
-    for q in range(1, p + 1):
-        labels = [tmpl.format(s=s_lbl, n=n_lbl, m=m_lbl)
-                  for tmpl in _ARK_BY_ORDER[q]
-                  for s_lbl in "EI" for n_lbl in "EI" for m_lbl in "EI"]
-        if all(res[lbl] == 0 for lbl in set(labels) & set(res)):
-            order = q
-        else:
-            break
+    groups = _tree_residuals({"E": ark.bE, "I": ark.bI},
+                             {"E": ark.AE, "I": ark.AI}, ark.c, p)
+    res = {lbl: r for g in groups.values() for lbl, r in g.items()}
     notes = ("condition counts here follow the colored-tree enumeration "
              "(2/2/6/18 per order); countings that include fast-coupled "
              "trees differ",)
-    return OrderReport(order=order, residuals=res, notes=notes)
-
-
-def _ark_order_of(t):
-    ark = base_ark(t)
-    return check_ark_order(ark, 4).order
+    return OrderReport(order=_leading_order(groups), residuals=res,
+                       notes=notes)
 
 
 def method_order(t, inner_order):
@@ -310,7 +221,7 @@ def method_order(t, inner_order):
     order, coupling conditions, and the inner-method order floor
     (max(3, n_omega+1) for p = 3, max(4, n_omega+2) for p = 4).
     """
-    ark_p = _ark_order_of(t)
+    ark_p = check_ark_order(base_ark(t), 4).order
     if ark_p < 1 or inner_order < 1:
         return 0
     p = 1
@@ -330,17 +241,6 @@ def method_order(t, inner_order):
     return p
 
 
-def _embedding_base_weights(t):
-    """(bE-hat, bI-hat) of the embedded method."""
-    s = t.s
-    bEh = [Fraction(0)] * s
-    for k, row in enumerate(t.emb_omega):
-        for j in range(s):
-            bEh[j] += row[j] / (k + 1)
-    bIh = [bEh[j] + t.emb_gamma[j] for j in range(s)]
-    return tuple(bEh), tuple(bIh)
-
-
 def _residual_vector(t, order, embedded):
     """All residuals at exactly `order`, as an ordered list of Fractions.
 
@@ -348,26 +248,15 @@ def _residual_vector(t, order, embedded):
     coupling conditions at that order (orders 3 and 4 only).
     """
     ark = base_ark(t)
-    if embedded:
-        bEh, bIh = _embedding_base_weights(t)
-        ark = ARKPair(AE=ark.AE, AI=ark.AI, bE=bEh, bI=bIh, c=ark.c)
-    full = check_ark_order(ark, order).residuals
-    labels = [tmpl.format(s=s_lbl, n=n_lbl, m=m_lbl)
-              for tmpl in _ARK_BY_ORDER[order]
-              for s_lbl in "EI" for n_lbl in "EI" for m_lbl in "EI"]
-    seen = []
-    vec = []
-    for lbl in labels:
-        if lbl in full and lbl not in seen:
-            seen.append(lbl)
-            vec.append(full[lbl])
+    rows, gamma_row = (t.emb_omega, t.emb_gamma) if embedded else \
+        ([O[-1] for O in t.omega], t.gamma[-1])
+    bE = omega_row(rows, lambda k: Fraction(1, k + 1))
+    bI = tuple(x + g for x, g in zip(bE, gamma_row))
+    groups = _tree_residuals({"E": bE, "I": bI}, {"E": ark.AE, "I": ark.AI},
+                             t.c, order)
+    vec = list(groups[order].values())
     if order in (3, 4):
-        if embedded:
-            cres = _coupling_residuals(
-                t, order, final_omega_rows=t.emb_omega,
-                final_gamma_row=t.emb_gamma)
-        else:
-            cres = _coupling_residuals(t, order)
+        cres = _coupling_residuals(t, order, rows, gamma_row)
         cres.pop("coupling4-implied", None)
         vec.extend(cres[k] for k in sorted(cres))
     return vec

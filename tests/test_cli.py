@@ -79,6 +79,18 @@ def test_adaptive_subcommand(capsys):
     assert data["rows"][0]["accepted"] > 0
 
 
+@pytest.mark.parametrize("argv,names", [
+    (["--method", "merk3"], "merk3"),
+    (["--method", "imex-mri-sr21", "--inner", "heun"], "heun of imex-mri-sr21"),
+], ids=["method", "inner"])
+def test_adaptive_without_embedding_is_an_error(argv, names, capsys):
+    code = main(["adaptive", *argv, "--problem", "kpr", "--tol", "1e-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert names in captured.err and "no embedding" in captured.err
+    assert captured.out == ""
+
+
 def test_stability_export(tmp_path, capsys):
     code = main(["stability", "--method", "imex-mri-sr21", "--which", "E",
                  "--alpha", "45", "--rho", "1", "--window=-3,0.5,-2,2",

@@ -12,8 +12,10 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mrisr.__path__))
 
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_resolve(module):
-    # a stale __all__ entry breaks `from mrisr.<module> import *`
+    # a stale __all__ entry breaks `from mrisr.<module> import *`, and a
+    # missing __all__ lets it export the module's imports (np, Fraction)
     mod = importlib.import_module(f"mrisr.{module}")
+    assert "__all__" in vars(mod)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
     exec(f"from mrisr.{module} import *", {})

@@ -8,8 +8,8 @@ import pytest
 import scipy
 
 import mrisr
-from mrisr import harness
-from mrisr.errors import UnknownMethodError
+from mrisr import adaptivity, harness
+from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
                            run_adaptive, run_convergence, run_stability_export,
@@ -120,29 +120,69 @@ def test_value_error_inside_a_run_is_not_a_failed_row(monkeypatch):
         run_convergence(_kpr_cfg(kmin=2, kmax=2))
 
 
-def test_run_adaptive_skips_methods_without_embedding():
-    cfg = _kpr_cfg(kind="adaptive", methods=["merk3", "imex-mri-sr21"],
+def _no_adaptive_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(adaptivity, "integrate_adaptive",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def test_run_adaptive_rejects_methods_without_embedding(monkeypatch):
+    # merk3 has no embedding: the whole study is refused before any run,
+    # wherever merk3 stands in the list
+    calls = _no_adaptive_runs(monkeypatch)
+    for methods in (["merk3", "imex-mri-sr21"], ["imex-mri-sr21", "merk3"]):
+        cfg = _kpr_cfg(kind="adaptive", methods=methods, tols=[1e-3])
+        with pytest.raises(PreconditionError, match="merk3 has no embedding"):
+            run_adaptive(cfg)
+    assert calls == []
+
+
+def test_run_adaptive_rejects_requested_inner_without_embedding(monkeypatch):
+    calls = _no_adaptive_runs(monkeypatch)
+    cfg = _kpr_cfg(kind="adaptive", inner={"imex-mri-sr21": "heun"},
                    tols=[1e-3])
-    recs = run_adaptive(cfg)
-    assert len(recs) == 1
-    assert recs[0].config["method"] == "imex-mri-sr21"
+    with pytest.raises(PreconditionError,
+                       match="inner method heun of imex-mri-sr21"):
+        run_adaptive(cfg)
+    assert calls == []
+
+
+def test_run_adaptive_default_inner_falls_back_to_embedded_pair():
+    # the default pairing of imex-mri-sr21, heun, has no embedding
+    rec = run_adaptive(_kpr_cfg(kind="adaptive", tols=[1e-3]))[0]
+    assert default_inner("imex-mri-sr21").name == "heun"
+    assert rec.config["inner"] == "bogacki-shampine"
 
 
 def test_run_verify_report():
-    rep = run_verify(methods=["imex-mri-sr21", "imex-mri-sr43", "merk5"])
-    assert rep["imex-mri-sr21"]["base_order"] == 2
-    assert rep["imex-mri-sr43"]["base_order"] == 4
-    assert rep["imex-mri-sr43"]["coupling_order"] == 4
-    assert rep["merk5"]["note"]
-    for e in rep.values():
-        assert e["structure"] == [] and e["internal_consistency"]
+    # every field of every builtin, c_statistic to the last bit
+    base = dict(structure=[], internal_consistency=True)
+    assert run_verify() == {
+        "imex-mri-sr21": dict(base, base_order=2, coupling_order=2,
+                              method_order=2,
+                              c_statistic=0.09464252095919105),
+        "imex-mri-sr32": dict(base, base_order=3, coupling_order=3,
+                              method_order=3,
+                              c_statistic=2.6254006133622227),
+        "imex-mri-sr43": dict(base, base_order=4, coupling_order=4,
+                              method_order=4, c_statistic=None),
+        "merk2": dict(base, base_order=2, coupling_order=3, method_order=2),
+        "merk3": dict(base, base_order=3, coupling_order=3, method_order=3),
+        "merk4": dict(base, base_order=4, coupling_order=4, method_order=4),
+        "merk5": dict(base, base_order=4, coupling_order=4, method_order=4,
+                      note="verified to order 4; order-5 condition set "
+                           "out of scope"),
+    }
+    assert list(run_verify(methods=["merk5", "merk2"])) == ["merk5", "merk2"]
 
 
 def test_run_stability_export_writes_grid(tmp_path):
     cfg = ExperimentConfig(kind="stability", methods=["imex-mri-sr21"],
                            which="E", alpha=45.0, rho=1.0,
-                           window=(-3.0, 0.5, -2.0, 2.0), res=(6, 5))
-    files = run_stability_export(cfg, str(tmp_path))
+                           window=(-3.0, 0.5, -2.0, 2.0), res=(6, 5),
+                           out=str(tmp_path))
+    files = run_stability_export(cfg)
     assert len(files) == 1
     lines = open(files[0]).read().strip().splitlines()
     assert lines[0] == "re,im,indicator,maxAbsR"
@@ -166,8 +206,9 @@ def test_sidecar_records_versions(tmp_path):
     # read back from a stability export, against versions found here
     cfg = ExperimentConfig(kind="stability", methods=["merk2"], which="E",
                            alpha=45.0, rho=1.0,
-                           window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2))
-    files = run_stability_export(cfg, str(tmp_path))
+                           window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2),
+                           out=str(tmp_path))
+    files = run_stability_export(cfg)
     meta = json.load(open(files[0] + ".json"))
     assert meta["versions"] == dict(
         mrisr=mrisr.__version__, python=platform.python_version(),

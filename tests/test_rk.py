@@ -46,6 +46,16 @@ def test_order_residual_values():
     assert res["b.c"] == Fraction(-1, 2)
 
 
+def test_order_condition_counts():
+    # 1, 1, 2, 4 and 9 rooted trees of orders 1 to 5
+    A, b, c = CASH_KARP.A, CASH_KARP.b, CASH_KARP.c
+    assert [len(rk_order_residuals(A, b, c, p)) for p in range(1, 6)] == \
+        [1, 2, 4, 8, 17]
+    assert all(r == 0 for r in rk_order_residuals(A, b, c, 5).values())
+    with pytest.raises(ValueError):
+        rk_order_residuals(A, b, c, 6)
+
+
 def test_bushy_tree_residuals():
     res = bushy_tree_residuals(ZONNEVELD.b, ZONNEVELD.c, 3)
     assert res[0] == 0 and res[1] == 0 and res[2] == 0

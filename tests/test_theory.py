@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrisr.errors import DegenerateEmbeddingError, PreconditionError
-from mrisr.rk import inner_method
+from mrisr.rk import INNER_METHODS, inner_method, rk_order_residuals
 from mrisr.tableau import BUILTIN_NAMES, MRISRTableau, load_builtin
-from mrisr.theory import (assemble_gark, base_ark, c_statistic,
+from mrisr.theory import (ARKPair, assemble_gark, base_ark, c_statistic,
                           check_ark_order, check_coupling_order,
                           check_internal_consistency, gark_linear_step,
                           method_order)
@@ -42,7 +43,23 @@ def test_ark_condition_count():
     rep = check_ark_order(ark, 4)
     # colored-tree enumeration: 2 + 2 + 6 + 18 conditions through order 4
     assert len(rep.residuals) == 28
+    assert [len(check_ark_order(ark, p).residuals) for p in range(1, 4)] == \
+        [2, 4, 10]
     assert rep.notes
+    with pytest.raises(ValueError):
+        check_ark_order(ark, 5)
+
+
+@pytest.mark.parametrize("name", sorted(INNER_METHODS))
+def test_ark_check_of_one_method_is_the_rk_check(name):
+    # one tree table serves both checks: with AE = AI and bE = bI every
+    # colored condition is the single-method condition of its tree
+    tb = INNER_METHODS[name]
+    ark = ARKPair(AE=tb.A, AI=tb.A, bE=tb.b, bI=tb.b, c=tb.c)
+    colored = check_ark_order(ark, 4).residuals
+    single = rk_order_residuals(tb.A, tb.b, tb.c, 4)
+    assert {(re.sub("[EI]", "", lbl), r) for lbl, r in colored.items()} == \
+        set(single.items())
 
 
 def test_base_ark_weights_differ_when_gamma_last_row_nonzero():
