@@ -2,16 +2,16 @@
 
 The controller adapts the slow step H from the slow embedded error and the
 substep count M (hence the inner step h = H/M) from the fast embedded error,
-using multiplicative updates with exponents k1/(p+1) and k2/(q+1).
+using multiplicative updates with exponents K1/(p+1) and K2/(q+1).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (OscillationError, PreconditionError, StepFailure,
-                     StepSizeUnderflow)
+from .errors import PreconditionError, StepFailure, StepSizeUnderflow
 from .integrator import IntegrationRecord, StepStats, step
 from .linalg import wrms
 from .theory import method_order
@@ -19,10 +19,16 @@ from .theory import method_order
 __all__ = ["ControllerState", "ErrorEstimate", "estimate_slow_error",
            "accumulate_fast_error", "controller_update", "integrate_adaptive"]
 
-# integrate_adaptive fails a run after this many rejections of one step
+# integrate_adaptive fails a run after this many rejections of one step,
+# or after this many consecutive accept/reject alternations
 MAX_REJECTS = 30
-# and raises OscillationError after this many accept/reject alternations
 OSCILLATION_CAP = 50
+
+# controller exponents, smallest H, largest M, and the clamp on the factor
+# by which one update may change H or h
+K1, K2 = 0.42, 0.44
+HMIN, MMAX = 1e-12, 10 ** 6
+GROW_LIMIT, SHRINK_LIMIT = 5.0, 0.1
 
 
 @dataclass
@@ -30,28 +36,16 @@ class ControllerState:
     """Constant-constant controller parameters.
 
     slow_order/fast_order are the orders p and q entering the update
-    exponents k1/(p+1) and k2/(q+1).
+    exponents K1/(p+1) and K2/(q+1); safety in (0, 1] scales both factors.
     """
 
     slow_order: int
     fast_order: int
-    k1: float = 0.42
-    k2: float = 0.44
     safety: float = 0.9
-    Hmin: float = 1e-12
-    Hmax: float = math.inf
-    Mmin: int = 1
-    Mmax: int = 10 ** 6
-    grow_limit: float = 5.0
-    shrink_limit: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("controller exponents must be positive")
-        if self.Hmin > self.Hmax or self.Mmin > self.Mmax:
-            raise ValueError("bounds out of order")
 
 
 @dataclass
@@ -81,7 +75,7 @@ def estimate_slow_error(y1, yhat, atol, rtol):
     return wrms(diff, w)
 
 
-def accumulate_fast_error(inner_errs):
+def accumulate_fast_error(fast_errs):
     """Largest of the per-substep embedded error norms (a flat list).
 
     The fast estimate must see the worst substep: a few substeps where the
@@ -89,11 +83,11 @@ def accumulate_fast_error(inner_errs):
     a mean over the M*(stages) substeps dilutes them below 1 while the slow
     embedding, which cannot see fast error, lets the step through.
     """
-    return float(np.max(inner_errs))
+    return float(np.max(fast_errs))
 
 
-def _clamp_factor(factor, st):
-    return min(st.grow_limit, max(st.shrink_limit, factor))
+def _clamp_factor(factor):
+    return min(GROW_LIMIT, max(SHRINK_LIMIT, factor))
 
 
 def controller_update(st, est, H, M):
@@ -101,36 +95,35 @@ def controller_update(st, est, H, M):
 
     accept iff both normalized estimates are <= 1. H shrinks with the slow
     error; the inner step h = H/M additionally shrinks with the fast error,
-    so M picks up the ratio of the two updates. Raises StepSizeUnderflow
-    when Hnext would fall below Hmin.
+    so M picks up the ratio of the two updates, within [1, MMAX]. Each
+    factor is clamped to [SHRINK_LIMIT, GROW_LIMIT]. Raises
+    StepSizeUnderflow when Hnext would fall below HMIN.
     """
     if not est.finite():
         eS, eF = 10.0, 10.0
     else:
         eS, eF = max(est.slow, 1e-10), max(est.fast, 1e-10)
     accept = est.finite() and est.slow <= 1.0 and est.fast <= 1.0
-    fH = st.safety * eS ** (-st.k1 / (st.slow_order + 1))
-    fh = st.safety * eF ** (-st.k2 / (st.fast_order + 1))
-    fH = _clamp_factor(fH, st)
-    fh = _clamp_factor(fh, st)
+    fH = _clamp_factor(st.safety * eS ** (-K1 / (st.slow_order + 1)))
+    fh = _clamp_factor(st.safety * eF ** (-K2 / (st.fast_order + 1)))
     if not accept:
         # never grow H on a rejected step (a small slow error with a large
         # fast error would otherwise inflate H while M catches up)
         fH = min(fH, 1.0)
-    Hnext = min(st.Hmax, H * fH)
-    if Hnext < st.Hmin:
+    Hnext = H * fH
+    if Hnext < HMIN:
         raise StepSizeUnderflow(
-            f"step size {Hnext:.3e} fell below Hmin={st.Hmin:.3e}")
+            f"step size {Hnext:.3e} fell below Hmin={HMIN:.3e}")
     # h = H/M tracks the fast tolerance: M_next = M * fH / fh
     raw = M * fH / fh
     # round to nearest on accept; never round the increase away on reject
     # (at small M that reproduces the step that was just rejected)
     Mraw = math.ceil(raw - 1e-9) if not accept else math.floor(raw + 0.5)
-    Mnext = int(min(st.Mmax, max(st.Mmin, Mraw)))
+    Mnext = int(min(MMAX, max(1, Mraw)))
     if not accept and Hnext >= H and Mnext <= M:
         # guarantee progress on rejection: integer rounding of M can
         # otherwise reproduce the exact step that was just rejected
-        if M < st.Mmax:
+        if M < MMAX:
             Mnext = M + 1
         else:
             Hnext = H * st.safety
@@ -147,17 +140,19 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     step (see accumulate_fast_error). The controller uses the default
     ControllerState for the method orders. Steps are truncated to hit
     sample points and tEnd exactly. PreconditionError (a ValueError)
-    unless both methods carry an embedding and every sample point lies in
-    (t0, tEnd]. Raises OscillationError after OSCILLATION_CAP (50)
-    consecutive accept/reject alternations. StepSizeUnderflow, and more
-    than MAX_REJECTS (30) rejections of one step, end the run with a
-    partial record and the failed flag set.
+    unless both methods carry an embedding, M0 is a positive integer and
+    every sample point lies in (t0, tEnd]; it is the only exception raised.
+    StepSizeUnderflow, more than MAX_REJECTS (30) rejections of one step
+    and OSCILLATION_CAP (50) consecutive accept/reject alternations end the
+    run with a partial record and the failed flag set.
     """
     if not t.has_embedding:
         raise PreconditionError(f"tableau {t.name!r} has no embedding")
     if inner.bhat is None:
         raise PreconditionError(
             f"inner method {inner.name!r} has no embedding")
+    if not isinstance(M0, numbers.Integral) or M0 < 1:
+        raise PreconditionError(f"M0 = {M0!r} is not a positive integer")
     targets = sorted(set(list(sample_points or []) + [tEnd]))
     if any(x <= p.t0 or x > tEnd for x in targets):
         raise PreconditionError("sample points must lie in (t0, tEnd]")
@@ -171,7 +166,7 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     yn = np.array(p.y0, dtype=float)
     rec = IntegrationRecord(t=[tn], y=[yn.copy()], stats=stats)
     H = H0 if H0 is not None else (tEnd - p.t0) / 100.0
-    M = max(1, int(M0))
+    M = M0
     alternations = 0
     prev_accept = None
     rejects_here = 0
@@ -183,13 +178,11 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         H_try = min(H, target - tn)
         truncated = H_try < H
         err_w = 1.0 / (tolF * (1.0 + np.abs(yn)))
-        inner_errs = []
         try:
-            y1, yhat, _ = step(p, t, inner, yn, tn, H_try, M, stats=stats,
-                               want_embedded=True, err_weights=err_w,
-                               inner_errs=inner_errs)
+            y1, yhat, fast_errs = step(p, t, inner, yn, tn, H_try, M,
+                                       stats=stats, err_weights=err_w)
             est = ErrorEstimate(slow=estimate_slow_error(y1, yhat, tolS, tolS),
-                                fast=accumulate_fast_error(inner_errs))
+                                fast=accumulate_fast_error(fast_errs))
         except StepFailure:
             est = ErrorEstimate(slow=math.inf, fast=math.inf)
             y1 = None
@@ -206,14 +199,14 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
             alternations = 0
         prev_accept = accept
         if alternations >= OSCILLATION_CAP:
-            raise OscillationError(
+            rec.failed, rec.failure = True, (
                 f"{OSCILLATION_CAP} consecutive accept/reject alternations "
                 f"at t={tn:.6g}")
+            return rec
         if accept:
             rec.accepted += 1
             rejects_here = 0
-            tn = target if truncated or abs(tn + H_try - target) < 1e-14 \
-                else tn + H_try
+            tn = target if truncated else tn + H_try
             yn = y1
             if tn >= target - 1e-14 * max(1.0, abs(target)):
                 tn = target
@@ -223,9 +216,8 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
             rec.rejected += 1
             rejects_here += 1
             if rejects_here > MAX_REJECTS:
-                rec.failed = True
-                rec.failure = (f"step at t={tn:.6g} rejected "
-                               f"{rejects_here} times")
+                rec.failed, rec.failure = True, (
+                    f"step at t={tn:.6g} rejected {rejects_here} times")
                 return rec
         if not truncated or not accept:
             H = Hnext

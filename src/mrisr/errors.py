@@ -3,8 +3,7 @@
 __all__ = ["MRISRError", "UnknownMethodError", "DegenerateAbscissaeError",
            "PreconditionError", "DegenerateEmbeddingError",
            "SingularMatrixError", "NewtonFailure", "FastSolveDivergence",
-           "StageSolveFailure", "StepFailure", "StepSizeUnderflow",
-           "OscillationError", "ReferenceFailure"]
+           "StepFailure", "StepSizeUnderflow", "ReferenceFailure"]
 
 
 class MRISRError(Exception):
@@ -39,10 +38,6 @@ class FastSolveDivergence(MRISRError):
     """Fast inner integration produced a non-finite state."""
 
 
-class StageSolveFailure(MRISRError):
-    """Implicit stage correction failed to converge."""
-
-
 class StepFailure(MRISRError):
     """A slow step could not be completed; carries the failing stage index."""
 
@@ -53,10 +48,6 @@ class StepFailure(MRISRError):
 
 class StepSizeUnderflow(MRISRError):
     """Adaptive controller pushed H below its minimum."""
-
-
-class OscillationError(MRISRError):
-    """Adaptive run stuck alternating between accepted and rejected steps."""
 
 
 class ReferenceFailure(MRISRError):

@@ -99,7 +99,6 @@ class RunRecord:
     config: dict
     rows: list
     slope: float = None
-    floor: float = 0.0
 
 
 def fit_slope(Hs, errs):
@@ -145,8 +144,8 @@ RUN_KEYS = ["maxError", "runtime", "accepted", "rejected",
 def _run_row(run, ref):
     """Time run() and summarise its IntegrationRecord as the RUN_KEYS of one
     row, plus 'failure' when it failed. A run that raises gives a failed row
-    with zero counters; that includes integrate_fixed's PreconditionError
-    for a step size or sample point that does not fit the interval."""
+    with zero counters; the drivers raise only PreconditionError, for an M
+    that is not a positive integer or an H or sample point off the grid."""
     start = time.monotonic()
     try:
         rec = run()
@@ -192,8 +191,7 @@ def _run_fixed(cfg, H_of_k):
                 lambda: integrate_fixed(p, t, rk, pts[-1], H, cfg.M,
                                         sample_points=pts), ref)))
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
-                                 rows=rows, slope=_fit_rows(rows, floor),
-                                 floor=floor))
+                                 rows=rows, slope=_fit_rows(rows, floor)))
     return records
 
 
@@ -241,7 +239,7 @@ def run_adaptive(cfg):
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
     pts = _sample_points(tEnd)
-    ref, floor = _exact_samples(cfg.problem, p, pts)
+    ref, _ = _exact_samples(cfg.problem, p, pts)
     tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []
     for m, t, rk in pairs:
@@ -250,7 +248,7 @@ def run_adaptive(cfg):
                 p, t, rk, tEnd, tol, sample_points=pts, M0=cfg.M), ref))
             for tol in tols]
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
-                                 rows=rows, floor=floor))
+                                 rows=rows))
     return records
 
 

@@ -16,12 +16,13 @@ embedding Omega and Gamma rows over the first s - 1 tendencies.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
-                     SingularMatrixError, StageSolveFailure, StepFailure)
+                     SingularMatrixError, StepFailure)
 from .linalg import BandedMatrix, newton_solve, wrms
 
 __all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
@@ -100,21 +101,21 @@ def _poly_forcing(coeffs, scale, span):
         for k in range(nk - 2, -1, -1):
             acc *= tau
             acc += coeffs[k]
-        if scale != 1.0:
-            acc *= scale
+        acc *= scale
         return acc
 
     return forcing
 
 
-def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
-                   err_weights=None, inner_errs=None):
+def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats,
+                   err_weights=None):
     """Integrate v' = fF(tn+theta, v) + forcing(theta) over theta in [0, span].
 
-    Uses n_sub uniform substeps of the explicit inner RK. When err_weights is
-    given and the inner method has an embedding, appends one WRMS error norm
-    per substep to inner_errs. Raises FastSolveDivergence on non-finite
-    states.
+    Uses n_sub uniform substeps of the explicit inner RK and counts its fF
+    calls in stats. Returns (v, errs): errs holds one WRMS error norm per
+    substep when err_weights is given and the inner method has an
+    embedding, and is empty otherwise. Raises FastSolveDivergence on
+    non-finite states.
     """
     A, b, c, bhat = inner.arrays()
     sF = len(b)
@@ -123,6 +124,7 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
     want_err = err_weights is not None and bhat is not None
     if want_err:
         db = b - bhat
+    errs = []
     K = np.empty((sF, len(v)))
     # overflow in a diverging substep is detected and reported below, so
     # the transient numpy warnings on the way there are suppressed
@@ -137,16 +139,14 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats=None,
                         vq += (h * a) * K[r]
                 th = theta0 + c[q] * h
                 K[q] = p.fF(tn + th, vq) + forcing(th)
-            if stats is not None:
-                stats.fast_f_evals += sF
+            stats.fast_f_evals += sF
             v = v + h * (b @ K)
             if not np.all(np.isfinite(v)):
                 raise FastSolveDivergence(
                     f"non-finite fast state at substep {m + 1}/{n_sub}")
             if want_err:
-                est = h * (db @ K)
-                inner_errs.append(wrms(est, err_weights))
-    return v
+                errs.append(wrms(h * (db @ K), err_weights))
+    return v, errs
 
 
 def _fd_jacobian(fI, t, y):
@@ -173,20 +173,18 @@ def _shifted_jacobian(J, scale):
     return np.eye(J.shape[0]) - scale * J
 
 
-def implicit_stage_solve(p, base, gammaii, t_stage, H, guess, cfg=None,
-                         stats=None):
-    """Solve Y = base + H*gamma_ii*fI(t_stage, Y) by modified Newton.
-
-    Returns (Y, iterations); gamma_ii = 0 short-circuits to (base, 0).
+def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, cfg=None):
+    """Solve Y = base + H*gamma_ii*fI(t_stage, Y) by modified Newton from
+    Y = base, counting the work in stats; returns Y (a copy of base when
+    gamma_ii = 0). NewtonFailure and SingularMatrixError propagate.
     """
     if gammaii == 0.0:
-        return np.array(base, dtype=float), 0
+        return np.array(base, dtype=float)
     cfg = cfg or NewtonConfig()
     scale = H * gammaii
 
     def residual(y):
-        if stats is not None:
-            stats.slow_i_evals += 1
+        stats.slow_i_evals += 1
         return y - base - scale * p.fI(t_stage, y)
 
     def jacobian(y):
@@ -194,37 +192,31 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, guess, cfg=None,
             J = p.jacI(t_stage, y)
         else:
             J = _fd_jacobian(p.fI, t_stage, y)
-            if stats is not None:
-                stats.slow_i_evals += len(y) + 1
+            stats.slow_i_evals += len(y) + 1
         return _shifted_jacobian(J, scale)
 
-    try:
-        y, iters = newton_solve(residual, jacobian, guess, atol=cfg.atol,
-                                rtol=cfg.rtol, max_iter=cfg.max_iter,
-                                stats=stats)
-    except (NewtonFailure, SingularMatrixError) as e:
-        raise StageSolveFailure(str(e)) from e
-    if stats is not None:
-        stats.implicit_solves += 1
-    return y, iters
+    y, _ = newton_solve(residual, jacobian, base, atol=cfg.atol,
+                        rtol=cfg.rtol, max_iter=cfg.max_iter, stats=stats)
+    stats.implicit_solves += 1
+    return y
 
 
-def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
-         err_weights=None, inner_errs=None):
-    """One slow step from (tn, yn) to tn + H.
+def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
+         err_weights=None):
+    """One slow step from (tn, yn) to tn + H with M fast substeps per unit c.
 
-    Returns (y1, yhat_or_None, stats). want_embedded defaults to whether the
-    tableau carries an embedding; pass False to skip the embedding row.
-    err_weights/inner_errs feed per-substep embedded fast error norms to the
-    adaptive controller.
+    Returns (y1, yhat, fast_errs): yhat is the embedded solution when
+    want_embedded and the tableau has an embedding, else None; fast_errs
+    holds every stage's per-substep fast error norms (see solve_fast_ivp).
+    Work is counted in stats, a fresh StepStats when None. PreconditionError
+    (a ValueError) unless H > 0 and M is a positive integer; StepFailure
+    names the stage whose fast solve diverged or whose Newton solve failed.
     """
     if H <= 0:
-        raise ValueError("H must be positive")
-    M = max(1, int(M))
-    if stats is None:
-        stats = StepStats()
-    if want_embedded is None:
-        want_embedded = t.has_embedding
+        raise PreconditionError("H must be positive")
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise PreconditionError(f"M = {M!r} is not a positive integer")
+    stats = stats or StepStats()
     c, omega, gamma, emb_omega, emb_gamma = t.floats
     s = t.s
     # stage rows (c_i, Omega row, Gamma row, gamma_ii) over the first i
@@ -237,6 +229,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
     yn = np.asarray(yn, dtype=float)
 
     Y = [yn]
+    fast_errs = []
     fI = []
     F = []  # fE_j + fI_j
     ts = tn
@@ -259,9 +252,9 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
                 span = ci * H
                 forcing = _poly_forcing(coeffs, 1.0 / ci, span)
                 n_i = max(1, math.ceil(ci * M))
-                v = solve_fast_ivp(p, forcing, tn, span, yn, inner, n_i,
-                                   stats=stats, err_weights=err_weights,
-                                   inner_errs=inner_errs)
+                v, errs = solve_fast_ivp(p, forcing, tn, span, yn, inner,
+                                         n_i, stats, err_weights)
+                fast_errs += errs
             else:
                 v = yn.copy()
             base = v
@@ -269,23 +262,26 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=None,
                 if g != 0.0:
                     base = base + (H * g) * fI[j]
             ts = tn + ci * H
-            Yi, _ = implicit_stage_solve(p, base, gii, ts, H, base, cfg=cfg,
-                                         stats=stats)
-        except (FastSolveDivergence, StageSolveFailure) as e:
+            Yi = implicit_stage_solve(p, base, gii, ts, H, stats, cfg)
+        except (FastSolveDivergence, NewtonFailure,
+                SingularMatrixError) as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
             raise StepFailure(f"{where}: {e}", stage=i + 1) from e
         Y.append(Yi)
     yhat = Y[s] if len(Y) > s else None
-    return Y[s - 1], yhat, stats
+    return Y[s - 1], yhat, fast_errs
 
 
 def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
     """Fixed-step integration from (p.t0, p.y0) to tEnd.
 
     Steps skip the embedding row. PreconditionError (a ValueError) unless
-    (tEnd - t0)/H is an integer and sample_points are step boundaries. Step
-    failures abort with a partial record and the failed flag set.
+    M is a positive integer, (tEnd - t0)/H is an integer and sample_points
+    are step boundaries. Step failures abort with a partial record and the
+    failed flag set.
     """
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise PreconditionError(f"M = {M!r} is not a positive integer")
     t0 = p.t0
     n_steps_f = (tEnd - t0) / H
     n_steps = round(n_steps_f)

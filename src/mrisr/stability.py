@@ -188,11 +188,12 @@ def _last_abs(eta, gamma, rhs, zsum, zI):
     return out
 
 
-def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
+def _scan(t, grid_role, sampled, window, res, n_radial, n_angular):
     """Shared scan core.
 
-    grid_role is 'E' or 'I' (which variable the grid runs over); fixed maps
-    role -> constant value; sampled maps role -> SectorSpec to maximize over.
+    grid_role is 'E' or 'I' (which variable the grid runs over); sampled
+    maps role -> SectorSpec to maximize over. 'F' is always sampled; the
+    other variable is 0 unless sampled.
 
     Samples are visited with zF outer and the other sampled variable inner.
     For each zF the resolvent is solved by forward substitution (the
@@ -211,18 +212,15 @@ def _scan(t, grid_role, fixed, sampled, window, res, n_radial, n_angular):
             f"{t.name}: a stability scan needs a strictly lower-triangular "
             "Omega and a lower-triangular Gamma")
 
-    sample_sets = {}
-    for role, spec in sampled.items():
-        sample_sets[role] = sector_samples(spec, n_radial, n_angular)
-    fast_samples = sample_sets.get("F", np.array([fixed.get("F", 0.0)]))
+    sample_sets = {role: sector_samples(spec, n_radial, n_angular)
+                   for role, spec in sampled.items()}
     other_role = "I" if grid_role == "E" else "E"
-    other_samples = sample_sets.get(
-        other_role, np.array([fixed.get(other_role, 0.0)]))
+    other_samples = sample_sets.get(other_role, np.array([0.0]))
 
     alive = np.ones(ncell, dtype=bool)
     max_abs = np.zeros(ncell)
     with np.errstate(all="ignore"):
-        for zF in np.atleast_1d(fast_samples):
+        for zF in sample_sets["F"]:
             eta = eta_matrix(t, zF)
             rhs = np.exp(c * zF).astype(complex)
             b = 0
@@ -264,7 +262,7 @@ def scan_joint_region(t, fast, implicit, window, res, n_radial=16,
     cell's samples stop at its first |R| > 1 + tol. Solved by batched
     forward substitution; PreconditionError for a tableau whose Omega is
     not strictly lower or whose Gamma is not lower triangular."""
-    return _scan(t, "E", {}, {"F": fast, "I": implicit}, window, res,
+    return _scan(t, "E", {"F": fast, "I": implicit}, window, res,
                  n_radial, n_angular)
 
 
@@ -276,6 +274,4 @@ def scan_component_region(t, which, fast, window, res, n_radial=16,
     scan_joint_region."""
     if which not in ("E", "I"):
         raise ValueError("which must be 'E' or 'I'")
-    fixed = {"I": 0.0} if which == "E" else {"E": 0.0}
-    return _scan(t, which, fixed, {"F": fast}, window, res,
-                 n_radial, n_angular)
+    return _scan(t, which, {"F": fast}, window, res, n_radial, n_angular)

@@ -22,7 +22,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Labelled residuals with pass flags.
+    """Labelled exact residuals of one order check.
 
     `order` is the largest verified order for the check that produced the
     report (-1 when not applicable). `notes` carries free-form caveats.
@@ -30,15 +30,11 @@ class OrderReport:
 
     order: int
     residuals: dict
-    tolerance: Fraction = Fraction(0)
     notes: tuple = ()
-
-    def passes(self, label):
-        return abs(self.residuals[label]) <= self.tolerance
 
     @property
     def all_pass(self):
-        return all(self.passes(lbl) for lbl in self.residuals)
+        return not any(self.residuals.values())
 
 
 @dataclass(frozen=True)

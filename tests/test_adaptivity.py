@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrisr.adaptivity import (ControllerState, ErrorEstimate,
+from mrisr import adaptivity
+from mrisr.adaptivity import (MMAX, ControllerState, ErrorEstimate,
                               accumulate_fast_error, controller_update,
                               estimate_slow_error, integrate_adaptive)
 from mrisr.errors import PreconditionError, StepSizeUnderflow
@@ -72,17 +73,17 @@ def test_controller_nonfinite_rejects():
 
 
 def test_controller_m_bounds():
-    st_ = _st(Mmax=20)
-    _, _, Mn = controller_update(st_, ErrorEstimate(1.0, 1e8), 1.0, 18)
-    assert Mn == 20
+    _, _, Mn = controller_update(_st(), ErrorEstimate(1.0, 1e8), 1.0,
+                                 MMAX - 2)
+    assert Mn == MMAX == 10 ** 6
     _, _, Mn = controller_update(_st(), ErrorEstimate(1e8, 1e-10), 1.0, 1)
     assert Mn >= 1
 
 
 def test_controller_underflow_raises():
-    st_ = _st(Hmin=1e-3)
+    # the shrink clamp takes H = 2e-12 to 2e-13, below HMIN = 1e-12
     with pytest.raises(StepSizeUnderflow):
-        controller_update(st_, ErrorEstimate(1e9, 1.0), 2e-3, 10)
+        controller_update(_st(), ErrorEstimate(1e9, 1.0), 2e-12, 10)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3),
@@ -91,7 +92,7 @@ def test_controller_underflow_raises():
 @settings(max_examples=50, deadline=None)
 def test_controller_update_is_scale_free(H, eS, eF):
     # Hnext/H depends only on the error estimates, not on H itself
-    st_ = _st(Hmax=math.inf)
+    st_ = _st()
     _, Hn1, _ = controller_update(st_, ErrorEstimate(eS, eF), H, 10)
     _, Hn2, _ = controller_update(st_, ErrorEstimate(eS, eF), 1.0, 10)
     assert Hn1 / H == pytest.approx(Hn2, rel=1e-12)
@@ -100,10 +101,6 @@ def test_controller_update_is_scale_free(H, eS, eF):
 def test_controller_state_validation():
     with pytest.raises(ValueError):
         ControllerState(slow_order=2, fast_order=2, safety=0.0)
-    with pytest.raises(ValueError):
-        ControllerState(slow_order=2, fast_order=2, k1=-1.0)
-    with pytest.raises(ValueError):
-        ControllerState(slow_order=2, fast_order=2, Mmin=5, Mmax=2)
 
 
 def test_estimate_slow_error_pins():
@@ -171,6 +168,15 @@ def test_adaptive_requires_embeddings():
                            inner_method("heun"), 1.0, 1e-4)
 
 
+@pytest.mark.parametrize("M0", [0, -5, 2.7])
+def test_adaptive_rejects_bad_m0(M0):
+    # a bad M0 used to run silently as max(1, int(M0))
+    with pytest.raises(PreconditionError, match="positive integer"):
+        integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),
+                           inner_method("bogacki-shampine"), 1.0, 1e-4,
+                           M0=M0)
+
+
 def test_adaptive_sample_point_validation():
     p = _scalar_problem()
     t = load_builtin("imex-mri-sr21")
@@ -192,6 +198,26 @@ def test_adaptive_reports_repeated_rejection():
                              1e-4)
     assert rec.failed and "rejected" in rec.failure
     assert rec.rejected >= 5 and rec.accepted == 0
+
+
+def test_adaptive_oscillation_fails_the_run(monkeypatch):
+    # a controller that alternates accept and reject at a fixed H ends the
+    # run with a failed record after OSCILLATION_CAP alternations
+    calls = []
+
+    def alternate(st, est, H, M):
+        calls.append(H)
+        return len(calls) % 2 == 1, H, M
+
+    monkeypatch.setattr(adaptivity, "controller_update", alternate)
+    rec = integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),
+                             inner_method("bogacki-shampine"), 1.0, 1e-4,
+                             H0=1e-3, M0=2)
+    assert rec.failed and "50 consecutive accept/reject alternations" \
+        in rec.failure
+    assert len(calls) == adaptivity.OSCILLATION_CAP + 1
+    assert rec.accepted == rec.rejected == 25
+    assert rec.stats.fast_f_evals > 0 and rec.stats.implicit_solves > 0
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

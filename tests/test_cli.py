@@ -61,6 +61,22 @@ def test_failed_rows_say_why(tmp_path, capsys):
         assert r["failure"] in table
 
 
+@pytest.mark.parametrize("command,args", [
+    ("converge", ["--kmin", "6", "--kmax", "6"]),
+    ("adaptive", ["--tol", "1e-3"]),
+])
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_bad_m_gives_failed_rows(command, args, m, capsys):
+    # M = 0 and M = -5 used to run as M = 1 under their own label
+    code = main([command, "--method", "imex-mri-sr32", "--problem", "kpr",
+                 "--m", m, *args, "--json"])
+    assert code == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 1 and rows[0]["failed"] == 1
+    assert "is not a positive integer" in rows[0]["failure"]
+    assert rows[0]["accepted"] == rows[0]["fastFEvals"] == 0
+
+
 def test_converge_json_output(capsys):
     code = main(["converge", "--method", "imex-mri-sr21,imex-mri-sr32",
                  "--problem", "kpr", "--kmin", "3", "--kmax", "4", "--json"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from mrisr.errors import StepFailure
+from mrisr.errors import PreconditionError, StepFailure
 from mrisr.integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                               StepStats, integrate_fixed, solve_fast_ivp,
                               step)
@@ -101,9 +101,11 @@ def test_solve_fast_ivp_polynomial_forcing_exact():
     p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([0.0]))
-    v = solve_fast_ivp(p, lambda th: np.array([3.0 * th ** 2]), 0.0, 1.0,
-                       np.array([0.0]), inner_method("bogacki-shampine"), 4)
+    v, errs = solve_fast_ivp(p, lambda th: np.array([3.0 * th ** 2]), 0.0,
+                             1.0, np.array([0.0]),
+                             inner_method("bogacki-shampine"), 4, StepStats())
     assert v[0] == pytest.approx(1.0, abs=1e-14)
+    assert errs == []  # no error weights given
 
 
 def test_step_stats_counts():
@@ -168,6 +170,24 @@ def test_integrate_fixed_validates_schedule():
     with pytest.raises(ValueError):
         integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4,
                         sample_points=[0.1])
+
+
+@pytest.mark.parametrize("M", [0, -5, 2.7])
+def test_integrate_fixed_rejects_bad_m(M):
+    # a bad M used to run silently as max(1, int(M))
+    p = _nonstiff_problem()
+    with pytest.raises(PreconditionError, match="positive integer"):
+        integrate_fixed(p, load_builtin("imex-mri-sr21"), inner_method("heun"),
+                        1.0, 0.25, M)
+
+
+def test_step_rejects_bad_m_and_h():
+    p = _nonstiff_problem()
+    t, rk = load_builtin("imex-mri-sr21"), inner_method("heun")
+    with pytest.raises(PreconditionError, match="positive integer"):
+        step(p, t, rk, p.y0, 0.0, 0.1, 0)
+    with pytest.raises(PreconditionError, match="H must be positive"):
+        step(p, t, rk, p.y0, 0.0, 0.0, 4)
 
 
 def test_integrate_fixed_samples_and_accuracy():
@@ -284,3 +304,15 @@ def test_benchmark_hooks_resolve_and_see_every_layer():
         assert tr.calls[layer] > 0, layer
     assert tr.calls["linalg.backsolve"] == rec.stats.newton_iters
     assert tr.calls["problems.fI"] == rec.stats.slow_i_evals
+    # the adaptive driver reaches step() through adaptivity's own global
+    from mrisr import adaptivity
+    with tracing.Tracer(problems=(p,)) as tr:
+        rec = adaptivity.integrate_adaptive(
+            p, load_builtin("imex-mri-sr21"), inner_method("bogacki-shampine"),
+            0.2, 1e-4, H0=0.05, M0=2)
+    assert not rec.failed, rec.failure
+    for layer in ("adaptivity.driver", "integrator.step", "integrator.fast",
+                  "adaptivity.error", "adaptivity.controller"):
+        assert tr.calls[layer] > 0, layer
+    assert tr.calls["integrator.step"] == len(rec.step_log)
+    assert tr.calls["linalg.backsolve"] == rec.stats.newton_iters
