@@ -144,7 +144,9 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     every sample point lies in (t0, tEnd]; it is the only exception raised.
     StepSizeUnderflow, more than MAX_REJECTS (30) rejections of one step
     and OSCILLATION_CAP (50) consecutive accept/reject alternations end the
-    run with a partial record and the failed flag set.
+    run with a partial record and the failed flag set. Every attempted step
+    adds one step_log entry and one to accepted or rejected; the attempt a
+    run gives up on counts as rejected, with accepted=0 in its entry.
     """
     if not t.has_embedding:
         raise PreconditionError(f"tableau {t.name!r} has no embedding")
@@ -186,39 +188,41 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         except StepFailure:
             est = ErrorEstimate(slow=math.inf, fast=math.inf)
             y1 = None
+        failure = None
         try:
             accept, Hnext, Mnext = controller_update(st, est, H_try, M)
         except StepSizeUnderflow as e:
-            rec.failed, rec.failure = True, str(e)
-            return rec
+            accept, failure = False, str(e)
+        else:
+            if prev_accept is not None and accept != prev_accept:
+                alternations += 1
+            else:
+                alternations = 0
+            prev_accept = accept
+            rejects_here = 0 if accept else rejects_here + 1
+            if alternations >= OSCILLATION_CAP:
+                accept, failure = False, (
+                    f"{OSCILLATION_CAP} consecutive accept/reject "
+                    f"alternations at t={tn:.6g}")
+            elif rejects_here > MAX_REJECTS:
+                failure = f"step at t={tn:.6g} rejected {rejects_here} times"
+        # every attempt is logged and counted once; an attempt the run
+        # gives up on counts as rejected
         rec.step_log.append(dict(t=tn, H=H_try, M=M, epsS=est.slow,
                                  epsF=est.fast, accepted=int(accept)))
-        if prev_accept is not None and accept != prev_accept:
-            alternations += 1
-        else:
-            alternations = 0
-        prev_accept = accept
-        if alternations >= OSCILLATION_CAP:
-            rec.failed, rec.failure = True, (
-                f"{OSCILLATION_CAP} consecutive accept/reject alternations "
-                f"at t={tn:.6g}")
+        if not accept:
+            rec.rejected += 1
+        if failure is not None:
+            rec.failed, rec.failure = True, failure
             return rec
         if accept:
             rec.accepted += 1
-            rejects_here = 0
             tn = target if truncated else tn + H_try
             yn = y1
             if tn >= target - 1e-14 * max(1.0, abs(target)):
                 tn = target
                 rec.t.append(tn)
                 rec.y.append(yn.copy())
-        else:
-            rec.rejected += 1
-            rejects_here += 1
-            if rejects_here > MAX_REJECTS:
-                rec.failed, rec.failure = True, (
-                    f"step at t={tn:.6g} rejected {rejects_here} times")
-                return rec
         if not truncated or not accept:
             H = Hnext
         M = Mnext

@@ -6,7 +6,9 @@ Each slow stage i restarts a fast IVP at y_n over [0, c_i*H]:
     g_i(theta) = (1/c_i) sum_{j<i} omega_{i,j}(theta/(c_i H)) (fE_j + fI_j),
 
 integrated with an explicit inner RK on n_i = max(1, ceil(c_i*M)) uniform
-substeps, followed by the implicit correction
+substeps. Every fast IVP starts at (t_n, y_n), so fF(t_n, y_n), the first
+inner stage of each, is evaluated once per step and shared. The implicit
+correction follows:
 
     Y_i = v_i(c_i H) + H sum_{j<=i} gamma_{i,j} fI_j
 
@@ -87,35 +89,43 @@ class IntegrationRecord:
     step_log: list = field(default_factory=list)
 
 
-def _poly_forcing(coeffs, scale, span):
-    """Closure theta -> Horner(coeffs, theta/span) * scale.
+# floats of forcing evaluated ahead of the substep loop at a time: the
+# substeps are done in blocks that keep the buffer under this budget
+# (64 KiB; blocks of 512 KiB raised the peak RSS of the adaptive
+# brusselator-tv-101 sweep by 0.25 MB)
+_FORCING_BLOCK = 1 << 13
+
+
+def _forcing(coeffs, scale, span, theta):
+    """Rows Horner(coeffs, theta/span) * scale, one per entry of theta.
 
     coeffs is an (nk, dim) array of vector polynomial coefficients in
-    tau = theta/span.
+    tau = theta/span. Every element sees the operations of a scalar Horner
+    loop, so a row equals the polynomial evaluated at its theta alone.
     """
-    nk = coeffs.shape[0]
-
-    def forcing(theta):
-        tau = theta / span
-        acc = coeffs[nk - 1].copy()
-        for k in range(nk - 2, -1, -1):
-            acc *= tau
-            acc += coeffs[k]
-        acc *= scale
-        return acc
-
-    return forcing
+    tau = (theta / span)[:, None]
+    g = np.empty((len(theta), coeffs.shape[1]))
+    g[:] = coeffs[-1]
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        g *= tau
+        g += coeffs[k]
+    g *= scale
+    return g
 
 
-def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats,
+def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
                    err_weights=None):
-    """Integrate v' = fF(tn+theta, v) + forcing(theta) over theta in [0, span].
+    """Integrate v' = fF(tn+theta, v) + g(theta) over theta in [0, span],
+    g(theta) = Horner(coeffs, theta/span) * scale (see _forcing).
 
-    Uses n_sub uniform substeps of the explicit inner RK and counts its fF
-    calls in stats. Returns (v, errs): errs holds one WRMS error norm per
-    substep when err_weights is given and the inner method has an
-    embedding, and is empty otherwise. Raises FastSolveDivergence on
-    non-finite states.
+    Uses n_sub uniform substeps of the explicit inner RK. f0 = fF(tn, v0)
+    is the caller's, shared by every fast IVP that starts at (tn, v0), and
+    stands for the first stage of the first substep. Trailing stages of
+    weight b_q = 0 feed only the embedding and run only when err_weights
+    is given. The fF calls made here are counted in stats. Returns
+    (v, errs): errs holds one WRMS error norm per substep when err_weights
+    is given and the inner method has an embedding, and is empty
+    otherwise. Raises FastSolveDivergence on non-finite states.
     """
     A, b, c, bhat = inner.arrays()
     sF = len(b)
@@ -124,28 +134,44 @@ def solve_fast_ivp(p, forcing, tn, span, v0, inner, n_sub, stats,
     want_err = err_weights is not None and bhat is not None
     if want_err:
         db = b - bhat
+        n_stages = sF
+    else:
+        n_stages = int(np.flatnonzero(b)[-1]) + 1
+    # (r, h*a_qr) over the nonzero a_qr of each stage after the first
+    ha = h * A
+    terms = [[(r, ha[q, r]) for r in range(q) if A[q, r] != 0.0]
+             for q in range(1, n_stages)]
+    ch = (c[:n_stages] * h)[None, :]
     errs = []
-    K = np.empty((sF, len(v)))
+    # skipped stages keep K = 0, so b @ K sums as over all sF stages
+    K = np.zeros((sF, len(v)))
+    block = max(1, _FORCING_BLOCK // (n_stages * len(v)))
     # overflow in a diverging substep is detected and reported below, so
     # the transient numpy warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(n_sub):
-            theta0 = m * h
-            for q in range(sF):
-                vq = v.copy()
-                for r in range(q):
-                    a = A[q, r]
-                    if a != 0.0:
-                        vq += (h * a) * K[r]
-                th = theta0 + c[q] * h
-                K[q] = p.fF(tn + th, vq) + forcing(th)
-            stats.fast_f_evals += sF
-            v = v + h * (b @ K)
-            if not np.all(np.isfinite(v)):
-                raise FastSolveDivergence(
-                    f"non-finite fast state at substep {m + 1}/{n_sub}")
-            if want_err:
-                errs.append(wrms(h * (db @ K), err_weights))
+        for m0 in range(0, n_sub, block):
+            m1 = min(n_sub, m0 + block)
+            theta = (np.arange(m0, m1)[:, None] * h + ch).ravel()
+            g = _forcing(coeffs, scale, span, theta)
+            ts = (tn + theta).tolist()
+            j = 0
+            for m in range(m0, m1):
+                f = f0 if m == 0 else p.fF(ts[j], v)
+                np.add(f, g[j], out=K[0])
+                for q, tq in enumerate(terms, start=1):
+                    j += 1
+                    vq = v
+                    for r, a in tq:
+                        vq = vq + a * K[r]
+                    np.add(p.fF(ts[j], vq), g[j], out=K[q])
+                j += 1
+                stats.fast_f_evals += n_stages - (m == 0)
+                v = v + h * (b @ K)
+                if not np.isfinite(v).all():
+                    raise FastSolveDivergence(
+                        f"non-finite fast state at substep {m + 1}/{n_sub}")
+                if want_err:
+                    errs.append(wrms(h * (db @ K), err_weights))
     return v, errs
 
 
@@ -208,7 +234,9 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     Returns (y1, yhat, fast_errs): yhat is the embedded solution when
     want_embedded and the tableau has an embedding, else None; fast_errs
     holds every stage's per-substep fast error norms (see solve_fast_ivp).
-    Work is counted in stats, a fresh StepStats when None. PreconditionError
+    fF(tn, yn) is evaluated once, at the first row with c_i > 0, and
+    passed to every row's fast solve, the embedding row's included. Work
+    is counted in stats, a fresh StepStats when None. PreconditionError
     (a ValueError) unless H > 0 and M is a positive integer; StepFailure
     names the stage whose fast solve diverged or whose Newton solve failed.
     """
@@ -232,6 +260,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     fast_errs = []
     fI = []
     F = []  # fE_j + fI_j
+    f0 = None  # fF(tn, yn), the first inner stage of every fast IVP
     ts = tn
     for i, (ci, om, gam, gii) in enumerate(rows, start=1):
         if len(F) < len(gam):
@@ -249,11 +278,12 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
                     for j, w in enumerate(om[k]):
                         if w != 0.0:
                             coeffs[k] += w * F[j]
-                span = ci * H
-                forcing = _poly_forcing(coeffs, 1.0 / ci, span)
+                if f0 is None:
+                    f0 = p.fF(tn, yn)
+                    stats.fast_f_evals += 1
                 n_i = max(1, math.ceil(ci * M))
-                v, errs = solve_fast_ivp(p, forcing, tn, span, yn, inner,
-                                         n_i, stats, err_weights)
+                v, errs = solve_fast_ivp(p, coeffs, 1.0 / ci, tn, ci * H, yn,
+                                         f0, inner, n_i, stats, err_weights)
                 fast_errs += errs
             else:
                 v = yn.copy()

@@ -4,6 +4,7 @@ Banded matrices use the LAPACK general-band layout: data[mu + i - j, j]
 holds entry (i, j) for the in-band positions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,14 @@ class Factorization:
 
 
 def wrms(v, weights):
-    """Weighted root-mean-square norm: sqrt(mean((v * weights)^2))."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.mean((v * weights) ** 2)))
+    """Weighted root-mean-square norm: sqrt(mean((v * weights)^2)).
+
+    The arithmetic of np.mean (one pairwise np.add.reduce, then a division
+    by the length) without its Python wrappers, so the value is bitwise
+    that of sqrt(np.mean((v * weights) ** 2)).
+    """
+    d = np.multiply(v, weights)
+    return math.sqrt(np.add.reduce(d * d) / d.size)
 
 
 def newton_solve(residual, jacobian, guess, atol=1e-12, rtol=1e-10,

@@ -151,10 +151,12 @@ def brusselator_problem(params=None):
     def fF(t, y):
         u, v, w = y.reshape(3, N)
         r = r_t(t)
+        uuv = u * u * v
+        wu = w * u
         out = np.empty((3, N))
-        out[0] = r * (a - (w - 1.0) * u + u * u * v)
-        out[1] = r * (w * u - u * u * v)
-        out[2] = r * ((b - w) / eps - w * u)
+        out[0] = r * (a - (w - 1.0) * u + uuv)
+        out[1] = r * (wu - uuv)
+        out[2] = r * ((b - w) / eps - wu)
         out[:, 0] = out[:, -1] = 0.0
         return out.ravel()
 

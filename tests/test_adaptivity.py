@@ -197,7 +197,9 @@ def test_adaptive_reports_repeated_rejection():
     rec = integrate_adaptive(p, t, inner_method("bogacki-shampine"), 1.0,
                              1e-4)
     assert rec.failed and "rejected" in rec.failure
-    assert rec.rejected >= 5 and rec.accepted == 0
+    assert rec.rejected == adaptivity.MAX_REJECTS + 1 and rec.accepted == 0
+    assert len(rec.step_log) == rec.rejected
+    assert not any(e["accepted"] for e in rec.step_log)
 
 
 def test_adaptive_oscillation_fails_the_run(monkeypatch):
@@ -216,8 +218,34 @@ def test_adaptive_oscillation_fails_the_run(monkeypatch):
     assert rec.failed and "50 consecutive accept/reject alternations" \
         in rec.failure
     assert len(calls) == adaptivity.OSCILLATION_CAP + 1
-    assert rec.accepted == rec.rejected == 25
+    # the 51st attempt, an accept, is the one given up on: it counts as
+    # rejected, and every attempt has one log entry
+    assert (rec.accepted, rec.rejected) == (25, 26)
+    assert len(rec.step_log) == rec.accepted + rec.rejected
+    assert rec.step_log[-1]["accepted"] == 0
     assert rec.stats.fast_f_evals > 0 and rec.stats.implicit_solves > 0
+
+
+def test_adaptive_step_size_underflow_logs_and_counts_the_attempt(
+        monkeypatch):
+    # the attempt whose controller update falls below HMIN is logged and
+    # counted as rejected, like the other two give-ups
+    calls = []
+
+    def underflow_third(st, est, H, M):
+        calls.append(H)
+        if len(calls) == 3:
+            raise StepSizeUnderflow("step size fell below Hmin")
+        return True, H, M
+
+    monkeypatch.setattr(adaptivity, "controller_update", underflow_third)
+    rec = integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),
+                             inner_method("bogacki-shampine"), 1.0, 1e-4,
+                             H0=1e-3, M0=2)
+    assert rec.failed and "Hmin" in rec.failure
+    assert (rec.accepted, rec.rejected) == (2, 1)
+    assert len(rec.step_log) == 3
+    assert rec.step_log[-1]["accepted"] == 0
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

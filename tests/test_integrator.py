@@ -97,15 +97,99 @@ def test_fast_limit_exponential():
 
 
 def test_solve_fast_ivp_polynomial_forcing_exact():
-    # v' = 3 theta^2 with fF = 0 is integrated exactly by a second-order RK
+    # v' = 3 theta^2 with fF = 0 is integrated exactly by a third-order RK
     p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([0.0]))
-    v, errs = solve_fast_ivp(p, lambda th: np.array([3.0 * th ** 2]), 0.0,
-                             1.0, np.array([0.0]),
+    v0 = np.array([0.0])
+    v, errs = solve_fast_ivp(p, np.array([[0.0], [0.0], [3.0]]), 1.0, 0.0,
+                             1.0, v0, p.fF(0.0, v0),
                              inner_method("bogacki-shampine"), 4, StepStats())
     assert v[0] == pytest.approx(1.0, abs=1e-14)
     assert errs == []  # no error weights given
+
+
+def _reference_fast_ivp(p, coeffs, scale, tn, span, v0, inner, n_sub,
+                        err_weights=None):
+    """The fast solve as it was first written: a Horner closure per stage
+    call, every stage of every substep evaluated, and
+    sqrt(mean((d * w)^2)) for the error norms."""
+    nk = coeffs.shape[0]
+
+    def forcing(theta):
+        tau = theta / span
+        acc = coeffs[nk - 1].copy()
+        for k in range(nk - 2, -1, -1):
+            acc *= tau
+            acc += coeffs[k]
+        acc *= scale
+        return acc
+
+    A, b, c, bhat = inner.arrays()
+    sF = len(b)
+    h = span / n_sub
+    v = np.array(v0, dtype=float)
+    want_err = err_weights is not None and bhat is not None
+    errs = []
+    K = np.empty((sF, len(v)))
+    for m in range(n_sub):
+        theta0 = m * h
+        for q in range(sF):
+            vq = v.copy()
+            for r in range(q):
+                a = A[q, r]
+                if a != 0.0:
+                    vq += (h * a) * K[r]
+            th = theta0 + c[q] * h
+            K[q] = p.fF(tn + th, vq) + forcing(th)
+        v = v + h * (b @ K)
+        if want_err:
+            d = h * ((b - bhat) @ K)
+            errs.append(float(np.sqrt(np.mean((d * err_weights) ** 2))))
+    return v, errs
+
+
+def _nonlinear_fast_problem(calls):
+    def fF(tt, y):
+        calls.append(tt)
+        return -2.0 * y * math.cos(3.0 * tt) + 0.5 * np.sin(y[::-1])
+
+    return SplitIVP(dim=3, fF=fF, fE=fF, fI=fF, y0=np.zeros(3))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+@pytest.mark.parametrize("nk", [1, 2, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("inner_name",
+                         ["heun", "bogacki-shampine", "zonneveld",
+                          "cash-karp"])
+def test_solve_fast_ivp_matches_reference_loop(monkeypatch, inner_name,
+                                               weighted, nk, budget):
+    # the one-pass forcing, the shared first stage and the skipped
+    # zero-weight stages change no bit of the state or the error norms,
+    # also when the substeps are split over several forcing blocks
+    from mrisr import integrator
+    if budget is not None:
+        monkeypatch.setattr(integrator, "_FORCING_BLOCK", budget)
+    rng = np.random.default_rng(nk)
+    calls = []
+    p = _nonlinear_fast_problem(calls)
+    inner = inner_method(inner_name)
+    coeffs = rng.standard_normal((nk, 3))
+    v0 = np.array([0.8, -0.4, 1.3])
+    tn, span, scale, n_sub = 0.3, 0.7, 1.0 / 0.35, 7
+    w = 1.0 / (1e-3 * (1.0 + np.abs(v0))) if weighted else None
+    want, want_errs = _reference_fast_ivp(p, coeffs, scale, tn, span, v0,
+                                          inner, n_sub, w)
+    stats = StepStats()
+    f0 = p.fF(tn, v0)
+    del calls[:]
+    got, errs = solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner,
+                               n_sub, stats, w)
+    assert got.tobytes() == want.tobytes()
+    assert errs == want_errs
+    assert len(errs) == (n_sub if weighted and inner.bhat is not None else 0)
+    assert stats.fast_f_evals == len(calls)
 
 
 def test_step_stats_counts():
@@ -151,15 +235,41 @@ def test_embedding_pass_is_optional():
 
 
 def test_substep_counts_scale_with_abscissae():
-    # stage with c = 17/15 > 1 must take ceil(c*M) substeps
+    # stage with c = 17/15 > 1 must take ceil(c*M) substeps; fF(tn, yn)
+    # is evaluated once and shared by every stage's first substep
     t = load_builtin("imex-mri-sr32")
     p = _nonstiff_problem()
     stats = StepStats()
     step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 15, stats=stats,
          want_embedded=False)
-    c = [float(x) for x in t.c]
-    expect = sum(max(1, math.ceil(ci * 15)) for ci in c[1:]) * 2
+    c = [float(x) for x in t.c[1:] if x > 0]
+    expect = 1 + sum(2 * max(1, math.ceil(ci * 15)) - 1 for ci in c)
     assert stats.fast_f_evals == expect
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_step_counts_every_fast_call_it_makes(embedded):
+    # a fixed Bogacki-Shampine step skips the fourth stage (b_4 = 0) and
+    # makes 1 + sum over rows with c_i > 0 of (3 n_i - 1) fF calls; with
+    # the embedding and error weights all four stages run on every row
+    calls = []
+    p = _nonlinear_fast_problem(calls)
+    t = load_builtin("imex-mri-sr32")
+    y0 = np.array([0.8, -0.4, 1.3])
+    stats = StepStats()
+    M = 6
+    step(p, t, inner_method("bogacki-shampine"), y0, 0.2, 0.1, M,
+         stats=stats, want_embedded=embedded,
+         err_weights=1.0 / (1e-3 * (1.0 + np.abs(y0))) if embedded else None)
+    c = [float(x) for x in t.c[1:] if x > 0] + ([1.0] if embedded else [])
+    per_substep = 4 if embedded else 3
+    fast_calls = 1 + sum(per_substep * max(1, math.ceil(ci * M)) - 1
+                         for ci in c)
+    # fE and fI share the counting callback: one of each per stage row
+    slow_calls = stats.slow_e_evals + stats.slow_i_evals
+    assert len(calls) == fast_calls + slow_calls
+    assert stats.fast_f_evals == fast_calls
+    assert calls.count(0.2) == 1 + 2  # the shared fF(tn, yn), fE_1, fI_1
 
 
 def test_integrate_fixed_validates_schedule():
@@ -213,6 +323,21 @@ def test_step_failure_reports_stage():
     with pytest.raises(StepFailure):
         step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 2,
              stats=StepStats())
+
+
+@pytest.mark.parametrize("inner_name", ["heun", "bogacki-shampine"])
+def test_nonfinite_shared_first_stage_fails_first_fast_stage(inner_name):
+    # fF(tn, yn) is evaluated once per step; a non-finite value still fails
+    # the first stage with c_i > 0 at its first substep
+    p = SplitIVP(dim=1,
+                 fF=lambda tt, y: np.array([math.nan]) if tt == 0.0 else -y,
+                 fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
+                 y0=np.array([1.0]))
+    with pytest.raises(StepFailure,
+                       match=r"^stage 2: non-finite fast state at substep "
+                             r"1/\d+$"):
+        step(p, load_builtin("imex-mri-sr32"), inner_method(inner_name),
+             p.y0, 0.0, 0.1, 4, stats=StepStats())
 
 
 def test_integrate_fixed_partial_record_on_failure():

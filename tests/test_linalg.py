@@ -63,6 +63,16 @@ def test_wrms():
     assert wrms([2.0], np.array([0.5])) == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 303, 603])
+def test_wrms_is_bitwise_mean_formula(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        w = 1.0 / (1e-6 + 1e-4 * np.abs(rng.standard_normal(n)))
+        want = float(np.sqrt(np.mean((v * w) ** 2)))
+        assert float.hex(wrms(v, w)) == float.hex(want)
+
+
 def test_newton_scalar_quadratic():
     # the Jacobian stays frozen at x = 3, so the error contracts by
     # |1 - 2*2/6| = 1/3 per iteration: about 20 to reach the 3e-10 update

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import (DegenerateAbscissaeError, PreconditionError,
                           UnknownMethodError)
-from mrisr.integrator import _poly_forcing
+from mrisr.integrator import _forcing
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, build_merk_tableau,
                            load_builtin, load_tableau, omega_bar,
                            save_tableau, tableau_from_dict, tableau_to_dict,
@@ -190,6 +190,6 @@ def test_poly_eval_matches_naive(i, j):
     coeffs[:, 1] *= -2.0
     naive = sum(float(t.omega[k][i - 1][j - 1]) * tau ** k
                 for k in range(t.n_omega))
-    got = _poly_forcing(coeffs, scale, span)(tau * span)
+    got = _forcing(coeffs, scale, span, np.array([tau * span]))[0]
     assert np.allclose(got, [scale * naive, -2.0 * scale * naive],
                        rtol=0.0, atol=1e-13)
