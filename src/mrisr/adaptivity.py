@@ -68,7 +68,7 @@ def estimate_slow_error(y1, yhat, atol, rtol):
     y1 = np.asarray(y1, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
     diff = y1 - yhat
-    if not np.all(np.isfinite(diff)):
+    if not np.isfinite(diff).all():
         return math.inf
     w = 1.0 / (np.asarray(atol, dtype=float)
                + rtol * np.maximum(np.abs(y1), np.abs(yhat)))

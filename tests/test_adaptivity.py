@@ -10,6 +10,7 @@ from mrisr.adaptivity import (MMAX, ControllerState, ErrorEstimate,
                               estimate_slow_error, integrate_adaptive)
 from mrisr.errors import PreconditionError, StepSizeUnderflow
 from mrisr.integrator import SplitIVP
+from mrisr.linalg import BandedMatrix
 from mrisr.rk import inner_method
 from mrisr.tableau import load_builtin
 
@@ -248,7 +249,6 @@ def test_adaptive_step_size_underflow_logs_and_counts_the_attempt(
     assert rec.step_log[-1]["accepted"] == 0
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_adaptive_rejects_singular_stage_matrix_and_goes_on():
     # I - H*gamma_22*J is exactly 0 for SR21 at H0 = 0.1: that attempt is
     # rejected and the run continues with a smaller step
@@ -256,6 +256,29 @@ def test_adaptive_rejects_singular_stage_matrix_and_goes_on():
     p = SplitIVP(dim=1, fF=lambda t, y: 0.0 * y, fE=lambda t, y: 0.0 * y,
                  fI=lambda t, y: J @ y, jacI=lambda t, y: J,
                  y0=np.array([1.0]))
+    rec = integrate_adaptive(p, load_builtin("imex-mri-sr21"),
+                             inner_method("bogacki-shampine"), 0.2, 1e-2,
+                             H0=0.1, M0=2)
+    assert not rec.failed, rec.failure
+    first = rec.step_log[0]
+    assert first["H"] == 0.1 and not first["accepted"]
+    assert math.isinf(first["epsS"])
+    assert rec.accepted > 0 and rec.t[-1] == 0.2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_adaptive_rejects_nonfinite_jacobian_and_goes_on(banded, bad):
+    # jacI's first value is non-finite: that attempt is rejected, no
+    # exception leaves the driver, and the run goes on
+    values = [bad]
+
+    def jacI(t, y):
+        J = np.array([[values.pop() if values else -1.0]])
+        return BandedMatrix(ml=0, mu=0, data=J) if banded else J
+
+    p = SplitIVP(dim=1, fF=lambda t, y: 0.0 * y, fE=lambda t, y: 0.0 * y,
+                 fI=lambda t, y: -y, jacI=jacI, y0=np.array([1.0]))
     rec = integrate_adaptive(p, load_builtin("imex-mri-sr21"),
                              inner_method("bogacki-shampine"), 0.2, 1e-2,
                              H0=0.1, M0=2)

@@ -8,6 +8,7 @@ from mrisr.errors import PreconditionError, StepFailure
 from mrisr.integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                               StepStats, integrate_fixed, solve_fast_ivp,
                               step)
+from mrisr.linalg import BandedMatrix
 from mrisr.rk import inner_method
 from mrisr.tableau import BUILTIN_NAMES, load_builtin
 
@@ -363,12 +364,30 @@ def _singular_at_first_stage():
                     jacI=lambda tt, y: J, y0=np.array([1.0]))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_stage_matrix_fails_fixed_run():
     rec = integrate_fixed(_singular_at_first_stage(),
                           load_builtin("imex-mri-sr21"), inner_method("heun"),
                           0.2, 0.1, 2)
     assert rec.failed and "stage 2" in rec.failure
+    assert rec.accepted == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_nonfinite_jacobian_fails_fixed_run(banded, bad):
+    # a NaN or inf from jacI fails the first implicit stage at its
+    # factorization in either storage; it neither escapes the driver nor
+    # reaches the Newton iteration
+    def jacI(tt, y):
+        J = np.array([[bad]])
+        return BandedMatrix(ml=0, mu=0, data=J) if banded else J
+
+    p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y, fE=lambda tt, y: 0.0 * y,
+                 fI=lambda tt, y: -y, jacI=jacI, y0=np.array([1.0]))
+    rec = integrate_fixed(p, load_builtin("imex-mri-sr21"),
+                          inner_method("heun"), 0.2, 0.1, 2)
+    assert rec.failed and "stage 2" in rec.failure
+    assert "non-finite factor" in rec.failure
     assert rec.accepted == 0
 
 

@@ -57,6 +57,16 @@ def test_singular_banded_raises():
         Factorization(BandedMatrix(ml=1, mu=1, data=data)).solve(np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_nonfinite_matrix_raises(banded, bad):
+    rng = np.random.default_rng(3)
+    B = _random_banded(5, 1, 1, rng)
+    B.data[1, 2] = bad
+    with pytest.raises(SingularMatrixError):
+        Factorization(B if banded else B.to_dense())
+
+
 def test_wrms():
     assert wrms([3.0, 4.0], np.array([1.0, 1.0])) == \
         pytest.approx(np.sqrt(12.5))
@@ -76,32 +86,34 @@ def test_wrms_is_bitwise_mean_formula(n):
 def test_newton_scalar_quadratic():
     # the Jacobian stays frozen at x = 3, so the error contracts by
     # |1 - 2*2/6| = 1/3 per iteration: about 20 to reach the 3e-10 update
-    root, it = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]),
-                            lambda x: np.array([[2.0 * x[0]]]),
-                            np.array([3.0]), max_iter=40)
+    stats = StepStats()
+    root = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]),
+                        Factorization(np.array([[6.0]])), np.array([3.0]),
+                        stats, max_iter=40)
     assert root[0] == pytest.approx(2.0, abs=1e-8)
-    assert it <= 25
+    assert stats.newton_iters <= 25
 
 
 def test_newton_modified_linear_system_one_iteration():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, 2.0])
-    root, it = newton_solve(lambda x: A @ x - b, lambda x: A,
-                            np.zeros(2))
+    stats = StepStats()
+    root = newton_solve(lambda x: A @ x - b, Factorization(A), np.zeros(2),
+                        stats)
     assert np.allclose(A @ root, b)
-    assert it == 2  # one exact update plus the zero-update confirmation
+    # one exact update plus the zero-update confirmation
+    assert stats.newton_iters == 2
 
 
 def test_newton_divergence_raises():
     with pytest.raises(NewtonFailure):
         newton_solve(lambda x: np.array([np.exp(x[0])]),
-                     lambda x: np.array([[np.exp(x[0])]]),
-                     np.array([0.0]), max_iter=5)
+                     Factorization(np.array([[1.0]])), np.array([0.0]),
+                     StepStats(), max_iter=5)
 
 
 def test_newton_counters():
     stats = StepStats()
     newton_solve(lambda x: np.array([x[0] - 1.0]),
-                 lambda x: np.array([[1.0]]),
-                 np.array([0.0]), stats=stats)
+                 Factorization(np.array([[1.0]])), np.array([0.0]), stats)
     assert stats.newton_iters == stats.linear_solves == 2
