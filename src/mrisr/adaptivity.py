@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import PreconditionError, StepFailure, StepSizeUnderflow
 from .integrator import IntegrationRecord, StepStats, step
-from .linalg import wrms
+from .linalg import NewtonState, wrms
 from .theory import method_order
 
 __all__ = ["ControllerState", "ErrorEstimate", "estimate_slow_error",
@@ -163,6 +163,7 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
                          fast_order=q)
     tolS = tolF = 0.5 * tol
     stats = StepStats()
+    state = NewtonState()
 
     tn = p.t0
     yn = np.array(p.y0, dtype=float)
@@ -182,7 +183,8 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         err_w = 1.0 / (tolF * (1.0 + np.abs(yn)))
         try:
             y1, yhat, fast_errs = step(p, t, inner, yn, tn, H_try, M,
-                                       stats=stats, err_weights=err_w)
+                                       stats=stats, err_weights=err_w,
+                                       state=state)
             est = ErrorEstimate(slow=estimate_slow_error(y1, yhat, tolS, tolS),
                                 fast=accumulate_fast_error(fast_errs))
         except StepFailure:

@@ -12,7 +12,9 @@ correction follows:
 
     Y_i = v_i(c_i H) + H sum_{j<=i} gamma_{i,j} fI_j
 
-solved by modified Newton when gamma_{i,i} != 0. The embedded solution,
+solved by modified Newton when gamma_{i,i} != 0. A run's steps share one
+NewtonState, so a stage matrix I - H*gamma_{i,i}*J bit-equal to the last
+one is not factored again. The embedded solution,
 when wanted, is one more row of the same stage kernel: c = 1 with the
 embedding Omega and Gamma rows over the first s - 1 tendencies.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
                      SingularMatrixError, StepFailure)
-from .linalg import Factorization, newton_solve, shifted_jacobian, wrms
+from .linalg import NewtonState, newton_solve, wrms
 
 __all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
            "solve_fast_ivp", "implicit_stage_solve", "step",
@@ -56,6 +58,9 @@ class StepStats:
     """Cost counters. linear_solves counts LU back-solves, one per Newton
     iteration, so it equals newton_iters; it stays because the harness
     rows (RUN_KEYS), their CSV columns and the benchmark's counters read it.
+    jacobian_evals counts Jacobian evaluations, analytic or by finite
+    differences, one per implicit stage; factorizations counts the LU
+    factorizations made, fewer when a stage matrix is reused.
     """
 
     fast_f_evals: int = 0
@@ -64,13 +69,17 @@ class StepStats:
     implicit_solves: int = 0
     newton_iters: int = 0
     linear_solves: int = 0
+    jacobian_evals: int = 0
+    factorizations: int = 0
 
     def as_dict(self):
         return dict(fastFEvals=self.fast_f_evals, slowEEvals=self.slow_e_evals,
                     slowIEvals=self.slow_i_evals,
                     implicitSolves=self.implicit_solves,
                     newtonIters=self.newton_iters,
-                    linearSolves=self.linear_solves)
+                    linearSolves=self.linear_solves,
+                    jacobianEvals=self.jacobian_evals,
+                    factorizations=self.factorizations)
 
 
 @dataclass
@@ -127,7 +136,8 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
     is the caller's, shared by every fast IVP that starts at (tn, v0), and
     stands for the first stage of the first substep. Trailing stages of
     weight b_q = 0 feed only the embedding and run only when err_weights
-    is given. The fF calls made here are counted in stats. Returns
+    is given. The fF calls made here are counted in stats, also when the
+    solve raises. Returns
     (v, errs): errs holds one WRMS error norm per substep when err_weights
     is given and the inner method has an embedding, and is empty
     otherwise. Raises FastSolveDivergence on non-finite states.
@@ -142,41 +152,48 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
         n_stages = sF
     else:
         n_stages = int(np.flatnonzero(b)[-1]) + 1
-    # (r, h*a_qr) over the nonzero a_qr of each stage after the first
-    ha = h * A
-    terms = [[(r, ha[q, r]) for r in range(q) if A[q, r] != 0.0]
-             for q in range(1, n_stages)]
     ch = (c[:n_stages] * h)[None, :]
     errs = []
     # skipped stages keep K = 0, so b @ K sums as over all sF stages
     K = np.zeros((sF, len(v)))
+    K0 = K[0]
+    # (K_q, [(K_r, h*a_qr) over the nonzero a_qr]) of each stage q > 0
+    ha = h * A
+    terms = [(K[q], [(K[r], ha[q, r]) for r in range(q) if A[q, r] != 0.0])
+             for q in range(1, n_stages)]
     block = max(1, _FORCING_BLOCK // (n_stages * len(v)))
+    fF = p.fF
+    calls = 0
     # overflow in a diverging substep is detected and reported below, so
     # the transient numpy warnings on the way there are suppressed
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m0 in range(0, n_sub, block):
-            m1 = min(n_sub, m0 + block)
-            theta = (np.arange(m0, m1)[:, None] * h + ch).ravel()
-            g = _forcing(coeffs, scale, span, theta)
-            ts = (tn + theta).tolist()
-            j = 0
-            for m in range(m0, m1):
-                f = f0 if m == 0 else p.fF(ts[j], v)
-                np.add(f, g[j], out=K[0])
-                for q, tq in enumerate(terms, start=1):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m0 in range(0, n_sub, block):
+                m1 = min(n_sub, m0 + block)
+                theta = (np.arange(m0, m1)[:, None] * h + ch).ravel()
+                g = _forcing(coeffs, scale, span, theta)
+                ts = (tn + theta).tolist()
+                j = 0
+                for m in range(m0, m1):
+                    f = f0 if m == 0 else fF(ts[j], v)
+                    np.add(f, g[j], out=K0)
+                    for Kq, tq in terms:
+                        j += 1
+                        vq = v
+                        for Kr, a in tq:
+                            vq = vq + a * Kr
+                        np.add(fF(ts[j], vq), g[j], out=Kq)
                     j += 1
-                    vq = v
-                    for r, a in tq:
-                        vq = vq + a * K[r]
-                    np.add(p.fF(ts[j], vq), g[j], out=K[q])
-                j += 1
-                stats.fast_f_evals += n_stages - (m == 0)
-                v = v + h * (b @ K)
-                if not np.isfinite(v).all():
-                    raise FastSolveDivergence(
-                        f"non-finite fast state at substep {m + 1}/{n_sub}")
-                if want_err:
-                    errs.append(wrms(h * (db @ K), err_weights))
+                    calls += n_stages - (m == 0)
+                    v = v + h * (b @ K)
+                    if not np.logical_and.reduce(np.isfinite(v)):
+                        raise FastSolveDivergence(
+                            f"non-finite fast state at substep "
+                            f"{m + 1}/{n_sub}")
+                    if want_err:
+                        errs.append(wrms(h * (db @ K), err_weights))
+    finally:
+        stats.fast_f_evals += calls
     return v, errs
 
 
@@ -194,12 +211,15 @@ def _fd_jacobian(fI, t, y):
     return J
 
 
-def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, cfg=None):
+def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
+                         cfg=None):
     """Solve Y = base + H*gamma_ii*fI(t_stage, Y) by modified Newton from
     Y = base, counting the work in stats; returns Y (a copy of base when
     gamma_ii = 0). The Jacobian is evaluated at base, analytic or by
-    finite differences, and I - H*gamma_ii*J factored once for the solve.
-    NewtonFailure and SingularMatrixError propagate.
+    finite differences, and the run's NewtonState factors
+    I - H*gamma_ii*J, or reuses the last factorization when that matrix
+    is bit-equal to the last one. NewtonFailure and SingularMatrixError
+    propagate.
     """
     if gammaii == 0.0:
         return np.array(base, dtype=float)
@@ -210,20 +230,21 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, cfg=None):
     else:
         J = _fd_jacobian(p.fI, t_stage, base)
         stats.slow_i_evals += len(base) + 1
-    fac = Factorization(shifted_jacobian(J, scale))
+    stats.jacobian_evals += 1
+    fac = state.factor(J, scale, stats)
 
     def residual(y):
         stats.slow_i_evals += 1
         return y - base - scale * p.fI(t_stage, y)
 
     y = newton_solve(residual, fac, base, stats, atol=cfg.atol, rtol=cfg.rtol,
-                     max_iter=cfg.max_iter)
+                     max_iter=cfg.max_iter, state=state)
     stats.implicit_solves += 1
     return y
 
 
 def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
-         err_weights=None):
+         err_weights=None, state=None):
     """One slow step from (tn, yn) to tn + H with M fast substeps per unit c.
 
     Returns (y1, yhat, fast_errs): yhat is the embedded solution when
@@ -231,7 +252,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     holds every stage's per-substep fast error norms (see solve_fast_ivp).
     fF(tn, yn) is evaluated once, at the first row with c_i > 0, and
     passed to every row's fast solve, the embedding row's included. Work
-    is counted in stats, a fresh StepStats when None. PreconditionError
+    is counted in stats, a fresh StepStats when None. state is the run's
+    NewtonState, a fresh one when None. PreconditionError
     (a ValueError) unless H > 0 and M is a positive integer; StepFailure
     names the stage whose fast solve diverged or whose Newton solve failed.
     """
@@ -240,6 +262,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     if not isinstance(M, numbers.Integral) or M < 1:
         raise PreconditionError(f"M = {M!r} is not a positive integer")
     stats = stats or StepStats()
+    state = state or NewtonState()
     c, omega, gamma, emb_omega, emb_gamma = t.floats
     s = t.s
     # stage rows (c_i, Omega row, Gamma row, gamma_ii) over the first i
@@ -287,7 +310,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
                 if g != 0.0:
                     base = base + (H * g) * fI[j]
             ts = tn + ci * H
-            Yi = implicit_stage_solve(p, base, gii, ts, H, stats, cfg)
+            Yi = implicit_stage_solve(p, base, gii, ts, H, stats, state,
+                                      cfg)
         except (FastSolveDivergence, NewtonFailure,
                 SingularMatrixError) as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
@@ -324,6 +348,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
         sample_idx.setdefault(k, ts)
 
     stats = StepStats()
+    state = NewtonState()
     record = IntegrationRecord(t=[], y=[], stats=stats)
     y = np.array(p.y0, dtype=float)
     if 0 in sample_idx:
@@ -333,7 +358,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
         tn = t0 + k * H
         try:
             y, _, _ = step(p, t, inner, y, tn, H, M, stats=stats,
-                           want_embedded=False)
+                           want_embedded=False, state=state)
         except StepFailure as e:
             record.failed = True
             record.failure = f"step {k + 1} at t = {tn:.6g}: {e}"

@@ -160,16 +160,17 @@ def brusselator_problem(params=None):
         out[:, 0] = out[:, -1] = 0.0
         return out.ravel()
 
+    # band data of lap for each species (zero rows at the boundaries);
+    # jacI scales it by alpha(t) > 0, which leaves its zeros +0.0
     stencil = np.array([1.0, -2.0, 1.0]) / dx ** 2
+    pattern = np.zeros((3, 3 * N))
+    for lo in (0, N, 2 * N):
+        pattern[0, lo + 2:lo + N] = stencil[2]      # super
+        pattern[1, lo + 1:lo + N - 1] = stencil[1]  # diag
+        pattern[2, lo:lo + N - 2] = stencil[0]      # sub
 
     def jacI(t, y):
-        al = alpha_t(t)
-        data = np.zeros((3, 3 * N))
-        for lo in (0, N, 2 * N):
-            data[0, lo + 2:lo + N] = al * stencil[2]      # super
-            data[1, lo + 1:lo + N - 1] = al * stencil[1]  # diag
-            data[2, lo:lo + N - 2] = al * stencil[0]      # sub
-        return BandedMatrix(ml=1, mu=1, data=data)
+        return BandedMatrix(ml=1, mu=1, data=alpha_t(t) * pattern)
 
     name = f"brusselator-{'tv-' if tv else ''}{N}"
     return SplitIVP(dim=3 * N, fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,

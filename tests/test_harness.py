@@ -97,7 +97,7 @@ def test_run_convergence_records_h_that_does_not_divide_interval():
 
 def test_rows_carry_every_counter():
     counters = set(StepStats().as_dict()) | {"accepted", "rejected"}
-    assert len(counters) == 8 and counters <= set(RUN_KEYS)
+    assert len(counters) == 10 and counters <= set(RUN_KEYS)
     fixed = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
     adaptive = run_adaptive(_kpr_cfg(kind="adaptive", tols=[1e-3]))[0].rows
     failed, good = fixed[0], fixed[2]
@@ -105,6 +105,9 @@ def test_rows_carry_every_counter():
         assert set(RUN_KEYS) <= set(row)
     assert good["accepted"] == 10 and good["rejected"] == 0
     assert good["newtonIters"] == good["linearSolves"] > 0
+    # KPR's Jacobian changes at every implicit stage
+    assert good["jacobianEvals"] == good["factorizations"] \
+        == good["implicitSolves"] > 0
     assert adaptive[0]["accepted"] > 0 and adaptive[0]["newtonIters"] > 0
     assert all(failed[k] == 0 for k in counters)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from mrisr.errors import PreconditionError, StepFailure
+from mrisr.errors import (FastSolveDivergence, PreconditionError,
+                          StepFailure)
 from mrisr.integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                               StepStats, integrate_fixed, solve_fast_ivp,
                               step)
@@ -415,6 +416,120 @@ def test_failed_newton_iterations_are_counted():
              0.0, 0.1, 4, cfg=NewtonConfig(max_iter=1), stats=stats)
     assert stats.newton_iters == stats.linear_solves == 1
     assert stats.implicit_solves == 0
+
+
+def test_fixed_brusselator_factors_its_stage_matrix_once():
+    # constant J and gamma_ii: one LU for the run, and every solve after
+    # the first stops at its first update
+    from mrisr.problems import make_problem
+    p = make_problem("brusselator-201")
+    rec = integrate_fixed(p, load_builtin("imex-mri-sr21"),
+                          inner_method("heun"), 0.1, 0.1 / 64, 10)
+    st = rec.stats
+    assert not rec.failed
+    assert st.factorizations == 1
+    assert st.jacobian_evals == st.implicit_solves == 64 * 3
+    assert st.newton_iters == st.linear_solves == st.implicit_solves + 1
+
+
+def test_kpr_refactors_every_solve_and_keeps_its_result():
+    # KPR's Jacobian moves with the state, so nothing is reused and every
+    # solve stops as it did with one factorization per solve: 4,622 Newton
+    # iterations and this error before the per-run Newton state
+    from mrisr.problems import kpr_exact, kpr_problem
+    p = kpr_problem()
+    tEnd = 5.0 * math.pi / 2.0
+    pts = [tEnd * (i + 1) / 10 for i in range(10)]
+    rec = integrate_fixed(p, load_builtin("imex-mri-sr32"),
+                          inner_method("bogacki-shampine"), tEnd,
+                          math.pi / 256, 10, sample_points=pts)
+    st = rec.stats
+    assert st.factorizations == st.jacobian_evals == st.implicit_solves \
+        == 2560
+    assert st.newton_iters <= 4622
+    err = np.max(np.abs(np.array(rec.y) - [kpr_exact(x) for x in pts]))
+    assert err == pytest.approx(3.999500552964719e-08, rel=1e-12)
+
+
+def test_alternating_jacobian_matches_fresh_factorizations(monkeypatch):
+    # a jacI that alternates between two matrices gets a new LU at every
+    # solve, and each solve equals one with its own fresh factorization
+    from mrisr import integrator
+    from mrisr.linalg import Factorization, shifted_jacobian
+    A = np.array([[-2.0, 0.5], [0.3, -1.0]])
+    B = np.array([[-1.0, 0.2], [0.0, -3.0]])
+    used = []
+
+    def jacI(tt, y):
+        used.append((A, B)[len(used) % 2])
+        return used[-1]
+
+    p = SplitIVP(dim=2, fF=lambda tt, y: -0.5 * y,
+                 fE=lambda tt, y: np.array([math.cos(tt), 0.0]),
+                 fI=lambda tt, y: A @ y - 0.2 * y ** 3, jacI=jacI,
+                 y0=np.array([1.0, 0.5]))
+    solves = []
+
+    def spy(residual, fac, guess, stats, **kw):
+        y = newton_solve(residual, fac, guess, stats, **kw)
+        solves.append((residual, guess, kw, y))
+        return y
+
+    newton_solve = integrator.newton_solve
+    monkeypatch.setattr(integrator, "newton_solve", spy)
+    t = load_builtin("imex-mri-sr32")
+    H = 0.05
+    rec = integrate_fixed(p, t, inner_method("bogacki-shampine"), 0.5, H, 3)
+    assert not rec.failed
+    assert rec.stats.factorizations == rec.stats.implicit_solves \
+        == len(used) == len(solves) > 10
+    scale = H * t.floats[2][1, 1]
+    for (residual, guess, kw, y), J in zip(solves, used):
+        fac = Factorization(shifted_jacobian(J, scale))
+        kw["state"] = None
+        fresh = newton_solve(residual, fac, guess, StepStats(), **kw)
+        assert fresh.tobytes() == y.tobytes()
+
+
+def test_runs_share_no_newton_state():
+    # two identical runs with another problem's run between them give the
+    # same bits: the factorization and the contraction estimate are per run
+    from mrisr.adaptivity import integrate_adaptive
+    from mrisr.problems import kpr_problem, make_problem
+    t = load_builtin("imex-mri-sr21")
+    bruss = make_problem("brusselator-201")
+    tv = make_problem("brusselator-tv-101")
+    kpr = kpr_problem()
+
+    def runs():
+        return (integrate_fixed(bruss, t, inner_method("heun"), 0.05,
+                                0.1 / 64, 10),
+                integrate_adaptive(tv, t, inner_method("bogacki-shampine"),
+                                   0.05, 1e-4, H0=1e-3, M0=10))
+
+    first = runs()
+    integrate_fixed(kpr, t, inner_method("heun"), math.pi / 8, math.pi / 64,
+                    10)
+    for a, b in zip(first, runs()):
+        assert np.array(a.y).tobytes() == np.array(b.y).tobytes()
+        assert a.stats == b.stats and a.step_log == b.step_log
+
+
+def test_diverging_fast_solve_counts_every_call():
+    calls = []
+
+    def fF(tt, y):
+        calls.append(tt)
+        return 1e200 * y ** 3
+
+    p = SplitIVP(dim=1, fF=fF, fE=lambda tt, y: 0.0 * y,
+                 fI=lambda tt, y: 0.0 * y, y0=np.array([1.0]))
+    stats = StepStats()
+    with pytest.raises(FastSolveDivergence):
+        solve_fast_ivp(p, np.zeros((1, 1)), 1.0, 0.0, 1.0, p.y0,
+                       fF(0.0, p.y0), inner_method("bogacki-shampine"), 8,
+                       stats)
+    assert stats.fast_f_evals == len(calls) - 1 > 0
 
 
 def _load_tracing():

@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrisr.errors import NewtonFailure, SingularMatrixError
 from mrisr.integrator import StepStats
-from mrisr.linalg import BandedMatrix, Factorization, newton_solve, wrms
+from mrisr.linalg import (BandedMatrix, Factorization, NewtonState,
+                          newton_solve, shifted_jacobian, wrms)
 
 
 def _random_banded(n, ml, mu, rng):
@@ -117,3 +121,116 @@ def test_newton_counters():
     newton_solve(lambda x: np.array([x[0] - 1.0]),
                  Factorization(np.array([[1.0]])), np.array([0.0]), stats)
     assert stats.newton_iters == stats.linear_solves == 2
+
+
+def _jacobians(banded):
+    rng = np.random.default_rng(3)
+    J1, J2 = _random_banded(6, 1, 1, rng), _random_banded(6, 1, 1, rng)
+    J1.data[0, 0] = J1.data[2, 5] = 0.0  # outside the matrix
+    if not banded:
+        J1, J2 = J1.to_dense(), J2.to_dense()
+    return J1, J2
+
+
+def _like(J, data):
+    if isinstance(J, BandedMatrix):
+        return BandedMatrix(ml=J.ml, mu=J.mu, data=data)
+    return data
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_newton_state_reuses_only_a_bit_equal_stage_matrix(banded):
+    J1, _ = _jacobians(banded)
+    data = J1.data if banded else J1
+    state, stats = NewtonState(), StepStats()
+    fac = state.factor(J1, 0.25, stats)
+    state.eta = 1e-6
+    # a fresh object with the same bits and the same scale: reused
+    assert state.factor(_like(J1, data.copy()), 0.25, stats) is fac
+    assert stats.factorizations == 1 and state.eta == 1e-6
+    # another scale, one entry a bit off, a -0.0 for a +0.0, another
+    # storage: each is factored again and the contraction estimate reset
+    nudged, signed = data.copy(), data.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2], np.inf)
+    zero = (0, 0) if banded else (0, 2)
+    assert signed[zero] == 0.0
+    signed[zero] = -0.0
+    other = J1.to_dense() if banded else BandedMatrix(5, 5, np.zeros((11, 6)))
+    # (each matrix is compared with the one just before it)
+    for J, scale in ((J1, 0.5), (_like(J1, signed), 0.5), (J1, 0.5),
+                     (_like(J1, nudged), 0.5), (other, 0.5)):
+        n = stats.factorizations
+        state.eta = 1e-6
+        state.factor(J, scale, stats)
+        assert stats.factorizations == n + 1 and state.eta == 1.0
+
+
+def test_newton_state_sees_a_jacobian_changed_in_place():
+    # a jacI may hand back one array it updates in place: the cache keeps
+    # its own copy, so the change is seen
+    J = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    state, stats = NewtonState(), StepStats()
+    state.factor(J, 0.1, stats)
+    J[0, 0] = -3.0
+    fac = state.factor(J, 0.1, stats)
+    assert stats.factorizations == 2
+    rhs = np.array([1.0, 2.0])
+    want = Factorization(shifted_jacobian(J, 0.1)).solve(rhs)
+    assert fac.solve(rhs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_newton_state_alternating_matrices_match_fresh_factorizations(
+        banded):
+    J1, J2 = _jacobians(banded)
+    state, stats = NewtonState(), StepStats()
+    rhs = np.arange(1.0, 7.0)
+    for k in range(6):
+        J = (J1, J2)[k % 2]
+        got = state.factor(J, 0.3, stats).solve(rhs)
+        want = Factorization(shifted_jacobian(J, 0.3)).solve(rhs)
+        assert got.tobytes() == want.tobytes()
+    assert stats.factorizations == 6
+
+
+def test_newton_contraction_stop_skips_the_confirming_update():
+    # a linear system: the first update is exact, and the second only
+    # confirms it. The first solve measures the contraction; later solves
+    # with the same factorization stop after their first update.
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    state, stats = NewtonState(), StepStats()
+    fac = state.factor(np.eye(2) - A, 1.0, stats)  # I - (I - A) = A
+    roots = []
+    for b in ([1.0, 2.0], [2.0, -1.0], [0.5, 0.25]):
+        b = np.array(b)
+        roots.append(newton_solve(lambda x: A @ x - b, fac, np.zeros(2),
+                                  stats, state=state))
+        assert np.allclose(A @ roots[-1], b)
+    assert stats.newton_iters == 2 + 1 + 1
+    assert state.eta < 1e-3
+    # a new factorization forgets the estimate: two updates again
+    fac = state.factor(2.0 * (np.eye(2) - A), 0.5, stats)
+    newton_solve(lambda x: A @ x - b, fac, np.zeros(2), stats, state=state)
+    assert stats.newton_iters == 4 + 2
+
+
+def test_newton_contraction_stop_keeps_the_update_test():
+    # a slowly contracting iteration: the carried estimate never lets a
+    # solve stop later than |delta| <= 1 would
+    stats, state = StepStats(), NewtonState()
+    fac = Factorization(np.array([[6.0]]))
+    newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
+                 np.array([3.0]), stats, max_iter=40, state=state)
+    plain = StepStats()
+    newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
+                 np.array([3.0]), plain, max_iter=40)
+    assert 0.0 < state.eta < 1.0
+    assert stats.newton_iters == plain.newton_iters
+
+
+def test_import_does_not_load_scipy_linalg():
+    code = ("import sys, mrisr; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -67,6 +67,30 @@ def test_brusselator_jacobian_matches_fd(variant):
     assert p.jacI(t, y).ml == 1 and p.jacI(t, y).mu == 1
 
 
+def _loop_brusselator_jacobian(alpha, N):
+    """The band of alpha * lap as jacI used to build it, one block per
+    species, kept as the reference for the scaled precomputed pattern."""
+    dx = 1.0 / (N - 1)
+    stencil = np.array([1.0, -2.0, 1.0]) / dx ** 2
+    data = np.zeros((3, 3 * N))
+    for lo in (0, N, 2 * N):
+        data[0, lo + 2:lo + N] = alpha * stencil[2]
+        data[1, lo + 1:lo + N - 1] = alpha * stencil[1]
+        data[2, lo:lo + N - 2] = alpha * stencil[0]
+    return data
+
+
+@pytest.mark.parametrize("variant", ["fixed", "time-varying"])
+def test_brusselator_jacobian_is_the_loop_band_bitwise(variant):
+    N = 101
+    p = brusselator_problem(BrusselatorParams(N=N, variant=variant))
+    for t in np.linspace(0.0, 3.0, 97):
+        alpha = (6e-5 + 5e-5 * math.cos(math.pi * t)
+                 if variant == "time-varying" else 1e-2)
+        got = p.jacI(t, p.y0).data
+        assert got.tobytes() == _loop_brusselator_jacobian(alpha, N).tobytes()
+
+
 def test_direct_tv_brusselator_equals_registry():
     # the variant alone fixes the coefficients: built directly, the
     # time-varying problem is the registry's, bit for bit
