@@ -12,8 +12,7 @@ from .errors import MRISRError
 from .integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                          StepStats, integrate_fixed, step)
 from .problems import (BrusselatorParams, PROBLEMS, brusselator_problem,
-                       kpr_exact, kpr_problem, make_problem,
-                       reference_solution)
+                       kpr_exact, kpr_problem, make_problem)
 from .rk import ButcherTable, INNER_METHODS, inner_method
 from .stability import (RegionScan, SectorSpec, scan_component_region,
                         scan_joint_region, stability_value)

@@ -3,7 +3,7 @@
 __all__ = ["MRISRError", "UnknownMethodError", "DegenerateAbscissaeError",
            "PreconditionError", "DegenerateEmbeddingError",
            "SingularMatrixError", "NewtonFailure", "FastSolveDivergence",
-           "StepFailure", "StepSizeUnderflow", "ReferenceFailure"]
+           "StepFailure", "StepSizeUnderflow"]
 
 
 class MRISRError(Exception):
@@ -39,16 +39,9 @@ class FastSolveDivergence(MRISRError):
 
 
 class StepFailure(MRISRError):
-    """A slow step could not be completed; carries the failing stage index."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
+    """A slow step could not be completed; the message names the failing
+    stage."""
 
 
 class StepSizeUnderflow(MRISRError):
     """Adaptive controller pushed H below its minimum."""
-
-
-class ReferenceFailure(MRISRError):
-    """Reference-solution convergence gate unmet at the smallest allowed H."""

@@ -315,7 +315,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
         except (FastSolveDivergence, NewtonFailure,
                 SingularMatrixError) as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
-            raise StepFailure(f"{where}: {e}", stage=i + 1) from e
+            raise StepFailure(f"{where}: {e}") from e
         Y.append(Yi)
     yhat = Y[s] if len(Y) > s else None
     return Y[s - 1], yhat, fast_errs

@@ -9,15 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReferenceFailure
-from .integrator import SplitIVP, integrate_fixed
+from .integrator import SplitIVP
 from .linalg import BandedMatrix
-from .rk import inner_method
-from .tableau import load_builtin
 
 __all__ = ["BrusselatorParams", "kpr_problem", "kpr_exact",
-           "brusselator_problem", "reference_solution", "REF_GATE",
-           "PROBLEMS", "make_problem"]
+           "brusselator_problem", "PROBLEMS", "make_problem"]
 
 
 # ---------------------------------------------------------------------------
@@ -175,70 +171,6 @@ def brusselator_problem(params=None):
     name = f"brusselator-{'tv-' if tv else ''}{N}"
     return SplitIVP(dim=3 * N, fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,
                     y0=y0, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Reference solutions
-
-# relative change between successive halvings that accepts a reference
-REF_GATE = 1e-10
-
-
-def reference_solution(p, tEnd, sample_points, H0=None, gate=REF_GATE,
-                       max_halvings=9):
-    """Self-generated reference samples with a convergence gate.
-
-    Integrates with IMEX-MRI-SR32, the Bogacki-Shampine inner method and
-    M = 10, starting from steps of about H0 (default (tEnd - t0)/64) and
-    halving H until two successive halvings change every sample by less
-    than the gate (relative, worst component). Returns the samples, one
-    row per sample point. Raises ReferenceFailure when the gate is not met
-    within max_halvings.
-    """
-    t = load_builtin("imex-mri-sr32")
-    rk = inner_method("bogacki-shampine")
-    sample_points = sorted(sample_points)
-    n0 = max(8, int(math.ceil((tEnd - p.t0) / (H0 or (tEnd - p.t0) / 64))))
-    # step counts must make every sample point a step boundary
-    spans = np.diff([p.t0] + sample_points)
-    if abs(sample_points[-1] - tEnd) > 1e-12 * max(1.0, abs(tEnd)):
-        raise ValueError("last sample point must equal tEnd")
-
-    def run(refine):
-        # span-wise integration: each span gets a step that divides it
-        ys = []
-        tn, yn = p.t0, np.array(p.y0, dtype=float)
-        for span, tgt in zip(spans, sample_points):
-            q = SplitIVP(dim=p.dim, fF=p.fF, fE=p.fE, fI=p.fI, jacI=p.jacI,
-                         t0=tn, y0=yn, name=p.name)
-            n = int(math.ceil(refine * span / (tEnd - p.t0) * n0))
-            rec = integrate_fixed(q, t, rk, tgt, span / n, 10)
-            if rec.failed:
-                raise ReferenceFailure(
-                    f"reference integration failed: {rec.failure}")
-            tn, yn = tgt, rec.y[-1]
-            ys.append(yn)
-        return np.array(ys)
-
-    prev = None
-    change = math.inf
-    for k in range(max_halvings + 1):
-        try:
-            cur = run(2 ** k)
-        except ReferenceFailure:
-            if k == max_halvings:
-                raise
-            prev = None  # unstable at this refinement; keep halving
-            continue
-        if prev is not None:
-            scale = np.maximum(np.abs(cur), 1.0)
-            change = float(np.max(np.abs(cur - prev) / scale))
-            if change < gate:
-                return cur
-        prev = cur
-    raise ReferenceFailure(
-        f"convergence gate {gate:g} unmet after {max_halvings} halvings "
-        f"(last change {change:.3e})")
 
 
 PROBLEMS = {

@@ -149,6 +149,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_unknown_problem_is_a_usage_error(capsys):
+    # rejected before any run, with the known problems named
+    assert main(["converge", "--method", "imex-mri-sr21",
+                 "--problem", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "kpr" in err
+
+
 def test_inner_flag_forms(capsys):
     code = main(["converge", "--method", "imex-mri-sr21", "--problem", "kpr",
                  "--kmin", "3", "--kmax", "4",

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import scipy
 
 import mrisr
 from mrisr import adaptivity, harness
-from mrisr.errors import PreconditionError, UnknownMethodError
+from mrisr.errors import MRISRError, PreconditionError, UnknownMethodError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
                            run_adaptive, run_convergence, run_stability_export,
                            run_verify, versions, write_csv)
-from mrisr.integrator import StepStats
+from mrisr.integrator import SplitIVP, StepStats
 from mrisr.tableau import BUILTIN_NAMES
 
 
@@ -226,6 +227,38 @@ def test_reference_cache_keys_on_the_sample_points():
     for pts in ([0.5, 1.0, 1.5], [0.25, 0.75, 1.25]):
         ref, _ = _exact_samples("kpr", p, pts)
         assert np.array_equal(ref, [list(kpr_exact(s)) for s in pts])
+
+
+def test_run_convergence_brusselator_end_to_end(monkeypatch):
+    # the brusselator reference is scipy BDF, made once by _exact_samples;
+    # it agrees with perfbench/refs.npz (BDF at rtol 1e-11) well below the
+    # floor. k = 6, 7 are the coarsest H at which SR21 + heun runs through;
+    # the test takes about 10 s, most of it in the reference
+    calls, real = [], harness._exact_samples
+
+    def spy(name, p, pts):
+        calls.append(real(name, p, pts))
+        return calls[-1]
+    monkeypatch.setattr(harness, "_exact_samples", spy)
+    cfg = ExperimentConfig(kind="converge", methods=["imex-mri-sr21"],
+                           problem="brusselator-201", kmin=6, kmax=7)
+    rows = run_convergence(cfg)[0].rows
+    (ref, floor), = calls
+    stored = np.load(Path(__file__).parents[1] / "perfbench" / "refs.npz")
+    assert np.max(np.abs(ref - stored["bruss201_bdf"])) < 0.1 * floor
+    assert [r["failed"] for r in rows] == [0, 0]
+    for r in rows:
+        assert math.isfinite(r["maxError"]) and r["maxError"] > floor
+    assert rows[0]["maxError"] > rows[1]["maxError"]
+
+
+def test_reference_that_stops_short_is_an_error():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, before the last sample point
+    p = SplitIVP(dim=1, fF=lambda t, y: y * y, fE=lambda t, y: 0.0 * y,
+                 fI=lambda t, y: 0.0 * y, y0=np.array([1.0]))
+    with pytest.raises(MRISRError, match="BDF reference for blowup failed"):
+        harness._exact_samples("blowup", p, [0.5, 2.0])
+    assert ("blowup", (0.5, 2.0)) not in harness._REF_CACHE
 
 
 def test_problem_tables_cover_registry():

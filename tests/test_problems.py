@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mrisr.errors import ReferenceFailure
 from mrisr import problems
 from mrisr.problems import (PROBLEMS, BrusselatorParams, brusselator_problem,
-                            kpr_exact, kpr_problem, make_problem,
-                            reference_solution)
+                            kpr_exact, kpr_problem, make_problem)
 
 
 def _kpr_rhs_exact(t, beta=20.0):
@@ -147,23 +145,3 @@ def test_registry():
 def test_kpr_params_defaults():
     assert problems.KPR_LAMBDA_F == -10.0 and problems.KPR_BETA == 20.0
 
-
-def test_reference_solution_draft_matches_analytic():
-    p = kpr_problem()
-    pts = [math.pi / 4.0, math.pi / 2.0]
-    ref = reference_solution(p, pts[-1], pts, gate=1e-7)
-    want = np.array([list(kpr_exact(s)) for s in pts])
-    assert np.max(np.abs(ref - want)) < 1e-6
-
-
-def test_reference_solution_validates_samples():
-    p = kpr_problem()
-    with pytest.raises(ValueError):
-        reference_solution(p, 1.0, [0.4, 0.8], gate=1e-7)
-
-
-def test_reference_solution_gate_failure():
-    p = kpr_problem()
-    with pytest.raises(ReferenceFailure):
-        reference_solution(p, 1.0, [1.0], gate=1e-30,
-                           max_halvings=2)
