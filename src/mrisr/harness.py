@@ -182,10 +182,13 @@ def _run_row(run, ref):
     return row
 
 
-def _fit_rows(rows, floor):
+def _fit_rows(rows, floor, ceiling):
+    """Slope over the rows that ran with floor < maxError < ceiling. Below
+    the floor the reference does not resolve the error; at or above the
+    ceiling, the reference's max norm over the sample points, a run that
+    diverged without failing has no correct digit left."""
     good = [(r["H"], r["maxError"]) for r in rows
-            if not r["failed"] and math.isfinite(r["maxError"])
-            and r["maxError"] > floor]
+            if not r["failed"] and floor < r["maxError"] < ceiling]
     if len(good) < 2:
         return None
     return fit_slope([g[0] for g in good], [g[1] for g in good])
@@ -198,6 +201,7 @@ def _run_fixed(cfg, H_of_k):
     tEnd = PROBLEM_TEND[cfg.problem]
     pts = _sample_points(tEnd)
     ref, floor = _exact_samples(cfg.problem, p, pts)
+    ceiling = np.max(np.abs(ref))
     records = []
     for m in cfg.methods:
         t = load_builtin(m)
@@ -209,7 +213,8 @@ def _run_fixed(cfg, H_of_k):
                 lambda: integrate_fixed(p, t, rk, pts[-1], H, cfg.M,
                                         sample_points=pts), ref)))
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
-                                 rows=rows, slope=_fit_rows(rows, floor)))
+                                 rows=rows,
+                                 slope=_fit_rows(rows, floor, ceiling)))
     return records
 
 

@@ -82,11 +82,15 @@ class StepStats:
                     factorizations=self.factorizations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     atol: float = 1e-12
     rtol: float = 1e-10
     max_iter: int = 10
+
+
+# the configuration of every implicit stage solve not given one
+_NEWTON_DEFAULT = NewtonConfig()
 
 
 @dataclass
@@ -114,10 +118,11 @@ def _forcing(coeffs, scale, span, theta):
     """Rows Horner(coeffs, theta/span) * scale, one per entry of theta.
 
     coeffs is an (nk, dim) array of vector polynomial coefficients in
-    tau = theta/span. Every element sees the operations of a scalar Horner
-    loop, so a row equals the polynomial evaluated at its theta alone.
+    tau = theta/span; theta is a sequence of floats. Every element sees the
+    operations of a scalar Horner loop, so a row equals the polynomial
+    evaluated at its theta alone.
     """
-    tau = (theta / span)[:, None]
+    tau = np.divide(theta, span)[:, None]
     g = np.empty((len(theta), coeffs.shape[1]))
     g[:] = coeffs[-1]
     for k in range(coeffs.shape[0] - 2, -1, -1):
@@ -132,35 +137,30 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
     """Integrate v' = fF(tn+theta, v) + g(theta) over theta in [0, span],
     g(theta) = Horner(coeffs, theta/span) * scale (see _forcing).
 
-    Uses n_sub uniform substeps of the explicit inner RK. f0 = fF(tn, v0)
-    is the caller's, shared by every fast IVP that starts at (tn, v0), and
-    stands for the first stage of the first substep. Trailing stages of
-    weight b_q = 0 feed only the embedding and run only when err_weights
-    is given. The fF calls made here are counted in stats, also when the
-    solve raises. Returns
+    Uses n_sub uniform substeps of the explicit inner RK, run from the
+    inner method's cached stage plan (ButcherTable.plans); the scalars
+    h*a_qr, c_q*h, theta = m*h + c_q*h and tn + theta are Python floats.
+    f0 = fF(tn, v0) is the caller's, shared by every fast IVP that starts
+    at (tn, v0), and stands for the first stage of the first substep.
+    Trailing stages of weight b_q = 0 feed only the embedding and run only
+    when err_weights is given. The fF calls made here are counted in
+    stats, also when the solve raises. Returns
     (v, errs): errs holds one WRMS error norm per substep when err_weights
     is given and the inner method has an embedding, and is empty
     otherwise. Raises FastSolveDivergence on non-finite states.
     """
-    A, b, c, bhat = inner.arrays()
-    sF = len(b)
+    want_err = err_weights is not None and inner.bhat is not None
+    n_stages, c, a, b, db = inner.plans[want_err]
     h = span / n_sub
     v = np.array(v0, dtype=float)
-    want_err = err_weights is not None and bhat is not None
-    if want_err:
-        db = b - bhat
-        n_stages = sF
-    else:
-        n_stages = int(np.flatnonzero(b)[-1]) + 1
-    ch = (c[:n_stages] * h)[None, :]
+    ch = [cq * h for cq in c]
     errs = []
-    # skipped stages keep K = 0, so b @ K sums as over all sF stages
-    K = np.zeros((sF, len(v)))
+    # skipped stages keep K = 0, so b @ K sums as over all stages
+    K = np.zeros((len(b), len(v)))
     K0 = K[0]
     # (K_q, [(K_r, h*a_qr) over the nonzero a_qr]) of each stage q > 0
-    ha = h * A
-    terms = [(K[q], [(K[r], ha[q, r]) for r in range(q) if A[q, r] != 0.0])
-             for q in range(1, n_stages)]
+    terms = [(K[q], [(K[r], h * arq) for r, arq in aq])
+             for q, aq in enumerate(a, start=1)]
     block = max(1, _FORCING_BLOCK // (n_stages * len(v)))
     fF = p.fF
     calls = 0
@@ -170,9 +170,9 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
         with np.errstate(over="ignore", invalid="ignore"):
             for m0 in range(0, n_sub, block):
                 m1 = min(n_sub, m0 + block)
-                theta = (np.arange(m0, m1)[:, None] * h + ch).ravel()
+                theta = [m * h + x for m in range(m0, m1) for x in ch]
                 g = _forcing(coeffs, scale, span, theta)
-                ts = (tn + theta).tolist()
+                ts = [tn + x for x in theta]
                 j = 0
                 for m in range(m0, m1):
                     f = f0 if m == 0 else fF(ts[j], v)
@@ -180,8 +180,8 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
                     for Kq, tq in terms:
                         j += 1
                         vq = v
-                        for Kr, a in tq:
-                            vq = vq + a * Kr
+                        for Kr, ha in tq:
+                            vq = vq + ha * Kr
                         np.add(fF(ts[j], vq), g[j], out=Kq)
                     j += 1
                     calls += n_stages - (m == 0)
@@ -223,7 +223,7 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
     """
     if gammaii == 0.0:
         return np.array(base, dtype=float)
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _NEWTON_DEFAULT
     scale = H * gammaii
     if p.jacI is not None:
         J = p.jacI(t_stage, base)
@@ -250,6 +250,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     Returns (y1, yhat, fast_errs): yhat is the embedded solution when
     want_embedded and the tableau has an embedding, else None; fast_errs
     holds every stage's per-substep fast error norms (see solve_fast_ivp).
+    The stage rows come from the tableau's cached t.stage_rows, so the
+    stage times tn + c_i*H and the weights H*gamma_ij are Python floats.
     fF(tn, yn) is evaluated once, at the first row with c_i > 0, and
     passed to every row's fast solve, the embedding row's included. Work
     is counted in stats, a fresh StepStats when None. state is the run's
@@ -263,15 +265,11 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
         raise PreconditionError(f"M = {M!r} is not a positive integer")
     stats = stats or StepStats()
     state = state or NewtonState()
-    c, omega, gamma, emb_omega, emb_gamma = t.floats
     s = t.s
-    # stage rows (c_i, Omega row, Gamma row, gamma_ii) over the first i
-    # tendencies; the embedding is one more row with c = 1 over s - 1
-    rows = [(c[i], omega[:, i, :i], gamma[i, :i], gamma[i, i])
-            for i in range(1, s)]
-    if want_embedded and t.has_embedding:
-        rows.append((1.0, emb_omega[:, :s - 1], emb_gamma[:s - 1],
-                     emb_gamma[s - 1]))
+    # (c_i, gamma_ii, nonzero (k, j, Omega), nonzero (j, Gamma)) over the
+    # first i tendencies; the embedding is one more row with c = 1 over s - 1
+    rows = t.stage_rows if want_embedded else t.stage_rows[:s - 1]
+    nk = t.n_omega
     yn = np.asarray(yn, dtype=float)
 
     Y = [yn]
@@ -280,8 +278,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     F = []  # fE_j + fI_j
     f0 = None  # fF(tn, yn), the first inner stage of every fast IVP
     ts = tn
-    for i, (ci, om, gam, gii) in enumerate(rows, start=1):
-        if len(F) < len(gam):
+    for i, (ci, gii, om, gam) in enumerate(rows, start=1):
+        if i < s:
             # tendencies of the stage just completed
             fEj = np.asarray(p.fE(ts, Y[-1]), dtype=float)
             fIj = np.asarray(p.fI(ts, Y[-1]), dtype=float)
@@ -291,11 +289,9 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
             F.append(fEj + fIj)
         try:
             if ci > 0.0:
-                coeffs = np.zeros((len(om), p.dim))
-                for k in range(len(om)):
-                    for j, w in enumerate(om[k]):
-                        if w != 0.0:
-                            coeffs[k] += w * F[j]
+                coeffs = np.zeros((nk, p.dim))
+                for k, j, w in om:
+                    coeffs[k] += w * F[j]
                 if f0 is None:
                     f0 = p.fF(tn, yn)
                     stats.fast_f_evals += 1
@@ -306,9 +302,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
             else:
                 v = yn.copy()
             base = v
-            for j, g in enumerate(gam):
-                if g != 0.0:
-                    base = base + (H * g) * fI[j]
+            for j, g in gam:
+                base = base + (H * g) * fI[j]
             ts = tn + ci * H
             Yi = implicit_stage_solve(p, base, gii, ts, H, stats, state,
                                       cfg)

@@ -106,7 +106,10 @@ def brusselator_problem(params=None):
     The state is species-major (all u, then v, then w), which makes the
     implicit Jacobian a single bandwidth-1 banded matrix. The variant alone
     sets the coefficients; the time-varying one modulates diffusion,
-    advection and reaction in t.
+    advection and reaction in t. Each callback fills one contiguous output
+    buffer: fF writes its three rows in place and scales them by r(t) in
+    one multiply, and fI and fE apply their stencils to the flat state;
+    each then zeroes the six species end points in one index write.
     """
     pr = params or BrusselatorParams()
     N = pr.N
@@ -127,34 +130,36 @@ def brusselator_problem(params=None):
     base = np.array([1.2, 3.1, 3.0]) if tv else np.array([a, b / a, b])
     y0 = (base[:, None] + 0.1 * np.sin(math.pi * x)).ravel()
 
-    # species-major state viewed as rows u, v, w
-    def lap(q):
-        out = np.zeros((3, N))
-        out[:, 1:-1] = (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / dx ** 2
-        return out
-
-    def adv(q):
-        out = np.zeros((3, N))
-        out[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2.0 * dx)
-        return out
+    # the stencils run over the flat state, across species boundaries too;
+    # the six species end points are then zeroed in one index write
+    ends = np.array([0, N - 1, N, 2 * N - 1, 2 * N, 3 * N - 1])
 
     def fI(t, y):
-        return (alpha_t(t) * lap(y.reshape(3, N))).ravel()
+        out = np.empty(3 * N)
+        out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx ** 2
+        out *= alpha_t(t)
+        out[ends] = 0.0
+        return out
 
     def fE(t, y):
-        return (rho_t(t) * adv(y.reshape(3, N))).ravel()
+        out = np.empty(3 * N)
+        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
+        out *= rho_t(t)
+        out[ends] = 0.0
+        return out
 
     def fF(t, y):
         u, v, w = y.reshape(3, N)
-        r = r_t(t)
         uuv = u * u * v
         wu = w * u
         out = np.empty((3, N))
-        out[0] = r * (a - (w - 1.0) * u + uuv)
-        out[1] = r * (wu - uuv)
-        out[2] = r * ((b - w) / eps - wu)
-        out[:, 0] = out[:, -1] = 0.0
-        return out.ravel()
+        out[0] = a - (w - 1.0) * u + uuv
+        out[1] = wu - uuv
+        out[2] = (b - w) / eps - wu
+        out *= r_t(t)
+        out = out.ravel()
+        out[ends] = 0.0
+        return out
 
     # band data of lap for each species (zero rows at the boundaries);
     # jacI scales it by alpha(t) > 0, which leaves its zeros +0.0

@@ -2,7 +2,8 @@
 
 Coefficients are stored as exact rationals so that order conditions and the
 bushy-tree quadrature conditions b^T c^k = 1/(k+1) can be verified with zero
-residual. A table's float view is built once, on first use.
+residual. A table's float view and the stage plans of its fast solves are
+built once, on first use.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ class ButcherTable:
 
     A is stored dense (strictly lower triangular for the shipped methods),
     b/c/bhat as tuples of Fractions. `order` and `emb_order` are the orders the
-    coefficients are certified to in certify().
+    coefficients are certified to in certify(). arrays() and plans are the
+    float forms solve_fast_ivp reads, each built on first use and cached.
     """
 
     name: str
@@ -69,6 +71,29 @@ class ButcherTable:
     def _arrays(self):
         bhat = None if self.bhat is None else _readonly(self.bhat)
         return _readonly(self.A), _readonly(self.b), _readonly(self.c), bhat
+
+    @cached_property
+    def plans(self):
+        """The stage plans of a fast solve, built once from the float view:
+        (fixed, embedded), embedded None without bhat. Each is
+        (stages, c, a, b, db): the stages a substep runs (in a fixed solve
+        up to the last one of nonzero weight b_q), their c_q as Python
+        floats, one tuple of the nonzero (r, a_qr) per stage q = 2..stages,
+        b, and b - bhat as a read-only array (None in a fixed solve).
+        """
+        A, b, c, bhat = self.arrays()
+
+        def plan(n, db):
+            a = tuple(tuple((r, float(A[q, r])) for r in range(q)
+                            if A[q, r] != 0.0) for q in range(1, n))
+            return n, tuple(c[:n].tolist()), a, b, db
+
+        fixed = plan(int(np.flatnonzero(b)[-1]) + 1, None)
+        if bhat is None:
+            return fixed, None
+        db = b - bhat
+        db.flags.writeable = False
+        return fixed, plan(len(b), db)
 
 
 def _dot(u, v):

@@ -3,8 +3,9 @@
 An MRISRTableau holds the slow abscissae c, the tendency-polynomial coefficient
 matrices Omega[0..n_omega-1], the implicit correction matrix Gamma, and
 (optionally) embedding rows. All entries are Fractions. The read-only
-`floats` view holds them as float arrays; it is built on first use and
-cached on the tableau, and it is the only place they are converted.
+`floats` view holds them as float arrays, and `stage_rows` holds the rows
+step() reads as tuples of Python floats taken from it; both are built on
+first use and cached on the tableau, the only place entries are converted.
 
 Stage i of a step integrates a fast IVP over [0, c_i*H] with forcing
 
@@ -18,6 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (DegenerateAbscissaeError, PreconditionError,
                      UnknownMethodError)
@@ -36,7 +39,8 @@ class MRISRTableau:
 
     omega is a tuple of n_omega s-by-s matrices (tuples of tuples of
     Fractions); gamma is s-by-s. emb_omega/emb_gamma, when present, are the
-    embedding rows (length s each, one omega row per k).
+    embedding rows (length s each, one omega row per k). The float forms
+    `floats` and `stage_rows` are cached on the frozen tableau.
     """
 
     name: str
@@ -71,6 +75,28 @@ class MRISRTableau:
             emb_gamma = _readonly(self.emb_gamma)
         return (_readonly(self.c), _readonly(self.omega),
                 _readonly(self.gamma), emb_omega, emb_gamma)
+
+    @cached_property
+    def stage_rows(self):
+        """The rows of one step, built once from the float view: one
+        (c_i, gamma_ii, omega, gamma) of Python floats per stage i = 2..s,
+        then, with an embedding, its row with c = 1 over the first s - 1
+        tendencies. omega holds the nonzero (k, j, Omega[k][i][j]) in order
+        of k, then j < i; gamma holds the nonzero (j, Gamma[i][j]), j < i.
+        """
+        c, omega, gamma, emb_omega, emb_gamma = self.floats
+        s = self.s
+        rows = [(c[i], gamma[i, i], omega[:, i, :i], gamma[i, :i])
+                for i in range(1, s)]
+        if self.has_embedding:
+            rows.append((1.0, emb_gamma[s - 1], emb_omega[:, :s - 1],
+                         emb_gamma[:s - 1]))
+        return tuple(
+            (float(ci), float(gii),
+             tuple((k, j, float(w)) for (k, j), w in np.ndenumerate(om)
+                   if w != 0.0),
+             tuple((j, float(g)) for j, g in enumerate(gam) if g != 0.0))
+            for ci, gii, om, gam in rows)
 
 
 def omega_row(rows, weight):

@@ -26,6 +26,27 @@ def test_fit_slope_recovers_synthetic_order():
     assert fit_slope([0.1], [1.0]) is None
 
 
+def test_fit_rows_skips_failed_unresolved_and_diverged_rows():
+    # SR43 on brusselator-201 has a k = 6 row that diverged without
+    # failing (maxError 96.1; the reference's max norm over the sample
+    # points is 66.05); fitted with the two resolved rows it read as a
+    # slope of 16
+    Hs = [0.1 * 2.0 ** (-k) for k in range(7)]
+    errs = [500.0 * H ** 4 for H in Hs]
+    rows = [dict(H=H, maxError=e, failed=0) for H, e in zip(Hs, errs)]
+    rows[0].update(maxError=96.1)              # diverged, not failed
+    rows[1].update(maxError=3.4)               # exactly at the ceiling
+    rows[2].update(maxError=math.nan, failed=1)
+    rows[3].update(maxError=math.inf)
+    rows[6].update(maxError=1e-9)              # below the floor
+    want = fit_slope(Hs[4:6], errs[4:6])
+    assert want == pytest.approx(4.0, abs=1e-10)
+    assert harness._fit_rows(rows, 1e-8, 3.4) == want
+    # the ceiling alone decides whether a large error is fitted
+    assert harness._fit_rows(rows, 1e-8, 100.0) != want
+    assert harness._fit_rows(rows[:5], 1e-8, 3.4) is None
+
+
 def test_default_inner_pairing():
     assert default_inner("imex-mri-sr21").name == "heun"
     assert default_inner("imex-mri-sr32").name == "bogacki-shampine"

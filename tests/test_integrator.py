@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from mrisr.errors import (FastSolveDivergence, PreconditionError,
-                          StepFailure)
+from mrisr import integrator
+from mrisr.errors import (FastSolveDivergence, NewtonFailure,
+                          PreconditionError, SingularMatrixError, StepFailure)
 from mrisr.integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
                               StepStats, integrate_fixed, solve_fast_ivp,
                               step)
-from mrisr.linalg import BandedMatrix
-from mrisr.rk import inner_method
+from mrisr.linalg import BandedMatrix, NewtonState, wrms
+from mrisr.rk import INNER_METHODS, inner_method
 from mrisr.tableau import BUILTIN_NAMES, load_builtin
 
 
@@ -192,6 +193,166 @@ def test_solve_fast_ivp_matches_reference_loop(monkeypatch, inner_name,
     assert errs == want_errs
     assert len(errs) == (n_sub if weighted and inner.bhat is not None else 0)
     assert stats.fast_f_evals == len(calls)
+
+
+def _reference_step_fast(p, coeffs, scale, tn, span, v0, f0, inner, n_sub,
+                         stats, err_weights=None):
+    """solve_fast_ivp as it was before the cached stage plans: the stage
+    structure rebuilt from inner.arrays() at every call, and theta and
+    tn + theta formed as numpy arrays."""
+    A, b, c, bhat = inner.arrays()
+    sF = len(b)
+    h = span / n_sub
+    v = np.array(v0, dtype=float)
+    want_err = err_weights is not None and bhat is not None
+    if want_err:
+        db = b - bhat
+        n_stages = sF
+    else:
+        n_stages = int(np.flatnonzero(b)[-1]) + 1
+    ch = (c[:n_stages] * h)[None, :]
+    errs = []
+    K = np.zeros((sF, len(v)))
+    ha = h * A
+    terms = [(K[q], [(K[r], ha[q, r]) for r in range(q) if A[q, r] != 0.0])
+             for q in range(1, n_stages)]
+    block = max(1, integrator._FORCING_BLOCK // (n_stages * len(v)))
+    calls = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m0 in range(0, n_sub, block):
+                m1 = min(n_sub, m0 + block)
+                theta = (np.arange(m0, m1)[:, None] * h + ch).ravel()
+                g = integrator._forcing(coeffs, scale, span, theta)
+                ts = (tn + theta).tolist()
+                j = 0
+                for m in range(m0, m1):
+                    f = f0 if m == 0 else p.fF(ts[j], v)
+                    np.add(f, g[j], out=K[0])
+                    for Kq, tq in terms:
+                        j += 1
+                        vq = v
+                        for Kr, a in tq:
+                            vq = vq + a * Kr
+                        np.add(p.fF(ts[j], vq), g[j], out=Kq)
+                    j += 1
+                    calls += n_stages - (m == 0)
+                    v = v + h * (b @ K)
+                    if not np.logical_and.reduce(np.isfinite(v)):
+                        raise FastSolveDivergence(
+                            f"non-finite fast state at substep "
+                            f"{m + 1}/{n_sub}")
+                    if want_err:
+                        errs.append(wrms(h * (db @ K), err_weights))
+    finally:
+        stats.fast_f_evals += calls
+    return v, errs
+
+
+def _reference_step(p, t, inner, yn, tn, H, M, stats, want_embedded=True,
+                    err_weights=None):
+    """step() as it was before the cached stage plans: the stage rows
+    sliced from t.floats at every call, with numpy-scalar coefficients."""
+    state = NewtonState()
+    c, omega, gamma, emb_omega, emb_gamma = t.floats
+    s = t.s
+    rows = [(c[i], omega[:, i, :i], gamma[i, :i], gamma[i, i])
+            for i in range(1, s)]
+    if want_embedded and t.has_embedding:
+        rows.append((1.0, emb_omega[:, :s - 1], emb_gamma[:s - 1],
+                     emb_gamma[s - 1]))
+    yn = np.asarray(yn, dtype=float)
+    Y = [yn]
+    fast_errs = []
+    fI = []
+    F = []
+    f0 = None
+    ts = tn
+    for i, (ci, om, gam, gii) in enumerate(rows, start=1):
+        if len(F) < len(gam):
+            fEj = np.asarray(p.fE(ts, Y[-1]), dtype=float)
+            fIj = np.asarray(p.fI(ts, Y[-1]), dtype=float)
+            stats.slow_e_evals += 1
+            stats.slow_i_evals += 1
+            fI.append(fIj)
+            F.append(fEj + fIj)
+        try:
+            if ci > 0.0:
+                coeffs = np.zeros((len(om), p.dim))
+                for k in range(len(om)):
+                    for j, w in enumerate(om[k]):
+                        if w != 0.0:
+                            coeffs[k] += w * F[j]
+                if f0 is None:
+                    f0 = p.fF(tn, yn)
+                    stats.fast_f_evals += 1
+                n_i = max(1, math.ceil(ci * M))
+                v, errs = _reference_step_fast(p, coeffs, 1.0 / ci, tn,
+                                               ci * H, yn, f0, inner, n_i,
+                                               stats, err_weights)
+                fast_errs += errs
+            else:
+                v = yn.copy()
+            base = v
+            for j, g in enumerate(gam):
+                if g != 0.0:
+                    base = base + (H * g) * fI[j]
+            ts = tn + ci * H
+            Yi = integrator.implicit_stage_solve(p, base, gii, ts, H, stats,
+                                                 state, NewtonConfig())
+        except (FastSolveDivergence, NewtonFailure,
+                SingularMatrixError) as e:
+            where = f"stage {i + 1}" if i < s else "embedding pass"
+            raise StepFailure(f"{where}: {e}") from e
+        Y.append(Yi)
+    yhat = Y[s] if len(Y) > s else None
+    return Y[s - 1], yhat, fast_errs
+
+
+def _outcome(run):
+    """(y1 bytes, yhat bytes, fast errors) of a step, or its failure."""
+    try:
+        y1, yhat, errs = run()
+    except StepFailure as e:
+        return "failed", str(e)
+    return y1.tobytes(), None if yhat is None else yhat.tobytes(), errs
+
+
+# (H, M) of a step every pair takes, and of one that fails for some pairs
+_STEP_SIZES = {"kpr": ((0.04, 3), (0.5, 1)),
+               "brusselator-tv-101": ((2e-3, 4), (0.05, 1))}
+
+
+@pytest.mark.parametrize("problem", sorted(_STEP_SIZES))
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_step_matches_reference_step(name, problem):
+    # the cached stage rows and inner plans change no bit of y1, yhat or
+    # the fast error norms, nor any counter, nor the failure of a step
+    # that fails
+    from mrisr.problems import make_problem
+    p = make_problem(problem)
+    t = load_builtin(name)
+    y0 = np.array(p.y0, dtype=float) * 1.01
+    w = 1.0 / (1e-3 * (1.0 + np.abs(y0)))
+    outcomes = []
+    for inner_name in INNER_METHODS:
+        inner = inner_method(inner_name)
+        for H, M in _STEP_SIZES[problem]:
+            for embedded in (False, True):
+                kw = dict(want_embedded=embedded,
+                          err_weights=w if embedded else None)
+                want_stats, stats = StepStats(), StepStats()
+                # a diverging Newton update overflows its norm on the way
+                # to the failure both sides report
+                with np.errstate(over="ignore"):
+                    want = _outcome(lambda: _reference_step(
+                        p, t, inner, y0, 0.1, H, M, want_stats, **kw))
+                    got = _outcome(lambda: step(p, t, inner, y0, 0.1, H, M,
+                                                stats=stats, **kw))
+                assert got == want, (inner_name, H, M, embedded)
+                assert stats == want_stats
+                outcomes.append(want[0] == "failed")
+    assert not all(outcomes)
 
 
 def test_step_stats_counts():

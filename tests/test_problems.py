@@ -103,6 +103,82 @@ def test_direct_tv_brusselator_equals_registry():
         assert pd.jacI(t, y).data.tobytes() == pr.jacI(t, y).data.tobytes()
 
 
+def _reference_brusselator(N, variant):
+    """The brusselator fF, fE and fI as first written: the state viewed as
+    rows u, v, w, the stencils on interior columns, and every row of fF
+    scaled by r(t) on its own; kept as the bitwise reference for the
+    callbacks on contiguous buffers."""
+    tv = variant == "time-varying"
+    a, b, eps = {"fixed": (0.6, 2.0, 1e-2),
+                 "time-varying": (1.0, 3.5, 1e-3)}[variant]
+    dx = 1.0 / (N - 1)
+
+    def coef(fixed):
+        return lambda t: 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else fixed
+
+    alpha_t, rho_t = coef(1e-2), coef(1e-3)
+
+    def r_t(t):
+        return 0.6 + 0.5 * math.cos(4.0 * math.pi * t) if tv else 1.0
+
+    def lap(q):
+        out = np.zeros((3, N))
+        out[:, 1:-1] = (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / dx ** 2
+        return out
+
+    def adv(q):
+        out = np.zeros((3, N))
+        out[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2.0 * dx)
+        return out
+
+    def fI(t, y):
+        return (alpha_t(t) * lap(y.reshape(3, N))).ravel()
+
+    def fE(t, y):
+        return (rho_t(t) * adv(y.reshape(3, N))).ravel()
+
+    def fF(t, y):
+        u, v, w = y.reshape(3, N)
+        r = r_t(t)
+        uuv = u * u * v
+        wu = w * u
+        out = np.empty((3, N))
+        out[0] = r * (a - (w - 1.0) * u + uuv)
+        out[1] = r * (wu - uuv)
+        out[2] = r * ((b - w) / eps - wu)
+        out[:, 0] = out[:, -1] = 0.0
+        return out.ravel()
+
+    return dict(fF=fF, fE=fE, fI=fI)
+
+
+@pytest.mark.parametrize("N,variant", [(201, "fixed"),
+                                       (101, "time-varying"),
+                                       (3, "fixed")])
+def test_brusselator_callbacks_match_reference_bitwise(N, variant):
+    # the same operations per element on contiguous buffers give the same
+    # bits, also where NaN or +-inf sit at interior points or end points
+    p = brusselator_problem(BrusselatorParams(N=N, variant=variant))
+    ref = _reference_brusselator(N, variant)
+    ends = [0, N - 1, N, 2 * N - 1, 2 * N, 3 * N - 1]
+    rng = np.random.default_rng(N)
+    bad = [math.nan, math.inf, -math.inf]
+    for trial in range(24):
+        y = p.y0 * (1.0 + 0.5 * rng.standard_normal(p.dim))
+        if trial % 3 == 1:
+            at = rng.choice([i for i in range(p.dim) if i not in ends],
+                            size=min(3, p.dim - 6), replace=False)
+            y[at] = bad[:len(at)]
+        elif trial % 3 == 2:
+            y[ends] = rng.permutation(bad + bad)
+        for t in (0.0, 0.37, 1.3, 2.75):
+            with np.errstate(all="ignore"):
+                for f in ("fF", "fE", "fI"):
+                    got = getattr(p, f)(t, y)
+                    assert got.tobytes() == ref[f](t, y).tobytes(), \
+                        (trial, t, f)
+
+
 def test_brusselator_boundaries_are_stationary():
     p = brusselator_problem(BrusselatorParams(N=15))
     N = 15

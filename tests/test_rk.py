@@ -96,6 +96,40 @@ def test_arrays_are_floats():
         b[0] = 0.0
 
 
+@pytest.mark.parametrize("name", sorted(INNER_METHODS))
+def test_stage_plans_are_the_float_view(name):
+    # (fixed, embedded): the stages run, their c, every nonzero a_qr in
+    # order and no zero, b, and b - bhat for the embedded mode
+    table = INNER_METHODS[name]
+    A, b, c, bhat = table.arrays()
+    plans = table.plans
+    assert table.plans is plans  # built once
+    assert type(plans) is tuple and len(plans) == 2
+    last = max(q for q in range(len(b)) if b[q] != 0.0) + 1
+    modes = [(plans[0], last, None)]
+    if bhat is None:
+        assert plans[1] is None
+    else:
+        modes.append((plans[1], len(b), b - bhat))
+    for plan, n, db in modes:
+        stages, cs, a, pb, pdb = plan
+        assert type(plan) is tuple and stages == n
+        assert cs == tuple(float(x) for x in c[:n])
+        assert a == tuple(tuple((r, A[q, r]) for r in range(q)
+                                if A[q, r] != 0.0) for q in range(1, n))
+        assert all(type(aq) is tuple and type(x) is float and x != 0.0
+                   for aq in a for _, x in aq)
+        assert pb is b
+        if db is None:
+            assert pdb is None
+        else:
+            assert pdb.tobytes() == db.tobytes()
+            with pytest.raises(ValueError):
+                pdb[0] = 0.0
+    with pytest.raises(TypeError):
+        plans[0][2][0] = ()
+
+
 @given(st.sampled_from(sorted(INNER_METHODS)))
 def test_all_inner_methods_certify(name):
     certify(INNER_METHODS[name])

@@ -159,6 +159,37 @@ def test_float_view_is_exact_and_read_only(name):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stage_rows_are_the_float_view(name):
+    # one row per stage i = 2..s, then the embedding row; each lists every
+    # nonzero of the float view in order, and no zero
+    t = load_builtin(name)
+    c, omega, gamma, emb_omega, emb_gamma = t.floats
+    s = t.s
+    want = [(c[i], gamma[i, i], omega[:, i, :i], gamma[i, :i])
+            for i in range(1, s)]
+    if t.has_embedding:
+        want.append((1.0, emb_gamma[s - 1], emb_omega[:, :s - 1],
+                     emb_gamma[:s - 1]))
+    rows = t.stage_rows
+    assert len(rows) == len(want)
+    for (ci, gii, om, gam), (wc, wg, wom, wgam) in zip(rows, want):
+        assert (ci, gii) == (wc, wg)
+        assert om == tuple((k, j, wom[k, j]) for k in range(t.n_omega)
+                           for j in range(wom.shape[1]) if wom[k, j] != 0.0)
+        assert gam == tuple((j, g) for j, g in enumerate(wgam) if g != 0.0)
+        assert all(w != 0.0 for _, _, w in om)
+        assert all(type(x) is float for x in (ci, gii)
+                   + tuple(w for _, _, w in om) + tuple(g for _, g in gam))
+    # built once, and made of tuples, so no caller can change it
+    assert t.stage_rows is rows
+    assert type(rows) is tuple
+    assert all(type(r) is tuple and type(r[2]) is tuple
+               and type(r[3]) is tuple for r in rows)
+    with pytest.raises(TypeError):
+        rows[0][2][0] = (0, 0, 1.0)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_json_roundtrip(name, tmp_path):
     t = load_builtin(name)
     path = tmp_path / f"{name}.json"
