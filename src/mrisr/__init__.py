@@ -16,9 +16,8 @@ from .problems import (BrusselatorParams, PROBLEMS, brusselator_problem,
 from .rk import ButcherTable, INNER_METHODS, inner_method
 from .stability import (RegionScan, SectorSpec, scan_component_region,
                         scan_joint_region, stability_value)
-from .tableau import (BUILTIN_NAMES, MRISRTableau, build_merk_tableau,
-                      load_builtin, load_tableau, save_tableau,
-                      validate_structure)
+from .tableau import (BUILTIN_NAMES, MRISRTableau, load_builtin,
+                      load_tableau, save_tableau, validate_structure)
 from .theory import (base_ark, assemble_gark, c_statistic,
                      check_ark_order, check_coupling_order,
                      check_internal_consistency, method_order)

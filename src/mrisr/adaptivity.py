@@ -63,7 +63,8 @@ def estimate_slow_error(y1, yhat, atol, rtol):
     """WRMS norm of y1 - yhat with weights 1/(atol + rtol*max(|y1|, |yhat|)).
 
     With atol/rtol set to the slow tolerance, 1.0 means at-tolerance.
-    Returns inf when the difference has non-finite components.
+    Returns inf when the difference has non-finite components, or when the
+    norm overflows.
     """
     y1 = np.asarray(y1, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
@@ -72,7 +73,8 @@ def estimate_slow_error(y1, yhat, atol, rtol):
         return math.inf
     w = 1.0 / (np.asarray(atol, dtype=float)
                + rtol * np.maximum(np.abs(y1), np.abs(yhat)))
-    return wrms(diff, w)
+    with np.errstate(over="ignore"):
+        return wrms(diff, w)
 
 
 def accumulate_fast_error(fast_errs):

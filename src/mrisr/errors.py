@@ -1,9 +1,8 @@
 """Exception hierarchy for the mrisr package."""
 
-__all__ = ["MRISRError", "UnknownMethodError", "DegenerateAbscissaeError",
-           "PreconditionError", "DegenerateEmbeddingError",
-           "SingularMatrixError", "NewtonFailure", "FastSolveDivergence",
-           "StepFailure", "StepSizeUnderflow"]
+__all__ = ["MRISRError", "UnknownMethodError", "PreconditionError",
+           "DegenerateEmbeddingError", "SingularMatrixError", "NewtonFailure",
+           "FastSolveDivergence", "StepFailure", "StepSizeUnderflow"]
 
 
 class MRISRError(Exception):
@@ -12,10 +11,6 @@ class MRISRError(Exception):
 
 class UnknownMethodError(MRISRError, KeyError):
     """Requested method or problem name is not in the registry."""
-
-
-class DegenerateAbscissaeError(MRISRError):
-    """Coincident abscissae appear in a denominator of a generator formula."""
 
 
 class PreconditionError(MRISRError, ValueError):

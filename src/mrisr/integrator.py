@@ -55,9 +55,9 @@ class SplitIVP:
 
 @dataclass
 class StepStats:
-    """Cost counters. linear_solves counts LU back-solves, one per Newton
-    iteration, so it equals newton_iters; it stays because the harness
-    rows (RUN_KEYS), their CSV columns and the benchmark's counters read it.
+    """Cost counters. newton_iters counts Newton iterations, one LU
+    back-solve each; as_dict() also gives it as linearSolves, the key the
+    harness rows (RUN_KEYS), their CSV columns and the benchmark read.
     jacobian_evals counts Jacobian evaluations, analytic or by finite
     differences, one per implicit stage; factorizations counts the LU
     factorizations made, fewer when a stage matrix is reused.
@@ -68,7 +68,6 @@ class StepStats:
     slow_i_evals: int = 0
     implicit_solves: int = 0
     newton_iters: int = 0
-    linear_solves: int = 0
     jacobian_evals: int = 0
     factorizations: int = 0
 
@@ -77,7 +76,7 @@ class StepStats:
                     slowIEvals=self.slow_i_evals,
                     implicitSolves=self.implicit_solves,
                     newtonIters=self.newton_iters,
-                    linearSolves=self.linear_solves,
+                    linearSolves=self.newton_iters,
                     jacobianEvals=self.jacobian_evals,
                     factorizations=self.factorizations)
 

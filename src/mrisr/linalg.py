@@ -147,31 +147,34 @@ def newton_solve(residual, fac, guess, stats, atol=1e-12, rtol=1e-10,
     Each later update k stores theta/(1 - theta) in state.eta, theta =
     |delta_k|/|delta_(k-1)| (inf when theta >= 1). state is the run's
     NewtonState, a fresh one when None. Each iteration adds one to
-    `stats.newton_iters` and `stats.linear_solves`, so a solve that fails
-    still counts the iterations it spent. Returns the root.
+    `stats.newton_iters`, so a solve that fails still counts the
+    iterations it spent. Returns the root.
     """
     state = state or NewtonState()
     x = np.array(guess, dtype=float)
     weights = 1.0 / (atol + rtol * np.abs(x))
     eta0 = max(state.eta, _UROUND) ** 0.8
     prev = None
-    for _ in range(max_iter):
-        f = np.asarray(residual(x), dtype=float)
-        if not np.logical_and.reduce(np.isfinite(f)):
-            raise NewtonFailure("non-finite residual during Newton iteration")
-        delta = fac.solve(-f)
-        x = x + delta
-        stats.newton_iters += 1
-        stats.linear_solves += 1
-        if not np.logical_and.reduce(np.isfinite(x)):
-            raise NewtonFailure("Newton iteration diverged")
-        norm = wrms(delta, weights)
-        if prev is not None:
-            theta = norm / prev
-            state.eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
-        elif eta0 * norm <= 1.0:
-            return x
-        if norm <= 1.0:
-            return x
-        prev = norm
+    # a diverging iteration is reported below, so the numpy warnings on
+    # the way there (an update norm that overflows) are suppressed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            f = np.asarray(residual(x), dtype=float)
+            if not np.logical_and.reduce(np.isfinite(f)):
+                raise NewtonFailure(
+                    "non-finite residual during Newton iteration")
+            delta = fac.solve(-f)
+            x = x + delta
+            stats.newton_iters += 1
+            if not np.logical_and.reduce(np.isfinite(x)):
+                raise NewtonFailure("Newton iteration diverged")
+            norm = wrms(delta, weights)
+            if prev is not None:
+                theta = norm / prev
+                state.eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
+            elif eta0 * norm <= 1.0:
+                return x
+            if norm <= 1.0:
+                return x
+            prev = norm
     raise NewtonFailure(f"no convergence in {max_iter} Newton iterations")

@@ -41,32 +41,37 @@ def kpr_problem():
     Lambda mixes the components. fF carries row 1 of Lambda*g plus the fast
     forcing term -beta sin(beta t)/(2u), fI carries row 2, and fE the slow
     forcing -sin(t)/(2v), so that fF + fE + fI equals the full right-hand
-    side. The parameters are the module constants KPR_*.
+    side. The parameters are the module constants KPR_*. The callbacks
+    unpack the state with y.tolist() and do their arithmetic on Python
+    floats, the IEEE operations of numpy scalars at a fraction of the
+    cost; a zero u or v therefore raises ZeroDivisionError.
     """
     lamF, lamS = KPR_LAMBDA_F, KPR_LAMBDA_S
     L12 = (1.0 - KPR_EPS) / KPR_ALPHA * (lamF - lamS)
     L21 = -KPR_ALPHA * KPR_EPS * (lamF - lamS)
     beta = KPR_BETA
 
-    def g(t, y):
-        u, v = y
+    def g(t, u, v):
         return ((-3.0 + u * u - math.cos(beta * t)) / (2.0 * u),
                 (-2.0 + v * v - math.cos(t)) / (2.0 * v))
 
     def fF(t, y):
-        g1, g2 = g(t, y)
+        u, v = y.tolist()
+        g1, g2 = g(t, u, v)
         return np.array([lamF * g1 + L12 * g2
-                         - beta * math.sin(beta * t) / (2.0 * y[0]), 0.0])
+                         - beta * math.sin(beta * t) / (2.0 * u), 0.0])
 
     def fI(t, y):
-        g1, g2 = g(t, y)
+        u, v = y.tolist()
+        g1, g2 = g(t, u, v)
         return np.array([0.0, L21 * g1 + lamS * g2])
 
     def fE(t, y):
-        return np.array([0.0, -math.sin(t) / (2.0 * y[1])])
+        _, v = y.tolist()
+        return np.array([0.0, -math.sin(t) / (2.0 * v)])
 
     def jacI(t, y):
-        u, v = y
+        u, v = y.tolist()
         dg1 = 0.5 + (3.0 + math.cos(beta * t)) / (2.0 * u * u)
         dg2 = 0.5 + (2.0 + math.cos(t)) / (2.0 * v * v)
         return np.array([[0.0, 0.0], [L21 * dg1, lamS * dg2]])

@@ -22,13 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateAbscissaeError, PreconditionError,
-                     UnknownMethodError)
+from .errors import PreconditionError, UnknownMethodError
 from .rk import _fmat, _fvec, _readonly
 
 __all__ = [
-    "MRISRTableau", "load_builtin", "build_merk_tableau", "omega_bar",
-    "omega_row", "validate_structure", "tableau_to_dict", "tableau_from_dict",
+    "MRISRTableau", "load_builtin", "omega_bar", "omega_row",
+    "validate_structure", "tableau_to_dict", "tableau_from_dict",
     "save_tableau", "load_tableau", "BUILTIN_NAMES",
 ]
 
@@ -287,7 +286,8 @@ def _merk_omegas(c, groups):
                    / (c_j * prod_{l != j}(c_j - c_l)),
 
     and omega_{i,1} absorbing minus the row sum (so each Omega[k] row sums to
-    zero for k >= 1 and to c_i for k = 0 automatically).
+    zero for k >= 1 and to c_i for k = 0 automatically). The node abscissae
+    of every group are nonzero and distinct, so no denominator vanishes.
     """
     s = len(c)
     nk = 1 + max((len(v) for v in groups.values()), default=0)
@@ -298,15 +298,9 @@ def _merk_omegas(c, groups):
         for j in nodes:
             num = [Fraction(0), c[i]]
             den = c[j]
-            if den == 0:
-                raise DegenerateAbscissaeError(
-                    f"stage {j + 1} abscissa is zero but used as a node")
             for l in nodes:
                 if l == j:
                     continue
-                if c[j] == c[l]:
-                    raise DegenerateAbscissaeError(
-                        f"coincident abscissae c{j + 1} = c{l + 1}")
                 num = _poly_mul(num, [-c[l], c[i]])
                 den *= c[j] - c[l]
             M = [x / den for x in num]
@@ -329,6 +323,9 @@ _MERK_GROUPS = {
         7: (4, 5, 6), 8: (4, 5, 6), 9: (4, 5, 6), 10: (7, 8, 9)},
 }
 
+# merk4's c6 = (3 - 4 c5)/(4 - 6 c5) and merk5's
+# c9 = (12 - 15 c10 - 15 c8 + 20 c10 c8)/(15 - 20 c10 - 20 c8 + 30 c10 c8):
+# the abscissa restrictions of their nominal orders
 _MERK_DEFAULT_C = {
     2: _fvec([0, "1/2", 1]),
     3: _fvec([0, "1/2", "2/3", 1]),
@@ -338,51 +335,13 @@ _MERK_DEFAULT_C = {
 }
 
 
-def _merk_constraint_ok(order, c):
-    """Abscissa restriction needed for the method's nominal order."""
-    if order == 4:
-        c5, c6 = c[4], c[5]
-        if 4 - 6 * c5 == 0:
-            raise DegenerateAbscissaeError("c5 makes the c6 formula singular")
-        return c6 == (3 - 4 * c5) / (4 - 6 * c5)
-    if order == 5:
-        c8, c9, c10 = c[7], c[8], c[9]
-        den = 15 - 20 * c10 - 20 * c8 + 30 * c10 * c8
-        if den == 0:
-            raise DegenerateAbscissaeError("c8/c10 make the c9 formula singular")
-        return c9 == (12 - 15 * c10 - 15 * c8 + 20 * c10 * c8) / den
-    return True
-
-
-def _make_merk(order, c=None, name=None):
-    if c is None:
-        c = _MERK_DEFAULT_C[order]
-    else:
-        c = _fvec(c)
-        if len(c) != len(_MERK_DEFAULT_C[order]):
-            raise DegenerateAbscissaeError(
-                f"merk{order} needs {len(_MERK_DEFAULT_C[order])} abscissae")
-        if c[0] != 0:
-            raise DegenerateAbscissaeError("c1 must be 0")
+def _make_merk(order):
+    """merkN from its fixed abscissae _MERK_DEFAULT_C[N]."""
+    c = _MERK_DEFAULT_C[order]
     omegas = _merk_omegas(list(c), _MERK_GROUPS[order])
     s = len(c)
     gamma = tuple(tuple(Fraction(0) for _ in range(s)) for _ in range(s))
-    return MRISRTableau(name=name or f"merk{order}", c=c, omega=omegas,
-                        gamma=gamma)
-
-
-def build_merk_tableau(order, c=None):
-    """Construct a MERK tableau of nominal order 4 or 5 for given abscissae.
-
-    Returns (tableau, constraint_satisfied), where the flag reports whether
-    the abscissa restriction required for the nominal order holds (c6 formula
-    for order 4, c9 formula for order 5). The tableau is still returned when
-    the constraint fails; it is then only third-order.
-    """
-    if order not in (4, 5):
-        raise ValueError("build_merk_tableau supports orders 4 and 5")
-    t = _make_merk(order, c)
-    return t, _merk_constraint_ok(order, t.c)
+    return MRISRTableau(name=f"merk{order}", c=c, omega=omegas, gamma=gamma)
 
 
 _BUILTINS = {
@@ -394,6 +353,7 @@ _BUILTINS = {
 BUILTIN_NAMES = ("imex-mri-sr21", "imex-mri-sr32", "imex-mri-sr43",
                  "merk2", "merk3", "merk4", "merk5")
 
+# the MERK tableaux are built on first use (about 3 ms of Fraction work)
 _merk_cache = {}
 
 
@@ -403,7 +363,7 @@ def load_builtin(name):
         return _BUILTINS[name]
     if name in ("merk2", "merk3", "merk4", "merk5"):
         if name not in _merk_cache:
-            _merk_cache[name] = _make_merk(int(name[-1]), name=name)
+            _merk_cache[name] = _make_merk(int(name[-1]))
         return _merk_cache[name]
     raise UnknownMethodError(
         f"unknown method {name!r}; have {list(BUILTIN_NAMES)}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,10 @@ def test_estimate_slow_error_pins():
     e = estimate_slow_error([2.0], [2.2], 0.0, 0.1)
     assert e == pytest.approx(0.2 / 0.22, rel=1e-14)
     assert estimate_slow_error([1.0], [math.nan], 1.0, 0.0) == math.inf
+    # a finite difference whose norm overflows, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_slow_error([1e300], [-1e300], 1.0, 0.0) == math.inf
 
 
 def test_accumulate_fast_error():

@@ -38,6 +38,54 @@ def test_kpr_initial_and_final_values():
     assert vT == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
+def _reference_kpr():
+    """The KPR callbacks as first written, on the numpy scalars that
+    unpacking an array gives; kept as the bitwise reference for the
+    callbacks on Python floats."""
+    lamF, lamS = problems.KPR_LAMBDA_F, problems.KPR_LAMBDA_S
+    L12 = (1.0 - problems.KPR_EPS) / problems.KPR_ALPHA * (lamF - lamS)
+    L21 = -problems.KPR_ALPHA * problems.KPR_EPS * (lamF - lamS)
+    beta = problems.KPR_BETA
+
+    def g(t, y):
+        u, v = y
+        return ((-3.0 + u * u - math.cos(beta * t)) / (2.0 * u),
+                (-2.0 + v * v - math.cos(t)) / (2.0 * v))
+
+    def fF(t, y):
+        g1, g2 = g(t, y)
+        return np.array([lamF * g1 + L12 * g2
+                         - beta * math.sin(beta * t) / (2.0 * y[0]), 0.0])
+
+    def fI(t, y):
+        g1, g2 = g(t, y)
+        return np.array([0.0, L21 * g1 + lamS * g2])
+
+    def fE(t, y):
+        return np.array([0.0, -math.sin(t) / (2.0 * y[1])])
+
+    def jacI(t, y):
+        u, v = y
+        dg1 = 0.5 + (3.0 + math.cos(beta * t)) / (2.0 * u * u)
+        dg2 = 0.5 + (2.0 + math.cos(t)) / (2.0 * v * v)
+        return np.array([[0.0, 0.0], [L21 * dg1, lamS * dg2]])
+
+    return dict(fF=fF, fE=fE, fI=fI, jacI=jacI)
+
+
+def test_kpr_callbacks_match_numpy_scalar_reference_bitwise():
+    p = kpr_problem()
+    ref = _reference_kpr()
+    rng = np.random.default_rng(11)
+    states = [np.array([-1.3, 0.8]), np.array([2.1, -0.4])]
+    states += [rng.uniform(-3.0, 3.0, 2) for _ in range(400)]
+    for y in states:
+        t = rng.uniform(0.0, 5.0 * math.pi / 2.0)
+        for f in ("fF", "fE", "fI", "jacI"):
+            assert getattr(p, f)(t, y).tobytes() == ref[f](t, y).tobytes(), \
+                (y, t, f)
+
+
 def _fd_jac(f, t, y, h=1e-7):
     n = len(y)
     J = np.zeros((n, n))

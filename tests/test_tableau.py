@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mrisr.errors import (DegenerateAbscissaeError, PreconditionError,
-                          UnknownMethodError)
+from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.integrator import _forcing
-from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, build_merk_tableau,
-                           load_builtin, load_tableau, omega_bar,
-                           save_tableau, tableau_from_dict, tableau_to_dict,
+from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, load_builtin,
+                           load_tableau, omega_bar, save_tableau,
+                           tableau_from_dict, tableau_to_dict,
                            validate_structure)
 
 F = Fraction
@@ -85,29 +84,6 @@ def test_merk4_printed_final_row():
     nz = [j for j, x in enumerate(t.omega[1][6]) if x != 0]
     assert nz == [0, 4, 5]
     assert t.omega[2][6][5] == -6
-
-
-def test_build_merk_constraint_flag():
-    t, ok = build_merk_tableau(4)
-    assert ok
-    # break the c6 restriction
-    c = list(t.c)
-    c[5] = F(2, 5)
-    t2, ok2 = build_merk_tableau(4, c)
-    assert not ok2
-    assert validate_structure(t2) == []
-
-
-def test_build_merk_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_merk_tableau(3)
-    t = load_builtin("merk4")
-    with pytest.raises(DegenerateAbscissaeError):
-        build_merk_tableau(4, list(t.c)[:-1])
-    c = list(t.c)
-    c[0] = F(1, 10)
-    with pytest.raises(DegenerateAbscissaeError):
-        build_merk_tableau(4, c)
 
 
 def test_structure_findings_for_corrupt_tableau():
