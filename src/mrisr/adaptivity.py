@@ -142,8 +142,9 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     step (see accumulate_fast_error). The controller uses the default
     ControllerState for the method orders. Steps are truncated to hit
     sample points and tEnd exactly. PreconditionError (a ValueError)
-    unless both methods carry an embedding, M0 is a positive integer and
-    every sample point lies in (t0, tEnd]; it is the only exception raised.
+    unless both methods carry an embedding, M0 is a positive integer, tol
+    and H0 (when given) are positive and finite, and every sample point
+    lies in (t0, tEnd]; it is the only exception raised.
     StepSizeUnderflow, more than MAX_REJECTS (30) rejections of one step
     and OSCILLATION_CAP (50) consecutive accept/reject alternations end the
     run with a partial record and the failed flag set. Every attempted step
@@ -157,6 +158,12 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
             f"inner method {inner.name!r} has no embedding")
     if not isinstance(M0, numbers.Integral) or M0 < 1:
         raise PreconditionError(f"M0 = {M0!r} is not a positive integer")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tol = {tol!r} is not a positive finite "
+                                "number")
+    if H0 is not None and not 0.0 < H0 < math.inf:
+        raise PreconditionError(f"H0 = {H0!r} is not a positive finite "
+                                "number")
     targets = sorted(set(list(sample_points or []) + [tEnd]))
     if any(x <= p.t0 or x > tEnd for x in targets):
         raise PreconditionError("sample points must lie in (t0, tEnd]")

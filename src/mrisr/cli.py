@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: verify, converge, efficiency, adaptive, stability,
-list-methods. A JSON config file can set any flag; explicit flags win, and
-a key that names no flag is a usage error.
+list-methods. Each takes only the flags it reads (_SUBCOMMAND_FLAGS); any
+other flag is a usage error. A JSON config file can set any of them;
+explicit flags win, and a key that names no flag of the subcommand is a
+usage error.
 Exit codes: 0 all runs completed, 2 some rows failed, 1 usage error.
 """
 
@@ -29,21 +31,44 @@ _ROW_KEYS = {
 _FLAG_FIELDS = {"m": "M", "tol": "tols", "json": "json_out"}
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file of defaults for any flag")
-    sp.add_argument("--method", action="append", default=None,
-                    help="method name (repeatable, or comma-separated)")
-    sp.add_argument("--inner", action="append", default=None,
-                    help="inner RK: NAME for all methods or METHOD=NAME")
-    sp.add_argument("--problem", default=None)
-    sp.add_argument("--H0", type=float, default=None)
-    sp.add_argument("--kmin", type=int, default=None)
-    sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None, help="fast substeps M")
-    sp.add_argument("--tol", action="append", type=float, default=None)
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--json", action="store_true", default=None,
-                    help="emit JSON to stdout instead of a table")
+# every flag a subcommand may take: (argparse name, keyword arguments)
+_FLAGS = {
+    "method": ("--method", dict(
+        action="append", help="method name (repeatable, or comma-separated)")),
+    "inner": ("--inner", dict(
+        action="append", help="inner RK: NAME for all methods or METHOD=NAME")),
+    "problem": ("--problem", {}),
+    "H0": ("--H0", dict(type=float)),
+    "kmin": ("--kmin", dict(type=int)),
+    "kmax": ("--kmax", dict(type=int)),
+    "m": ("--m", dict(type=int, help="fast substeps M")),
+    "tol": ("--tol", dict(action="append", type=float)),
+    "out": ("--out", dict(help="output directory")),
+    "json": ("--json", dict(action="store_true",
+                            help="emit JSON to stdout instead of a table")),
+    "which": ("--which", dict(choices=["E", "I"])),
+    "joint": ("--joint", dict(action="store_true")),
+    "alpha": ("--alpha", dict(type=float)),
+    "rho": ("--rho", dict(type=float)),
+    "beta": ("--beta", dict(type=float)),
+    "xi": ("--xi", dict(type=float)),
+    "window": ("--window", dict(help="re0,re1,im0,im1 (default -8,0.5,-6,6)")),
+    "res": ("--res", dict(help="NRExNIM (default 48x48)")),
+}
+
+# the flags each subcommand reads; any other flag is a usage error. H0 is
+# the base of converge's H schedule and the first step of adaptive runs;
+# efficiency's schedule has a fixed base.
+_RUN_FLAGS = ("method", "inner", "problem", "m", "out", "json")
+_SUBCOMMAND_FLAGS = {
+    "verify": ("method", "json"),
+    "converge": (*_RUN_FLAGS, "H0", "kmin", "kmax"),
+    "efficiency": (*_RUN_FLAGS, "kmin", "kmax"),
+    "adaptive": (*_RUN_FLAGS, "H0", "tol"),
+    "stability": ("method", "out", "which", "joint", "alpha", "rho", "beta",
+                  "xi", "window", "res"),
+    "list-methods": (),
+}
 
 
 def _build_parser():
@@ -51,20 +76,14 @@ def _build_parser():
         prog="mrisr",
         description="Multirate IMEX integration experiments")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("verify", "converge", "efficiency", "adaptive"):
-        _add_common(sub.add_parser(name))
-    st = sub.add_parser("stability")
-    _add_common(st)
-    st.add_argument("--which", choices=["E", "I"], default=None)
-    st.add_argument("--joint", action="store_true", default=None)
-    st.add_argument("--alpha", type=float, default=None)
-    st.add_argument("--rho", type=float, default=None)
-    st.add_argument("--beta", type=float, default=None)
-    st.add_argument("--xi", type=float, default=None)
-    st.add_argument("--window", default=None,
-                    help="re0,re1,im0,im1 (default -8,0.5,-6,6)")
-    st.add_argument("--res", default=None, help="NRExNIM (default 48x48)")
-    sub.add_parser("list-methods")
+    for name, flags in _SUBCOMMAND_FLAGS.items():
+        sp = sub.add_parser(name)
+        if flags:
+            sp.add_argument("--config",
+                            help="JSON file of defaults for any flag")
+        for flag in flags:
+            opt, kw = _FLAGS[flag]
+            sp.add_argument(opt, default=None, **kw)
     return ap
 
 

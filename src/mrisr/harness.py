@@ -4,6 +4,7 @@ exports, and adaptive runs, with CSV output and JSON config sidecars."""
 import csv
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -58,6 +59,10 @@ def default_inner(method_name):
     return inner_method(_DEFAULT_INNER[method_name])
 
 
+def _positive_finite(x):
+    return isinstance(x, numbers.Real) and 0.0 < x < math.inf
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -90,6 +95,15 @@ class ExperimentConfig:
                              f"problems: {', '.join(sorted(PROBLEMS))}")
         if self.kmin > self.kmax:
             raise ValueError("kmin > kmax")
+        if self.H0 is not None and not _positive_finite(self.H0):
+            raise PreconditionError(
+                f"H0 = {self.H0!r} is not a positive finite number")
+        if self.tols is not None and not isinstance(self.tols, (list, tuple)):
+            raise PreconditionError(f"tols = {self.tols!r} is not a list")
+        for tol in self.tols or ():
+            if not _positive_finite(tol):
+                raise PreconditionError(
+                    f"tol = {tol!r} is not a positive finite number")
 
     def inner_for(self, method):
         if method in self.inner:
@@ -240,7 +254,8 @@ def run_efficiency(cfg):
 def run_adaptive(cfg):
     """Adaptive runs over a tolerance schedule; reports achieved max error.
 
-    Both the slow method and its inner method need an embedding. Before any
+    cfg.H0, when set, is every run's first step. Both the slow method and
+    its inner method need an embedding. Before any
     run starts, PreconditionError names a method without one, and an inner
     method without one that cfg.inner asks for. A default pairing without
     one (heun, for imex-mri-sr21) is replaced by bogacki-shampine.
@@ -268,7 +283,8 @@ def run_adaptive(cfg):
     for m, t, rk in pairs:
         rows = [dict(method=m, tol=tol, **_run_row(
             lambda: adaptivity.integrate_adaptive(
-                p, t, rk, tEnd, tol, sample_points=pts, M0=cfg.M), ref))
+                p, t, rk, tEnd, tol, sample_points=pts, H0=cfg.H0,
+                M0=cfg.M), ref))
             for tol in tols]
         records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
                                  rows=rows))

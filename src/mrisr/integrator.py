@@ -108,9 +108,14 @@ class IntegrationRecord:
 
 # floats of forcing evaluated ahead of the substep loop at a time: the
 # substeps are done in blocks that keep the buffer under this budget
-# (64 KiB; blocks of 512 KiB raised the peak RSS of the adaptive
-# brusselator-tv-101 sweep by 0.25 MB)
-_FORCING_BLOCK = 1 << 13
+# (512 KiB). A solve of n_sub substeps of n_stages stages at dim takes one
+# _forcing call when n_sub * n_stages * dim <= 2^16: at dim 603, up to
+# 10 substeps per unit c with any inner method of up to 6 stages, c <= 1
+# (and 12 substeps of 3 stages at c = 17/15). The buffer is sized to the
+# solve, so most solves allocate far less than the budget. Against 64 KiB
+# blocks, the median peak RSS of the benchmark moved by +0.25 MB on
+# adapt-tv101 and -0.06 MB on fixed-and-analysis (BENCH_16.json).
+_FORCING_BLOCK = 1 << 16
 
 
 def _forcing(coeffs, scale, span, theta):
@@ -254,12 +259,13 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     fF(tn, yn) is evaluated once, at the first row with c_i > 0, and
     passed to every row's fast solve, the embedding row's included. Work
     is counted in stats, a fresh StepStats when None. state is the run's
-    NewtonState, a fresh one when None. PreconditionError
-    (a ValueError) unless H > 0 and M is a positive integer; StepFailure
-    names the stage whose fast solve diverged or whose Newton solve failed.
+    NewtonState, a fresh one when None. PreconditionError (a ValueError)
+    unless H is positive and finite and M is a positive integer;
+    StepFailure names the stage whose fast solve diverged or whose Newton
+    solve failed.
     """
-    if H <= 0:
-        raise PreconditionError("H must be positive")
+    if not 0.0 < H < math.inf:
+        raise PreconditionError(f"H must be positive and finite, not {H!r}")
     if not isinstance(M, numbers.Integral) or M < 1:
         raise PreconditionError(f"M = {M!r} is not a positive integer")
     stats = stats or StepStats()

@@ -111,10 +111,14 @@ def brusselator_problem(params=None):
     The state is species-major (all u, then v, then w), which makes the
     implicit Jacobian a single bandwidth-1 banded matrix. The variant alone
     sets the coefficients; the time-varying one modulates diffusion,
-    advection and reaction in t. Each callback fills one contiguous output
-    buffer: fF writes its three rows in place and scales them by r(t) in
-    one multiply, and fI and fE apply their stencils to the flat state;
-    each then zeroes the six species end points in one index write.
+    advection and reaction in t. Each callback returns a fresh array and
+    forms it in place: every operation writes with out= into a view of it,
+    on u, v and w taken as slices of y, with one temporary (w*u, used by
+    two rows of fF). fF scales its three rows by r(t) in one multiply; fI
+    and fE apply their stencils to the flat state and scale the interior.
+    Each then zeroes the six species end points in one index write. Every
+    element sees the operations of the row-wise form, in the same order,
+    so the outputs are bitwise those of the state viewed as rows u, v, w.
     """
     pr = params or BrusselatorParams()
     N = pr.N
@@ -138,31 +142,46 @@ def brusselator_problem(params=None):
     # the stencils run over the flat state, across species boundaries too;
     # the six species end points are then zeroed in one index write
     ends = np.array([0, N - 1, N, 2 * N - 1, 2 * N, 3 * N - 1])
+    N2, N3 = 2 * N, 3 * N
+    dx2, two_dx = dx ** 2, 2.0 * dx
+    mul, sub = np.multiply, np.subtract
 
     def fI(t, y):
-        out = np.empty(3 * N)
-        out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx ** 2
-        out *= alpha_t(t)
+        out = np.empty(N3)
+        o = out[1:-1]
+        mul(2.0, y[1:-1], o)
+        sub(y[2:], o, o)
+        o += y[:-2]
+        o /= dx2
+        o *= alpha_t(t)
         out[ends] = 0.0
         return out
 
     def fE(t, y):
-        out = np.empty(3 * N)
-        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
-        out *= rho_t(t)
+        out = np.empty(N3)
+        o = out[1:-1]
+        sub(y[2:], y[:-2], o)
+        o /= two_dx
+        o *= rho_t(t)
         out[ends] = 0.0
         return out
 
     def fF(t, y):
-        u, v, w = y.reshape(3, N)
-        uuv = u * u * v
+        u, v, w = y[:N], y[N:N2], y[N2:]
+        out = np.empty(N3)
+        o0, o1, o2 = out[:N], out[N:N2], out[N2:]
         wu = w * u
-        out = np.empty((3, N))
-        out[0] = a - (w - 1.0) * u + uuv
-        out[1] = wu - uuv
-        out[2] = (b - w) / eps - wu
+        mul(u, u, o1)  # row 1 holds uuv = u*u*v until it is formed
+        o1 *= v
+        sub(w, 1.0, o0)  # row 0: a - (w - 1)*u + uuv
+        o0 *= u
+        sub(a, o0, o0)
+        o0 += o1
+        sub(wu, o1, o1)  # row 1: wu - uuv
+        sub(b, w, o2)  # row 2: (b - w)/eps - wu
+        o2 /= eps
+        o2 -= wu
         out *= r_t(t)
-        out = out.ravel()
         out[ends] = 0.0
         return out
 

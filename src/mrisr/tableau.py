@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, UnknownMethodError
-from .rk import _fmat, _fvec, _readonly
+from .rk import _fmat, _fvec, _readonly, frac
 
 __all__ = [
     "MRISRTableau", "load_builtin", "omega_bar", "omega_row",
@@ -124,6 +124,8 @@ def validate_structure(t):
     """Return a list of violated structural invariants (empty = valid)."""
     findings = []
     s = t.s
+    if s == 0:
+        return ["c is empty"]
     if t.c[0] != 0:
         findings.append("c[1] must be 0")
     if t.c[-1] != 1:
@@ -392,18 +394,45 @@ def tableau_to_dict(t):
     return d
 
 
+def _exact(x, where, depth):
+    """Nested tuples of Fractions, depth levels deep, from nested lists of
+    numbers or fraction strings; PreconditionError naming the first entry
+    that is not one (a NaN or inf, None, or a string like 'abc')."""
+    if depth == 0:
+        try:
+            return frac(x)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise PreconditionError(
+                f"{where} = {x!r} is not a finite number or fraction "
+                "string") from None
+    if not isinstance(x, (list, tuple)):
+        raise PreconditionError(f"{where} = {x!r} is not a list")
+    return tuple(_exact(v, f"{where}[{i}]", depth - 1)
+                 for i, v in enumerate(x))
+
+
 def tableau_from_dict(d):
-    """Tableau from its interchange dict; PreconditionError if invalid."""
+    """Tableau from its interchange dict; PreconditionError if invalid,
+    naming the missing key or the offending entry."""
+    def entries(key, depth):
+        if key not in d:
+            raise PreconditionError(f"tableau dict has no {key!r}")
+        return _exact(d[key], key, depth)
+
+    if not isinstance(d, dict):
+        raise PreconditionError(f"a tableau is a dict, not {type(d).__name__}")
+    if "name" not in d:
+        raise PreconditionError("tableau dict has no 'name'")
     emb_omega = None
     emb_gamma = None
     if d.get("embOmega") is not None:
-        emb_omega = tuple(_fvec(row) for row in d["embOmega"])
-        emb_gamma = _fvec(d["embGamma"])
+        emb_omega = entries("embOmega", 2)
+        emb_gamma = entries("embGamma", 1)
     t = MRISRTableau(
         name=d["name"],
-        c=_fvec(d["c"]),
-        omega=tuple(_fmat(O) for O in d["omega"]),
-        gamma=_fmat(d["gamma"]),
+        c=entries("c", 1),
+        omega=entries("omega", 3),
+        gamma=entries("gamma", 2),
         emb_omega=emb_omega,
         emb_gamma=emb_gamma,
     )

@@ -183,6 +183,21 @@ def test_adaptive_rejects_bad_m0(M0):
                            M0=M0)
 
 
+@pytest.mark.parametrize("tol,H0", [
+    (-1e-3, None), (0.0, None), (math.nan, None), (math.inf, None),
+    (1e-4, 0.0), (1e-4, -0.1), (1e-4, math.nan), (1e-4, math.inf),
+], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf",
+        "H0-zero", "H0-negative", "H0-nan", "H0-inf"])
+def test_adaptive_rejects_bad_tol_and_h0(tol, H0):
+    # a negative tol used to run as its absolute value, and a zero or NaN
+    # tol or H0 ended in 'rejected 31 times' after 31 wasted steps
+    name = "tol" if H0 is None else "H0"
+    with pytest.raises(PreconditionError, match=f"{name} = .* positive"):
+        integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),
+                           inner_method("bogacki-shampine"), 1.0, tol,
+                           H0=H0)
+
+
 def test_adaptive_sample_point_validation():
     p = _scalar_problem()
     t = load_builtin("imex-mri-sr21")

@@ -95,6 +95,56 @@ def test_adaptive_subcommand(capsys):
     assert data["rows"][0]["accepted"] > 0
 
 
+@pytest.mark.parametrize("flag", [
+    "--tol=-1e-3", "--tol=0", "--tol=nan", "--tol=inf",
+    "--H0=0", "--H0=-1e-3", "--H0=nan", "--H0=inf"])
+def test_adaptive_bad_tol_or_h0_is_a_usage_error(flag, capsys):
+    # --tol=-1e-3 used to print the row of 1e-3 and exit 0; --tol 0 and a
+    # NaN tol or H0 ran until 'rejected 31 times'
+    argv = ["adaptive", "--method", "imex-mri-sr21", "--problem", "kpr",
+            flag]
+    if not flag.startswith("--tol"):
+        argv.append("--tol=1e-3")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert flag[2:flag.index("=")] + " = " in captured.err
+    assert captured.out == ""
+
+
+def test_adaptive_passes_h0_to_every_run(monkeypatch, capsys):
+    # --H0 used to be read by nothing in adaptive runs
+    from mrisr import adaptivity
+    seen = []
+    run = adaptivity.integrate_adaptive
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["H0"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(adaptivity, "integrate_adaptive", spy)
+    code = main(["adaptive", "--method", "imex-mri-sr21", "--problem", "kpr",
+                 "--tol", "1e-3", "--tol", "1e-4", "--H0", "0.05", "--json"])
+    assert code == 0
+    assert seen == [0.05, 0.05]
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["failed"] for r in rows] == [0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["adaptive", "--method", "imex-mri-sr21", "--kmin", "0", "--kmax", "0"],
+    ["converge", "--method", "imex-mri-sr21", "--tol", "1e-3"],
+    ["efficiency", "--method", "imex-mri-sr21", "--H0", "0.1"],
+    ["verify", "--problem", "kpr"],
+    ["stability", "--method", "imex-mri-sr21", "--json"],
+], ids=["adaptive-kmin", "converge-tol", "efficiency-H0", "verify-problem",
+        "stability-json"])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    # such flags used to be accepted and dropped, so the run printed the
+    # rows of its defaults
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,names", [
     (["--method", "merk3"], "merk3"),
     (["--method", "imex-mri-sr21", "--inner", "heun"], "heun of imex-mri-sr21"),
@@ -130,8 +180,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     # n_samples and M are ExperimentConfig names but no flag; a config file
-    # sets M through its flag name m
-    for bad in ("kmaxx", "seed", "n_samples", "M"):
+    # sets M through its flag name m; tol is a flag of adaptive only
+    for bad in ("kmaxx", "seed", "n_samples", "M", "tol"):
         cfg = tmp_path / f"{bad}.json"
         cfg.write_text(json.dumps({"method": "imex-mri-sr21",
                                    "problem": "kpr", "kmin": 2, "kmax": 3,

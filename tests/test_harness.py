@@ -69,6 +69,20 @@ def test_experiment_config_validation():
     assert cfg.inner_for("merk3").name == "zonneveld"
 
 
+@pytest.mark.parametrize("kw,named", [
+    (dict(tols=[1e-3, -1e-3]), "tol = -0.001"),
+    (dict(tols=[float("nan")]), "tol = nan"),
+    (dict(tols=["1e-3"]), "tol = '1e-3'"),
+    (dict(tols=1e-3), "not a list"),
+    (dict(H0=0.0), "H0 = 0.0"),
+    (dict(H0=float("inf")), "H0 = inf"),
+], ids=["tol-negative", "tol-nan", "tol-string", "tols-scalar", "H0-zero",
+        "H0-inf"])
+def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
+    with pytest.raises(PreconditionError, match=named):
+        ExperimentConfig(kind="adaptive", methods=["imex-mri-sr21"], **kw)
+
+
 def _kpr_cfg(**kw):
     base = dict(kind="converge", methods=["imex-mri-sr21"], problem="kpr",
                 kmin=2, kmax=4)

@@ -464,6 +464,15 @@ def test_step_rejects_bad_m_and_h():
         step(p, t, rk, p.y0, 0.0, 0.0, 4)
 
 
+@pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, -0.1])
+def test_step_rejects_nonfinite_h(H):
+    # H <= 0 let a NaN H through to the stage solves
+    p = _nonstiff_problem()
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        step(p, load_builtin("imex-mri-sr21"), inner_method("heun"), p.y0,
+             0.0, H, 4)
+
+
 def test_integrate_fixed_samples_and_accuracy():
     t = load_builtin("imex-mri-sr32")
     p = _nonstiff_problem()
@@ -592,6 +601,34 @@ def test_fixed_brusselator_factors_its_stage_matrix_once():
     assert st.factorizations == 1
     assert st.jacobian_evals == st.implicit_solves == 64 * 3
     assert st.newton_iters == st.implicit_solves + 1
+
+
+@pytest.mark.parametrize("name,inner_name", [
+    ("imex-mri-sr21", "heun"), ("imex-mri-sr32", "bogacki-shampine")])
+def test_fixed_brusselator_forms_forcing_once_per_fast_solve(
+        monkeypatch, name, inner_name):
+    # the forcing block holds every substep of a fast solve at M = 10 and
+    # dim 603, so each solve evaluates its forcing polynomial in one call
+    from mrisr.problems import make_problem
+    counts = {"forcing": 0, "solves": 0}
+    forcing, solve = integrator._forcing, integrator.solve_fast_ivp
+
+    def counted_forcing(*args):
+        counts["forcing"] += 1
+        return forcing(*args)
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(integrator, "_forcing", counted_forcing)
+    monkeypatch.setattr(integrator, "solve_fast_ivp", counted_solve)
+    t = load_builtin(name)
+    rec = integrate_fixed(make_problem("brusselator-201"), t,
+                          inner_method(inner_name), 0.1 / 32, 0.1 / 64, 10)
+    assert not rec.failed
+    assert counts["solves"] == 2 * (t.s - 1)
+    assert counts["forcing"] == counts["solves"]
 
 
 def test_diverging_newton_run_fails_without_warnings():

@@ -227,6 +227,21 @@ def test_brusselator_callbacks_match_reference_bitwise(N, variant):
                         (trial, t, f)
 
 
+@pytest.mark.parametrize("variant", ["fixed", "time-varying"])
+def test_brusselator_callbacks_return_fresh_arrays(variant):
+    # step() keeps fF(tn, yn) across stage rows, and the fast solve keeps
+    # stage values, so no output may alias y or an earlier output
+    p = brusselator_problem(BrusselatorParams(N=11, variant=variant))
+    y = p.y0 + 0.1
+    for f in (p.fF, p.fE, p.fI):
+        first = f(0.3, y)
+        second = f(0.3, y)
+        assert first.shape == (p.dim,) and first.flags.c_contiguous
+        assert not np.shares_memory(first, y)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+
+
 def test_brusselator_boundaries_are_stationary():
     p = brusselator_problem(BrusselatorParams(N=15))
     N = 15

@@ -116,6 +116,52 @@ def test_load_rejects_invalid_tableau(tmp_path):
         load_tableau(path)
 
 
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+def _set(value, key, *index):
+    def edit(d):
+        row = d[key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_drop("c"), "no 'c'"),
+    (_drop("embGamma"), "no 'embGamma'"),
+    (_drop("name"), "no 'name'"),
+    (_set(float("nan"), "gamma", 1, 0), r"gamma\[1\]\[0\] = nan"),
+    (_set(float("inf"), "omega", 0, 2, 1), r"omega\[0\]\[2\]\[1\] = inf"),
+    (_set(None, "c", 1), r"c\[1\] = None"),
+    (_set("abc", "embOmega", 0, 1), r"embOmega\[0\]\[1\] = 'abc'"),
+    (_set("1/0", "embGamma", 2), r"embGamma\[2\] = '1/0'"),
+    (_set(3, "gamma", 1), r"gamma\[1\] = 3 is not a list"),
+    (lambda d: d.update(c=[]), "c is empty"),
+], ids=["missing-c", "missing-embGamma", "missing-name", "nan", "inf",
+        "none", "abc", "zero-denominator", "scalar-row", "empty-c"])
+def test_tableau_from_dict_names_bad_key_or_entry(edit, named, tmp_path):
+    # these used to escape as KeyError, ValueError, OverflowError or
+    # TypeError from deep inside the Fraction conversion
+    d = tableau_to_dict(load_builtin("imex-mri-sr21"))
+    edit(d)
+    with pytest.raises(PreconditionError, match=named):
+        tableau_from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(PreconditionError, match=named):
+        load_tableau(path)
+
+
+def test_load_tableau_rejects_a_file_that_is_not_a_dict(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(PreconditionError, match="not list"):
+        load_tableau(path)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_float_view_is_exact_and_read_only(name):
     t = load_builtin(name)
