@@ -145,14 +145,10 @@ def _experiment_config(kind, opts):
     for key, value in opts.items():
         if key not in ("method", "inner") and value is not None:
             kw[_FLAG_FIELDS.get(key, key)] = value
-    w = kw.get("window")
-    if w is not None:
-        kw["window"] = tuple(float(x) for x in w.split(",")) \
-            if isinstance(w, str) else tuple(w)
-    r = kw.get("res")
-    if r is not None:
-        kw["res"] = tuple(int(x) for x in r.lower().split("x")) \
-            if isinstance(r, str) else tuple(r)
+    if isinstance(kw.get("window"), str):
+        kw["window"] = tuple(float(x) for x in kw["window"].split(","))
+    if isinstance(kw.get("res"), str):
+        kw["res"] = tuple(int(x) for x in kw["res"].lower().split("x"))
     return harness.ExperimentConfig(**kw)
 
 
@@ -217,8 +213,6 @@ def main(argv=None):
             return 2 if bad else 0
         if cmd == "stability":
             cfg = _experiment_config("stability", opts)
-            if min(cfg.res) < 2:
-                raise ValueError("resolution must be at least 2 per axis")
             files = harness.run_stability_export(cfg)
             for f in files:
                 print(f"wrote {f}")

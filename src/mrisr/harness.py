@@ -63,6 +63,11 @@ def _positive_finite(x):
     return isinstance(x, numbers.Real) and 0.0 < x < math.inf
 
 
+def _n_of(x, n, ok):
+    """x is a list or tuple of n items that each pass ok."""
+    return isinstance(x, (list, tuple)) and len(x) == n and all(map(ok, x))
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -89,12 +94,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for m in self.methods:
             if m not in BUILTIN_NAMES:
-                raise ValueError(f"unknown method {m!r}")
+                raise PreconditionError(f"unknown method {m!r}")
         if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}; known "
-                             f"problems: {', '.join(sorted(PROBLEMS))}")
+            raise PreconditionError(
+                f"unknown problem {self.problem!r}; known problems: "
+                f"{', '.join(sorted(PROBLEMS))}")
         if self.kmin > self.kmax:
-            raise ValueError("kmin > kmax")
+            raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
         if self.H0 is not None and not _positive_finite(self.H0):
             raise PreconditionError(
                 f"H0 = {self.H0!r} is not a positive finite number")
@@ -104,6 +110,14 @@ class ExperimentConfig:
             if not _positive_finite(tol):
                 raise PreconditionError(
                     f"tol = {tol!r} is not a positive finite number")
+        if not _n_of(self.window, 4, lambda x: isinstance(x, numbers.Real)
+                     and math.isfinite(x)):
+            raise PreconditionError(
+                f"window = {self.window!r} is not four finite numbers")
+        if not _n_of(self.res, 2, lambda n: isinstance(n, numbers.Integral)
+                     and n >= 2):
+            raise PreconditionError(
+                f"res = {self.res!r} is not two integers >= 2")
 
     def inner_for(self, method):
         if method in self.inner:
@@ -323,23 +337,13 @@ def run_verify(methods=None):
     report = {}
     for m in methods:
         t = load_builtin(m)
-        entry = dict(structure=validate_structure(t))
-        entry["internal_consistency"] = \
-            theory.check_internal_consistency(t).order == 2
-        entry["base_order"] = theory.check_ark_order(
-            theory.base_ark(t), 4).order
-        coup = 2
-        for q in (3, 4):
-            if theory.check_coupling_order(t, q).all_pass:
-                coup = q
-        entry["coupling_order"] = coup
-        entry["method_order"] = theory.method_order(t, 6)
+        entry = dict(structure=validate_structure(t),
+                     **theory.order_facts(t, 6))
         if t.has_embedding:
-            try:
-                entry["c_statistic"] = theory.c_statistic(
-                    t, entry["method_order"])
-            except ValueError:
-                entry["c_statistic"] = None  # needs residuals beyond order 4
+            # the condition sets stop at order 4, and C needs order p + 1
+            p = entry["method_order"]
+            entry["c_statistic"] = \
+                theory.c_statistic(t, p) if p + 1 <= 4 else None
         if m == "merk5":
             entry["note"] = ("verified to order 4; order-5 condition set "
                              "out of scope")

@@ -16,7 +16,7 @@ from .tableau import omega_bar, omega_row
 __all__ = [
     "GarkTables", "ARKPair", "OrderReport", "assemble_gark", "base_ark",
     "check_internal_consistency", "check_coupling_order", "check_ark_order",
-    "method_order", "c_statistic", "gark_linear_step",
+    "order_facts", "method_order", "c_statistic", "gark_linear_step",
 ]
 
 
@@ -25,12 +25,11 @@ class OrderReport:
     """Labelled exact residuals of one order check.
 
     `order` is the largest verified order for the check that produced the
-    report (-1 when not applicable). `notes` carries free-form caveats.
+    report, 0 when none is.
     """
 
     order: int
     residuals: dict
-    notes: tuple = ()
 
     @property
     def all_pass(self):
@@ -169,14 +168,11 @@ def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
 
 
 def check_coupling_order(t, p):
-    """Coupling conditions beyond the base method, at order p in {3, 4}."""
+    """Coupling conditions beyond the base method, at order p in {3, 4}.
+    At p = 4, 'coupling4-implied' is coupling3 minus coupling4a."""
     res = _coupling_residuals(t, p)
     order = p if all(v == 0 for v in res.values()) else 0
-    notes = ()
-    if p == 4:
-        notes = ("the implied condition equals the order-3 condition minus "
-                 "condition 4a and must vanish whenever both do",)
-    return OrderReport(order=order, residuals=res, notes=notes)
+    return OrderReport(order=order, residuals=res)
 
 
 def check_ark_order(ark, p):
@@ -203,38 +199,39 @@ def check_ark_order(ark, p):
     groups = _tree_residuals({"E": ark.bE, "I": ark.bI},
                              {"E": ark.AE, "I": ark.AI}, ark.c, p)
     res = {lbl: r for g in groups.values() for lbl, r in g.items()}
-    notes = ("condition counts here follow the colored-tree enumeration "
-             "(2/2/6/18 per order); countings that include fast-coupled "
-             "trees differ",)
-    return OrderReport(order=_leading_order(groups), residuals=res,
-                       notes=notes)
+    return OrderReport(order=_leading_order(groups), residuals=res)
+
+
+def order_facts(t, inner_order):
+    """Each order fact of tableau t with an inner method of order
+    inner_order, derived once: internal_consistency, base_order (of the base
+    ARK pair, up to 4), coupling_order (the highest q in {3, 4} whose
+    coupling conditions all pass, else 2) and method_order: the largest
+    p <= base_order that also has internal consistency if p >= 2,
+    coupling_order >= p if p >= 3, and inner_order at least p for p <= 2,
+    max(3, n_omega+1) for p = 3 and max(4, n_omega+2) for p = 4.
+    """
+    consistent = check_internal_consistency(t).order == 2
+    ark_p = check_ark_order(base_ark(t), 4).order
+    # coupling4-implied is coupling3 minus coupling4a, so order 4 needs 3
+    coup = 2
+    if check_coupling_order(t, 3).all_pass:
+        coup = 4 if check_coupling_order(t, 4).all_pass else 3
+    p = 0
+    for q, inner_floor, holds in ((1, 1, True), (2, 2, consistent),
+                                  (3, max(3, t.n_omega + 1), coup >= 3),
+                                  (4, max(4, t.n_omega + 2), coup >= 4)):
+        if ark_p < q or inner_order < inner_floor or not holds:
+            break
+        p = q
+    return dict(internal_consistency=consistent, base_order=ark_p,
+                coupling_order=coup, method_order=p)
 
 
 def method_order(t, inner_order):
-    """Largest verified order p <= 4 for the combined multirate method.
-
-    Combines: internal consistency (acts as the order-2 conditions), base ARK
-    order, coupling conditions, and the inner-method order floor
-    (max(3, n_omega+1) for p = 3, max(4, n_omega+2) for p = 4).
-    """
-    ark_p = check_ark_order(base_ark(t), 4).order
-    if ark_p < 1 or inner_order < 1:
-        return 0
-    p = 1
-    if ark_p >= 2 and inner_order >= 2 and \
-            check_internal_consistency(t).order == 2:
-        p = 2
-    else:
-        return p
-    if ark_p >= 3 and inner_order >= max(3, t.n_omega + 1) and \
-            check_coupling_order(t, 3).all_pass:
-        p = 3
-    else:
-        return p
-    if ark_p >= 4 and inner_order >= max(4, t.n_omega + 2) and \
-            check_coupling_order(t, 4).all_pass:
-        p = 4
-    return p
+    """Largest verified order p <= 4 for the combined multirate method:
+    order_facts(t, inner_order)['method_order']."""
+    return order_facts(t, inner_order)["method_order"]
 
 
 def _residual_vector(t, order, embedded):
@@ -263,7 +260,7 @@ def c_statistic(t, p):
 
     tau(q) is the vector of order-q condition residuals of the primary method
     and tau-hat(q) that of the embedded method. Requires p + 1 <= 4 since the
-    condition sets stop at order 4.
+    condition sets stop at order 4 (ValueError otherwise).
     """
     if not t.has_embedding:
         raise DegenerateEmbeddingError(f"{t.name} has no embedding")

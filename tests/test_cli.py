@@ -168,6 +168,20 @@ def test_stability_export(tmp_path, capsys):
     assert len(files) == 1
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--window", "1,2,3", "window = (1.0, 2.0, 3.0)"),
+    ("--res", "1x5", "res = (1, 5)"),
+], ids=["window", "res"])
+def test_stability_bad_grid_fails_before_any_output(flag, value, named,
+                                                    tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["stability", "--method", "imex-mri-sr21", flag, value,
+                 "--out", str(out)])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(method="imex-mri-sr21", problem="kpr",

@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import platform
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import scipy
 
 import mrisr
-from mrisr import adaptivity, harness
+from mrisr import adaptivity, harness, theory
 from mrisr.errors import MRISRError, PreconditionError, UnknownMethodError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
@@ -81,6 +83,25 @@ def test_experiment_config_validation():
 def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
     with pytest.raises(PreconditionError, match=named):
         ExperimentConfig(kind="adaptive", methods=["imex-mri-sr21"], **kw)
+
+
+@pytest.mark.parametrize("kw,named", [
+    (dict(methods=["rk4"]), "unknown method 'rk4'"),
+    (dict(problem="nope"), "unknown problem 'nope'"),
+    (dict(kmin=5, kmax=2), "kmin = 5 > kmax = 2"),
+    (dict(window=(1.0, 2.0, 3.0)), "window = (1.0, 2.0, 3.0)"),
+    (dict(window=(-8.0, 0.5, -6.0, math.inf)), "window = "),
+    (dict(window="-8,0.5,-6,6"), "window = "),
+    (dict(res=(1, 5)), "res = (1, 5)"),
+    (dict(res=(48.0, 48)), "res = "),
+    (dict(res=48), "res = 48"),
+], ids=["method", "problem", "kmin-kmax", "window-three", "window-inf",
+        "window-string", "res-one", "res-float", "res-scalar"])
+def test_experiment_config_rejects_bad_input_by_field(kw, named):
+    # at construction, so a study never starts on it
+    cfg = dict(kind="stability", methods=["imex-mri-sr21"])
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        ExperimentConfig(**{**cfg, **kw})
 
 
 def _kpr_cfg(**kw):
@@ -214,6 +235,22 @@ def test_run_verify_report():
                            "out of scope"),
     }
     assert list(run_verify(methods=["merk5", "merk2"])) == ["merk5", "merk2"]
+
+
+def test_run_verify_runs_each_check_once_per_tableau(monkeypatch):
+    calls = Counter()
+    for name in ("check_internal_consistency", "check_ark_order",
+                 "check_coupling_order"):
+        def counted(*args, _name=name, _check=getattr(theory, name)):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(theory, name, counted)
+    run_verify()
+    n = len(BUILTIN_NAMES)
+    assert calls["check_internal_consistency"] == n
+    assert calls["check_ark_order"] == n
+    # one coupling check at order 3 and, only when it passes, one at order 4
+    assert calls["check_coupling_order"] <= 2 * n
 
 
 def test_run_stability_export_writes_grid(tmp_path):
