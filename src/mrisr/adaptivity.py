@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, StepFailure, StepSizeUnderflow
-from .integrator import IntegrationRecord, StepStats, step
-from .linalg import NewtonState, wrms
+from .integrator import IntegrationRecord, step
+from .linalg import wrms
 from .theory import method_order
 
 __all__ = ["ControllerState", "ErrorEstimate", "estimate_slow_error",
@@ -147,7 +147,7 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     lies in (t0, tEnd]; it is the only exception raised.
     StepSizeUnderflow, more than MAX_REJECTS (30) rejections of one step
     and OSCILLATION_CAP (50) consecutive accept/reject alternations end the
-    run with a partial record and the failed flag set. Every attempted step
+    run with a partial record, its failure set. Every attempted step
     adds one step_log entry and one to accepted or rejected; the attempt a
     run gives up on counts as rejected, with accepted=0 in its entry.
     """
@@ -171,12 +171,10 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     st = ControllerState(slow_order=method_order(t, inner.order),
                          fast_order=q)
     tolS = tolF = 0.5 * tol
-    stats = StepStats()
-    state = NewtonState()
 
     tn = p.t0
     yn = np.array(p.y0, dtype=float)
-    rec = IntegrationRecord(t=[tn], y=[yn.copy()], stats=stats)
+    rec = IntegrationRecord(t=[tn], y=[yn.copy()])
     H = H0 if H0 is not None else (tEnd - p.t0) / 100.0
     M = M0
     alternations = 0
@@ -192,8 +190,8 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         err_w = 1.0 / (tolF * (1.0 + np.abs(yn)))
         try:
             y1, yhat, fast_errs = step(p, t, inner, yn, tn, H_try, M,
-                                       stats=stats, err_weights=err_w,
-                                       state=state)
+                                       stats=rec.stats, err_weights=err_w,
+                                       state=rec.state)
             est = ErrorEstimate(slow=estimate_slow_error(y1, yhat, tolS, tolS),
                                 fast=accumulate_fast_error(fast_errs))
         except StepFailure:
@@ -224,7 +222,7 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         if not accept:
             rec.rejected += 1
         if failure is not None:
-            rec.failed, rec.failure = True, failure
+            rec.failure = failure
             return rec
         if accept:
             rec.accepted += 1

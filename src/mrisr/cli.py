@@ -145,10 +145,12 @@ def _experiment_config(kind, opts):
     for key, value in opts.items():
         if key not in ("method", "inner") and value is not None:
             kw[_FLAG_FIELDS.get(key, key)] = value
-    if isinstance(kw.get("window"), str):
-        kw["window"] = tuple(float(x) for x in kw["window"].split(","))
-    if isinstance(kw.get("res"), str):
-        kw["res"] = tuple(int(x) for x in kw["res"].lower().split("x"))
+    for key, sep, conv in (("window", ",", float), ("res", "x", int)):
+        if isinstance(kw.get(key), str):
+            try:
+                kw[key] = tuple(conv(x) for x in kw[key].lower().split(sep))
+            except ValueError:
+                pass  # a string left as given: ExperimentConfig names it
     return harness.ExperimentConfig(**kw)
 
 

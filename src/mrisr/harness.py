@@ -63,9 +63,36 @@ def _positive_finite(x):
     return isinstance(x, numbers.Real) and 0.0 < x < math.inf
 
 
+def _integer(x):
+    # a JSON true is not the integer 1 here
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _finite(x):
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def _n_of(x, n, ok):
     """x is a list or tuple of n items that each pass ok."""
     return isinstance(x, (list, tuple)) and len(x) == n and all(map(ok, x))
+
+
+# (fields, test, what the test asks for) of ExperimentConfig's one-field
+# checks; a value that fails is named in a PreconditionError
+_FIELD_RULES = (
+    ("kmin kmax", _integer, "an integer"),
+    ("M", lambda x: _integer(x) and x >= 1, "a positive integer"),
+    ("H0", lambda x: x is None or _positive_finite(x),
+     "a positive finite number"),
+    ("tols", lambda x: x is None or isinstance(x, (list, tuple)), "a list"),
+    ("which", lambda x: x in ("E", "I"), "'E' or 'I'"),
+    ("alpha beta", lambda x: _finite(x) and 0 <= x <= 90,
+     "an angle in [0, 90] degrees"),
+    ("rho xi", lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
+    ("window", lambda x: _n_of(x, 4, _finite), "four finite numbers"),
+    ("res", lambda x: _n_of(x, 2, lambda n: _integer(n) and n >= 2),
+     "two integers >= 2"),
+)
 
 
 @dataclass
@@ -99,25 +126,17 @@ class ExperimentConfig:
             raise PreconditionError(
                 f"unknown problem {self.problem!r}; known problems: "
                 f"{', '.join(sorted(PROBLEMS))}")
+        for names, ok, what in _FIELD_RULES:
+            for name in names.split():
+                x = getattr(self, name)
+                if not ok(x):
+                    raise PreconditionError(f"{name} = {x!r} is not {what}")
         if self.kmin > self.kmax:
             raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
-        if self.H0 is not None and not _positive_finite(self.H0):
-            raise PreconditionError(
-                f"H0 = {self.H0!r} is not a positive finite number")
-        if self.tols is not None and not isinstance(self.tols, (list, tuple)):
-            raise PreconditionError(f"tols = {self.tols!r} is not a list")
         for tol in self.tols or ():
             if not _positive_finite(tol):
                 raise PreconditionError(
                     f"tol = {tol!r} is not a positive finite number")
-        if not _n_of(self.window, 4, lambda x: isinstance(x, numbers.Real)
-                     and math.isfinite(x)):
-            raise PreconditionError(
-                f"window = {self.window!r} is not four finite numbers")
-        if not _n_of(self.res, 2, lambda n: isinstance(n, numbers.Integral)
-                     and n >= 2):
-            raise PreconditionError(
-                f"res = {self.res!r} is not two integers >= 2")
 
     def inner_for(self, method):
         if method in self.inner:
@@ -190,14 +209,13 @@ RUN_KEYS = ["maxError", "runtime", "accepted", "rejected",
 def _run_row(run, ref):
     """Time run() and summarise its IntegrationRecord as the RUN_KEYS of one
     row, plus 'failure' when it failed. A run that raises gives a failed row
-    with zero counters; the drivers raise only PreconditionError, for an M
-    that is not a positive integer or an H or sample point off the grid."""
+    with zero counters; the drivers raise only PreconditionError, for an H
+    or sample point off the grid or a callback value of the wrong shape."""
     start = time.monotonic()
     try:
         rec = run()
     except MRISRError as e:
-        rec = IntegrationRecord(t=[], y=[], stats=StepStats(), failed=True,
-                                failure=str(e))
+        rec = IntegrationRecord(failure=str(e))
     row = dict(maxError=math.nan, runtime=time.monotonic() - start,
                accepted=rec.accepted, rejected=rec.rejected,
                **rec.stats.as_dict(), failed=int(rec.failed))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
                      SingularMatrixError, StepFailure)
-from .linalg import NewtonState, newton_solve, wrms
+from .linalg import NewtonConfig, NewtonState, newton_solve, wrms
 
 __all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
            "solve_fast_ivp", "implicit_stage_solve", "step",
@@ -38,9 +38,10 @@ __all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
 class SplitIVP:
     """A three-way additively partitioned initial value problem.
 
-    fF/fE/fI map (t, y) -> dy. jacI(t, y) returns the Jacobian of fI, dense
-    ndarray or BandedMatrix; when None a forward finite-difference dense
-    Jacobian is used.
+    fF/fE/fI map (t, y) -> dy, a vector of shape (dim,) like y0; step()
+    checks y_n, fF(t_n, y_n) and the first fE/fI values against it.
+    jacI(t, y) returns the Jacobian of fI, dense ndarray or BandedMatrix;
+    when None a forward finite-difference dense Jacobian is used.
     """
 
     dim: int
@@ -81,29 +82,24 @@ class StepStats:
                     factorizations=self.factorizations)
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    atol: float = 1e-12
-    rtol: float = 1e-10
-    max_iter: int = 10
-
-
-# the configuration of every implicit stage solve not given one
-_NEWTON_DEFAULT = NewtonConfig()
-
-
 @dataclass
 class IntegrationRecord:
-    """Sampled trajectory plus cost counters of one integration run."""
+    """Samples, cost counters and Newton state of one run: the record keeps
+    the run's last factorization alive. failed means failure is set."""
 
-    t: list
-    y: list
-    stats: StepStats
-    failed: bool = False
+    t: list = field(default_factory=list)
+    y: list = field(default_factory=list)
+    stats: StepStats = field(default_factory=StepStats)
     failure: str = None
     accepted: int = 0
     rejected: int = 0
     step_log: list = field(default_factory=list)
+    state: NewtonState = field(init=False, repr=False, compare=False,
+                               default_factory=NewtonState)
+
+    @property
+    def failed(self):
+        return self.failure is not None
 
 
 # floats of forcing evaluated ahead of the substep loop at a time: the
@@ -227,7 +223,6 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
     """
     if gammaii == 0.0:
         return np.array(base, dtype=float)
-    cfg = cfg or _NEWTON_DEFAULT
     scale = H * gammaii
     if p.jacI is not None:
         J = p.jacI(t_stage, base)
@@ -241,10 +236,14 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
         stats.slow_i_evals += 1
         return y - base - scale * p.fI(t_stage, y)
 
-    y = newton_solve(residual, fac, base, stats, atol=cfg.atol, rtol=cfg.rtol,
-                     max_iter=cfg.max_iter, state=state)
+    y = newton_solve(residual, fac, base, stats, cfg=cfg, state=state)
     stats.implicit_solves += 1
     return y
+
+
+def _check_shape(name, shape, dim):
+    if shape != (dim,):
+        raise PreconditionError(f"{name} has shape {shape}, not {(dim,)}")
 
 
 def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
@@ -260,9 +259,10 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     passed to every row's fast solve, the embedding row's included. Work
     is counted in stats, a fresh StepStats when None. state is the run's
     NewtonState, a fresh one when None. PreconditionError (a ValueError)
-    unless H is positive and finite and M is a positive integer;
-    StepFailure names the stage whose fast solve diverged or whose Newton
-    solve failed.
+    unless H is positive and finite, M is a positive integer, and y_n,
+    fF(tn, yn) and stage 1's fE and fI have shape (p.dim,); StepFailure
+    names the stage whose fast solve diverged or whose Newton solve
+    failed.
     """
     if not 0.0 < H < math.inf:
         raise PreconditionError(f"H must be positive and finite, not {H!r}")
@@ -276,6 +276,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     rows = t.stage_rows if want_embedded else t.stage_rows[:s - 1]
     nk = t.n_omega
     yn = np.asarray(yn, dtype=float)
+    _check_shape("y_n", yn.shape, p.dim)
 
     Y = [yn]
     fast_errs = []
@@ -290,6 +291,9 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
             fIj = np.asarray(p.fI(ts, Y[-1]), dtype=float)
             stats.slow_e_evals += 1
             stats.slow_i_evals += 1
+            if i == 1:
+                _check_shape("fE(t_n, y_n)", fEj.shape, p.dim)
+                _check_shape("fI(t_n, y_n)", fIj.shape, p.dim)
             fI.append(fIj)
             F.append(fEj + fIj)
         try:
@@ -300,6 +304,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
                 if f0 is None:
                     f0 = p.fF(tn, yn)
                     stats.fast_f_evals += 1
+                    _check_shape("fF(t_n, y_n)", np.shape(f0), p.dim)
                 n_i = max(1, math.ceil(ci * M))
                 v, errs = solve_fast_ivp(p, coeffs, 1.0 / ci, tn, ci * H, yn,
                                          f0, inner, n_i, stats, err_weights)
@@ -326,8 +331,8 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
 
     Steps skip the embedding row. PreconditionError (a ValueError) unless
     M is a positive integer, (tEnd - t0)/H is an integer and sample_points
-    are step boundaries. Step failures abort with a partial record and the
-    failed flag set.
+    are step boundaries. A step failure ends the run with a partial record
+    whose failure names the step.
     """
     if not isinstance(M, numbers.Integral) or M < 1:
         raise PreconditionError(f"M = {M!r} is not a positive integer")
@@ -347,24 +352,21 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
                 f"sample point {ts} is not a step boundary")
         sample_idx.setdefault(k, ts)
 
-    stats = StepStats()
-    state = NewtonState()
-    record = IntegrationRecord(t=[], y=[], stats=stats)
+    rec = IntegrationRecord()
     y = np.array(p.y0, dtype=float)
     if 0 in sample_idx:
-        record.t.append(sample_idx[0])
-        record.y.append(y.copy())
+        rec.t.append(sample_idx[0])
+        rec.y.append(y.copy())
     for k in range(n_steps):
         tn = t0 + k * H
         try:
-            y, _, _ = step(p, t, inner, y, tn, H, M, stats=stats,
-                           want_embedded=False, state=state)
+            y, _, _ = step(p, t, inner, y, tn, H, M, stats=rec.stats,
+                           want_embedded=False, state=rec.state)
         except StepFailure as e:
-            record.failed = True
-            record.failure = f"step {k + 1} at t = {tn:.6g}: {e}"
-            return record
-        record.accepted += 1
+            rec.failure = f"step {k + 1} at t = {tn:.6g}: {e}"
+            return rec
+        rec.accepted += 1
         if k + 1 in sample_idx:
-            record.t.append(sample_idx[k + 1])
-            record.y.append(y.copy())
-    return record
+            rec.t.append(sample_idx[k + 1])
+            rec.y.append(y.copy())
+    return rec

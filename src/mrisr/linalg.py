@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NewtonFailure, SingularMatrixError
 
 __all__ = ["BandedMatrix", "shifted_jacobian", "Factorization",
-           "NewtonState", "wrms", "newton_solve"]
+           "NewtonConfig", "NewtonState", "wrms", "newton_solve"]
 
 # the rounding unit (machine epsilon): the floor of the contraction
 # estimate a solve starts from
@@ -93,6 +93,16 @@ class Factorization:
         return x
 
 
+@dataclass(frozen=True)
+class NewtonConfig:
+    atol: float = 1e-12
+    rtol: float = 1e-10
+    max_iter: int = 10
+
+
+_NEWTON_DEFAULT = NewtonConfig()
+
+
 class NewtonState:
     """The Newton data one run carries from solve to solve: the last stage
     matrix I - scale*J with its Factorization, and eta, the contraction
@@ -133,32 +143,32 @@ def wrms(v, weights):
     return math.sqrt(np.add.reduce(d * d) / d.size)
 
 
-def newton_solve(residual, fac, guess, stats, atol=1e-12, rtol=1e-10,
-                 max_iter=10, state=None):
+def newton_solve(residual, fac, guess, stats, cfg=None, state=None):
     """Solve residual(x) = 0 by modified Newton iteration.
 
     fac is the caller's Factorization of the residual's Jacobian, reused
-    for every iteration. Updates are measured in the WRMS norm with weights
-    1/(atol + rtol*|x|) frozen at the initial guess, and the solve stops
-    when |delta| <= 1. The first update also stops it when
-    max(state.eta, uround)^0.8 * |delta| <= 1 (Hairer & Wanner, Solving
-    ODEs II, IV.8): eta is the contraction estimate earlier solves measured
-    with this factorization, 1 when none has, which leaves |delta| <= 1.
-    Each later update k stores theta/(1 - theta) in state.eta, theta =
-    |delta_k|/|delta_(k-1)| (inf when theta >= 1). state is the run's
-    NewtonState, a fresh one when None. Each iteration adds one to
-    `stats.newton_iters`, so a solve that fails still counts the
-    iterations it spent. Returns the root.
+    for every iteration; cfg (NewtonConfig) and state (NewtonState) are
+    the run's, defaults when None. Updates are measured in the WRMS norm
+    with weights 1/(cfg.atol + cfg.rtol*|x|) frozen at the initial guess,
+    and the solve stops when |delta| <= 1, within cfg.max_iter iterations.
+    The first update also stops it when max(state.eta, uround)^0.8 *
+    |delta| <= 1 (Hairer & Wanner, Solving ODEs II, IV.8): eta is the
+    contraction estimate earlier solves measured with this factorization,
+    1 when none has, which leaves |delta| <= 1. Each later update k stores
+    theta/(1 - theta) in state.eta, theta = |delta_k|/|delta_(k-1)| (inf
+    when theta >= 1). Each iteration adds one to `stats.newton_iters`, so
+    a solve that fails still counts the iterations it spent. Returns the root.
     """
+    cfg = cfg or _NEWTON_DEFAULT
     state = state or NewtonState()
     x = np.array(guess, dtype=float)
-    weights = 1.0 / (atol + rtol * np.abs(x))
+    weights = 1.0 / (cfg.atol + cfg.rtol * np.abs(x))
     eta0 = max(state.eta, _UROUND) ** 0.8
     prev = None
     # a diverging iteration is reported below, so the numpy warnings on
     # the way there (an update norm that overflows) are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(cfg.max_iter):
             f = np.asarray(residual(x), dtype=float)
             if not np.logical_and.reduce(np.isfinite(f)):
                 raise NewtonFailure(
@@ -177,4 +187,4 @@ def newton_solve(residual, fac, guess, stats, atol=1e-12, rtol=1e-10,
             if norm <= 1.0:
                 return x
             prev = norm
-    raise NewtonFailure(f"no convergence in {max_iter} Newton iterations")
+    raise NewtonFailure(f"no convergence in {cfg.max_iter} Newton iterations")

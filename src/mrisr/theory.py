@@ -55,12 +55,12 @@ class GarkTables:
     """Flattened coupled coefficient tables of a multirate method + inner RK.
 
     Fast block unknowns are ordered stage-major: the s_F inner stages of slow
-    stage 1, then of slow stage 2, and so on.
+    stage 1, then of slow stage 2, and so on. The fast stages see fE and fI
+    through one forcing, so AFE is also the fast-implicit coupling.
     """
 
     AFF: tuple
     AFE: tuple
-    AFI: tuple
     ASF: tuple
     ASE: tuple
     ASI: tuple
@@ -68,7 +68,6 @@ class GarkTables:
     bE: tuple
     bI: tuple
     cF: tuple
-    cS: tuple
 
 
 def base_ark(t):
@@ -108,8 +107,8 @@ def assemble_gark(t, inner):
                 for i in range(s) for p in range(sF))
     cF = tuple(t.c[i] * inner.c[p] for i in range(s) for p in range(sF))
     return GarkTables(
-        AFF=AFF, AFE=AFE, AFI=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
-        bF=ASF[s - 1], bE=ark.bE, bI=ark.bI, cF=cF, cS=t.c,
+        AFF=AFF, AFE=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
+        bF=ASF[s - 1], bE=ark.bE, bI=ark.bI, cF=cF,
     )
 
 

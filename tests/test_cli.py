@@ -67,14 +67,32 @@ def test_failed_rows_say_why(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("m", ["0", "-5"])
 def test_bad_m_gives_failed_rows(command, args, m, capsys):
-    # M = 0 and M = -5 used to run as M = 1 under their own label
+    # M = 0 and M = -5 used to run as M = 1 under their own label, and then
+    # as a failed row per run; now the configuration is refused before any
+    # run starts
     code = main([command, "--method", "imex-mri-sr32", "--problem", "kpr",
                  "--m", m, *args, "--json"])
-    assert code == 2
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert len(rows) == 1 and rows[0]["failed"] == 1
-    assert "is not a positive integer" in rows[0]["failure"]
-    assert rows[0]["accepted"] == rows[0]["fastFEvals"] == 0
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"M = {m} is not a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option,named", [
+    ({"m": "10"}, "M = '10' is not a positive integer"),
+    ({"kmin": 2.5}, "kmin = 2.5 is not an integer"),
+    ({"kmax": "8"}, "kmax = '8' is not an integer"),
+], ids=["m-string", "kmin-float", "kmax-string"])
+def test_bad_config_value_is_a_usage_error(option, named, tmp_path, capsys):
+    # {"m": "10"} used to fail every row, and {"kmin": 2.5} escaped as a
+    # TypeError from range()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "imex-mri-sr21", "problem": "kpr",
+                               "kmin": 2, "kmax": 3, **option}))
+    assert main(["converge", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
 
 
 def test_converge_json_output(capsys):
@@ -171,13 +189,32 @@ def test_stability_export(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,named", [
     ("--window", "1,2,3", "window = (1.0, 2.0, 3.0)"),
     ("--res", "1x5", "res = (1, 5)"),
-], ids=["window", "res"])
+    ("--window", "a,0.5,-6,6", "window = 'a,0.5,-6,6' is not four finite"),
+    ("--res", "48.0x48", "res = '48.0x48' is not two integers"),
+], ids=["window", "res", "window-word", "res-float"])
 def test_stability_bad_grid_fails_before_any_output(flag, value, named,
                                                     tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["stability", "--method", "imex-mri-sr21", flag, value,
                  "--out", str(out)])
     assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,named", [
+    ({"alpha": 120}, "alpha = 120 is not an angle in [0, 90]"),
+    ({"beta": "nan"}, "beta = 'nan' is not an angle"),
+    ({"rho": -1}, "rho = -1 is not a finite number >= 0"),
+    ({"xi": -1e4}, "xi = -10000.0 is not a finite number >= 0"),
+    ({"which": "X"}, "which = 'X' is not 'E' or 'I'"),
+], ids=["alpha", "beta-string", "rho", "xi", "which"])
+def test_stability_bad_sector_fails_before_any_output(option, named,
+                                                      tmp_path, capsys):
+    # alpha = 120 and which = 'X' used to fail after --out was created
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"method": "imex-mri-sr21", **option}))
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 

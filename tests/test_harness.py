@@ -95,8 +95,24 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
     (dict(res=(1, 5)), "res = (1, 5)"),
     (dict(res=(48.0, 48)), "res = "),
     (dict(res=48), "res = 48"),
+    (dict(M=0), "M = 0 is not a positive integer"),
+    (dict(M="10"), "M = '10' is not a positive integer"),
+    (dict(M=2.0), "M = 2.0 is not a positive integer"),
+    (dict(M=True), "M = True is not a positive integer"),
+    (dict(kmin=2.5), "kmin = 2.5 is not an integer"),
+    (dict(kmax="8"), "kmax = '8' is not an integer"),
+    (dict(which="X"), "which = 'X' is not 'E' or 'I'"),
+    (dict(alpha=120.0), "alpha = 120.0 is not an angle in [0, 90] degrees"),
+    (dict(beta=-1.0), "beta = -1.0 is not an angle"),
+    (dict(alpha=float("nan")), "alpha = nan is not an angle"),
+    (dict(rho=-1.0), "rho = -1.0 is not a finite number >= 0"),
+    (dict(xi=-5), "xi = -5 is not a finite number >= 0"),
+    (dict(xi="1e4"), "xi = '1e4' is not a finite number >= 0"),
 ], ids=["method", "problem", "kmin-kmax", "window-three", "window-inf",
-        "window-string", "res-one", "res-float", "res-scalar"])
+        "window-string", "res-one", "res-float", "res-scalar", "M-zero",
+        "M-string", "M-float", "M-bool", "kmin-float", "kmax-string", "which",
+        "alpha-over-90", "beta-negative", "alpha-nan", "rho-negative",
+        "xi-negative", "xi-string"])
 def test_experiment_config_rejects_bad_input_by_field(kw, named):
     # at construction, so a study never starts on it
     cfg = dict(kind="stability", methods=["imex-mri-sr21"])

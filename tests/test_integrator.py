@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -464,6 +465,29 @@ def test_step_rejects_bad_m_and_h():
         step(p, t, rk, p.y0, 0.0, 0.0, 4)
 
 
+def _two_component_problem(**changes):
+    kw = dict(dim=2, fF=lambda tt, y: -y, fE=lambda tt, y: 0.0 * y,
+              fI=lambda tt, y: -y, y0=np.array([1.0, 2.0]))
+    return SplitIVP(**{**kw, **changes})
+
+
+@pytest.mark.parametrize("changes,named", [
+    (dict(fF=lambda tt, y: -y[:1]), "fF(t_n, y_n) has shape (1,), not (2,)"),
+    (dict(fE=lambda tt, y: 0.0 * y[0]), "fE(t_n, y_n) has shape (), not (2,)"),
+    (dict(fI=lambda tt, y: np.concatenate([-y, y])),
+     "fI(t_n, y_n) has shape (4,), not (2,)"),
+    (dict(dim=3), "y_n has shape (2,), not (3,)"),
+], ids=["fF-short", "fE-scalar", "fI-long", "y0-short"])
+def test_wrong_shape_fails_the_run_naming_the_value(changes, named):
+    # fF = -y[:1] used to be broadcast: y = [0.1352, 0.5032] at t = 1
+    # instead of [0.1352, 0.2704]; a short y0 ended in numpy's bare
+    # broadcast ValueError
+    p = _two_component_problem(**changes)
+    t, rk = load_builtin("imex-mri-sr21"), inner_method("heun")
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        integrate_fixed(p, t, rk, 1.0, 0.1, 2)
+
+
 @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, -0.1])
 def test_step_rejects_nonfinite_h(H):
     # H <= 0 let a NaN H through to the stage solves
@@ -601,6 +625,15 @@ def test_fixed_brusselator_factors_its_stage_matrix_once():
     assert st.factorizations == 1
     assert st.jacobian_evals == st.implicit_solves == 64 * 3
     assert st.newton_iters == st.implicit_solves + 1
+    # each record owns its run's NewtonState: a second run factors again
+    again = integrate_fixed(p, load_builtin("imex-mri-sr21"),
+                            inner_method("heun"), 0.1, 0.1 / 64, 10)
+    assert again.stats == st and again.stats.factorizations == 1
+
+
+def test_record_failed_follows_failure():
+    assert IntegrationRecord(failure="x").failed
+    assert not IntegrationRecord().failed
 
 
 @pytest.mark.parametrize("name,inner_name", [

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mrisr.errors import NewtonFailure, SingularMatrixError
 from mrisr.integrator import StepStats
-from mrisr.linalg import (BandedMatrix, Factorization, NewtonState,
-                          newton_solve, shifted_jacobian, wrms)
+from mrisr.linalg import (BandedMatrix, Factorization, NewtonConfig,
+                          NewtonState, newton_solve, shifted_jacobian, wrms)
 
 
 def _random_banded(n, ml, mu, rng):
@@ -93,7 +93,7 @@ def test_newton_scalar_quadratic():
     stats = StepStats()
     root = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]),
                         Factorization(np.array([[6.0]])), np.array([3.0]),
-                        stats, max_iter=40)
+                        stats, cfg=NewtonConfig(max_iter=40))
     assert root[0] == pytest.approx(2.0, abs=1e-8)
     assert stats.newton_iters <= 25
 
@@ -113,7 +113,7 @@ def test_newton_divergence_raises():
     with pytest.raises(NewtonFailure):
         newton_solve(lambda x: np.array([np.exp(x[0])]),
                      Factorization(np.array([[1.0]])), np.array([0.0]),
-                     StepStats(), max_iter=5)
+                     StepStats(), cfg=NewtonConfig(max_iter=5))
 
 
 def test_newton_counters():
@@ -220,10 +220,11 @@ def test_newton_contraction_stop_keeps_the_update_test():
     stats, state = StepStats(), NewtonState()
     fac = Factorization(np.array([[6.0]]))
     newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
-                 np.array([3.0]), stats, max_iter=40, state=state)
+                 np.array([3.0]), stats, cfg=NewtonConfig(max_iter=40),
+                 state=state)
     plain = StepStats()
     newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
-                 np.array([3.0]), plain, max_iter=40)
+                 np.array([3.0]), plain, cfg=NewtonConfig(max_iter=40))
     assert 0.0 < state.eta < 1.0
     assert stats.newton_iters == plain.newton_iters
 
