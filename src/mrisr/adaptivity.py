@@ -6,12 +6,12 @@ using multiplicative updates with exponents K1/(p+1) and K2/(q+1).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, StepFailure, StepSizeUnderflow
+from .errors import (FINITE, POSITIVE_FINITE, POSITIVE_INTEGER,
+                     PreconditionError, StepFailure, require)
 from .integrator import IntegrationRecord, step
 from .linalg import wrms
 from .theory import method_order
@@ -44,8 +44,7 @@ class ControllerState:
     safety: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must be in (0, 1]")
+        require("safety", self.safety, POSITIVE_FINITE.at_most(1))
 
 
 @dataclass
@@ -98,8 +97,8 @@ def controller_update(st, est, H, M):
     accept iff both normalized estimates are <= 1. H shrinks with the slow
     error; the inner step h = H/M additionally shrinks with the fast error,
     so M picks up the ratio of the two updates, within [1, MMAX]. Each
-    factor is clamped to [SHRINK_LIMIT, GROW_LIMIT]. Raises
-    StepSizeUnderflow when Hnext would fall below HMIN.
+    factor is clamped to [SHRINK_LIMIT, GROW_LIMIT]. integrate_adaptive
+    gives a run up when Hnext falls below HMIN.
     """
     if not est.finite():
         eS, eF = 10.0, 10.0
@@ -113,9 +112,6 @@ def controller_update(st, est, H, M):
         # fast error would otherwise inflate H while M catches up)
         fH = min(fH, 1.0)
     Hnext = H * fH
-    if Hnext < HMIN:
-        raise StepSizeUnderflow(
-            f"step size {Hnext:.3e} fell below Hmin={HMIN:.3e}")
     # h = H/M tracks the fast tolerance: M_next = M * fH / fh
     raw = M * fH / fh
     # round to nearest on accept; never round the increase away on reject
@@ -142,30 +138,27 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     step (see accumulate_fast_error). The controller uses the default
     ControllerState for the method orders. Steps are truncated to hit
     sample points and tEnd exactly. PreconditionError (a ValueError)
-    unless both methods carry an embedding, M0 is a positive integer, tol
-    and H0 (when given) are positive and finite, and every sample point
-    lies in (t0, tEnd]; it is the only exception raised.
-    StepSizeUnderflow, more than MAX_REJECTS (30) rejections of one step
-    and OSCILLATION_CAP (50) consecutive accept/reject alternations end the
-    run with a partial record, its failure set. Every attempted step
-    adds one step_log entry and one to accepted or rejected; the attempt a
-    run gives up on counts as rejected, with accepted=0 in its entry.
+    unless both methods carry an embedding, tEnd is finite, M0 is a
+    positive integer, tol and H0 (when given) are positive and finite, and
+    every sample point lies in (t0, tEnd]; it is the only exception raised.
+    A next H below HMIN, more than MAX_REJECTS (30) rejections of one step
+    and OSCILLATION_CAP (50) consecutive accept/reject alternations, tested
+    in that order, end the run with a partial record, its failure set.
+    Every attempted step adds one step_log entry and one to accepted or
+    rejected; the attempt a run gives up on counts as rejected, with
+    accepted=0 in its entry.
     """
     if not t.has_embedding:
         raise PreconditionError(f"tableau {t.name!r} has no embedding")
     if inner.bhat is None:
         raise PreconditionError(
             f"inner method {inner.name!r} has no embedding")
-    if not isinstance(M0, numbers.Integral) or M0 < 1:
-        raise PreconditionError(f"M0 = {M0!r} is not a positive integer")
-    if not 0.0 < tol < math.inf:
-        raise PreconditionError(f"tol = {tol!r} is not a positive finite "
-                                "number")
-    if H0 is not None and not 0.0 < H0 < math.inf:
-        raise PreconditionError(f"H0 = {H0!r} is not a positive finite "
-                                "number")
+    require("tEnd", tEnd, FINITE)
+    require("M0", M0, POSITIVE_INTEGER)
+    require("tol", tol, POSITIVE_FINITE)
+    require("H0", H0, POSITIVE_FINITE.or_none())
     targets = sorted(set(list(sample_points or []) + [tEnd]))
-    if any(x <= p.t0 or x > tEnd for x in targets):
+    if not all(p.t0 < x <= tEnd for x in targets):
         raise PreconditionError("sample points must lie in (t0, tEnd]")
     q = inner.emb_order if inner.emb_order is not None else inner.order
     st = ControllerState(slow_order=method_order(t, inner.order),
@@ -197,26 +190,24 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         except StepFailure:
             est = ErrorEstimate(slow=math.inf, fast=math.inf)
             y1 = None
-        failure = None
-        try:
-            accept, Hnext, Mnext = controller_update(st, est, H_try, M)
-        except StepSizeUnderflow as e:
-            accept, failure = False, str(e)
+        accept, Hnext, Mnext = controller_update(st, est, H_try, M)
+        if prev_accept is not None and accept != prev_accept:
+            alternations += 1
         else:
-            if prev_accept is not None and accept != prev_accept:
-                alternations += 1
-            else:
-                alternations = 0
-            prev_accept = accept
-            rejects_here = 0 if accept else rejects_here + 1
-            if alternations >= OSCILLATION_CAP:
-                accept, failure = False, (
-                    f"{OSCILLATION_CAP} consecutive accept/reject "
-                    f"alternations at t={tn:.6g}")
-            elif rejects_here > MAX_REJECTS:
-                failure = f"step at t={tn:.6g} rejected {rejects_here} times"
+            alternations = 0
+        prev_accept = accept
+        rejects_here = 0 if accept else rejects_here + 1
+        failure = None
+        if Hnext < HMIN:
+            failure = f"step size {Hnext:.3e} fell below Hmin={HMIN:.3e}"
+        elif alternations >= OSCILLATION_CAP:
+            failure = (f"{OSCILLATION_CAP} consecutive accept/reject "
+                       f"alternations at t={tn:.6g}")
+        elif rejects_here > MAX_REJECTS:
+            failure = f"step at t={tn:.6g} rejected {rejects_here} times"
         # every attempt is logged and counted once; an attempt the run
         # gives up on counts as rejected
+        accept = accept and failure is None
         rec.step_log.append(dict(t=tn, H=H_try, M=M, epsS=est.slow,
                                  epsF=est.fast, accepted=int(accept)))
         if not accept:

@@ -46,7 +46,7 @@ _FLAGS = {
     "out": ("--out", dict(help="output directory")),
     "json": ("--json", dict(action="store_true",
                             help="emit JSON to stdout instead of a table")),
-    "which": ("--which", dict(choices=["E", "I"])),
+    "which": ("--which", dict(help="grid variable, E or I")),
     "joint": ("--joint", dict(action="store_true")),
     "alpha": ("--alpha", dict(type=float)),
     "rho": ("--rho", dict(type=float)),

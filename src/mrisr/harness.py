@@ -4,7 +4,6 @@ exports, and adaptive runs, with CSV output and JSON config sidecars."""
 import csv
 import json
 import math
-import numbers
 import os
 import platform
 import time
@@ -14,7 +13,9 @@ import numpy as np
 import scipy
 
 from . import adaptivity, stability, theory
-from .errors import MRISRError, PreconditionError, UnknownMethodError
+from .errors import (ANGLE, FINITE_NONNEGATIVE, INTEGER, LIST,
+                     POSITIVE_FINITE, POSITIVE_INTEGER, MRISRError,
+                     PreconditionError, UnknownMethodError, require)
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
 from .problems import PROBLEMS, kpr_exact, make_problem
 from .rk import inner_method
@@ -59,39 +60,18 @@ def default_inner(method_name):
     return inner_method(_DEFAULT_INNER[method_name])
 
 
-def _positive_finite(x):
-    return isinstance(x, numbers.Real) and 0.0 < x < math.inf
-
-
-def _integer(x):
-    # a JSON true is not the integer 1 here
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _finite(x):
-    return isinstance(x, numbers.Real) and math.isfinite(x)
-
-
-def _n_of(x, n, ok):
-    """x is a list or tuple of n items that each pass ok."""
-    return isinstance(x, (list, tuple)) and len(x) == n and all(map(ok, x))
-
-
-# (fields, test, what the test asks for) of ExperimentConfig's one-field
-# checks; a value that fails is named in a PreconditionError
+# (fields, rule) of ExperimentConfig's one-field checks, shared with the
+# library objects it builds where they check the same value
 _FIELD_RULES = (
-    ("kmin kmax", _integer, "an integer"),
-    ("M", lambda x: _integer(x) and x >= 1, "a positive integer"),
-    ("H0", lambda x: x is None or _positive_finite(x),
-     "a positive finite number"),
-    ("tols", lambda x: x is None or isinstance(x, (list, tuple)), "a list"),
-    ("which", lambda x: x in ("E", "I"), "'E' or 'I'"),
-    ("alpha beta", lambda x: _finite(x) and 0 <= x <= 90,
-     "an angle in [0, 90] degrees"),
-    ("rho xi", lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
-    ("window", lambda x: _n_of(x, 4, _finite), "four finite numbers"),
-    ("res", lambda x: _n_of(x, 2, lambda n: _integer(n) and n >= 2),
-     "two integers >= 2"),
+    ("kmin kmax", INTEGER),
+    ("M", POSITIVE_INTEGER),
+    ("H0", POSITIVE_FINITE.or_none()),
+    ("tols", LIST.or_none()),
+    ("which", stability.WHICH),
+    ("alpha beta", ANGLE),
+    ("rho xi", FINITE_NONNEGATIVE),
+    ("window", stability.WINDOW),
+    ("res", stability.RES),
 )
 
 
@@ -126,17 +106,13 @@ class ExperimentConfig:
             raise PreconditionError(
                 f"unknown problem {self.problem!r}; known problems: "
                 f"{', '.join(sorted(PROBLEMS))}")
-        for names, ok, what in _FIELD_RULES:
+        for names, rule in _FIELD_RULES:
             for name in names.split():
-                x = getattr(self, name)
-                if not ok(x):
-                    raise PreconditionError(f"{name} = {x!r} is not {what}")
+                require(name, getattr(self, name), rule)
         if self.kmin > self.kmax:
             raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
         for tol in self.tols or ():
-            if not _positive_finite(tol):
-                raise PreconditionError(
-                    f"tol = {tol!r} is not a positive finite number")
+            require("tol", tol, POSITIVE_FINITE)
 
     def inner_for(self, method):
         if method in self.inner:

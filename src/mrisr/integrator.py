@@ -20,13 +20,13 @@ embedding Omega and Gamma rows over the first s - 1 tendencies.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FastSolveDivergence, NewtonFailure, PreconditionError,
-                     SingularMatrixError, StepFailure)
+from .errors import (FINITE, POSITIVE_FINITE, POSITIVE_INTEGER,
+                     FastSolveDivergence, NewtonFailure, PreconditionError,
+                     SingularMatrixError, StepFailure, require)
 from .linalg import NewtonConfig, NewtonState, newton_solve, wrms
 
 __all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
@@ -264,10 +264,8 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     names the stage whose fast solve diverged or whose Newton solve
     failed.
     """
-    if not 0.0 < H < math.inf:
-        raise PreconditionError(f"H must be positive and finite, not {H!r}")
-    if not isinstance(M, numbers.Integral) or M < 1:
-        raise PreconditionError(f"M = {M!r} is not a positive integer")
+    require("H", H, POSITIVE_FINITE)
+    require("M", M, POSITIVE_INTEGER)
     stats = stats or StepStats()
     state = state or NewtonState()
     s = t.s
@@ -330,13 +328,15 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
     """Fixed-step integration from (p.t0, p.y0) to tEnd.
 
     Steps skip the embedding row. PreconditionError (a ValueError) unless
-    M is a positive integer, (tEnd - t0)/H is an integer and sample_points
-    are step boundaries. A step failure ends the run with a partial record
-    whose failure names the step.
+    t0 and tEnd are finite, H positive and finite, M a positive integer,
+    (tEnd - t0)/H an integer and sample_points step boundaries. A step
+    failure ends the run with a partial record whose failure names it.
     """
-    if not isinstance(M, numbers.Integral) or M < 1:
-        raise PreconditionError(f"M = {M!r} is not a positive integer")
+    require("tEnd", tEnd, FINITE)
+    require("H", H, POSITIVE_FINITE)
+    require("M", M, POSITIVE_INTEGER)
     t0 = p.t0
+    require("p.t0", t0, FINITE)
     n_steps_f = (tEnd - t0) / H
     n_steps = round(n_steps_f)
     if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, abs(n_steps_f)):
@@ -345,6 +345,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
     samples = list(sample_points) if sample_points is not None else [tEnd]
     sample_idx = {}
     for ts in samples:
+        require("sample point", ts, FINITE)
         k_f = (ts - t0) / H
         k = round(k_f)
         if abs(k_f - k) > 1e-9 * max(1.0, abs(k_f)) or not 0 <= k <= n_steps:

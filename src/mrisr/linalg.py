@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonFailure, SingularMatrixError
+from .errors import NewtonFailure, Rule, SingularMatrixError, require
 
 __all__ = ["BandedMatrix", "shifted_jacobian", "Factorization",
            "NewtonConfig", "NewtonState", "wrms", "newton_solve"]
@@ -70,8 +70,8 @@ class Factorization:
             self._trs = lapack.dgbtrs
         else:
             A = np.asarray(A, dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError("need a square matrix")
+            require("A.shape", A.shape, Rule(
+                lambda n: len(n) == 2 and n[0] == n[1], "a square shape"))
             lu, piv, info = lapack.dgetrf(A)
             self._band = None
             self._trs = lapack.dgetrs

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import INTEGER, UnknownMethodError, one_of, require
 from .integrator import SplitIVP
 from .linalg import BandedMatrix
 
@@ -96,10 +97,8 @@ class BrusselatorParams:
     variant: str = "fixed"  # "fixed" or "time-varying"
 
     def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("N must be at least 3")
-        if self.variant not in _BRUSSELATOR_ABE:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        require("N", self.N, INTEGER.at_least(3))
+        require("variant", self.variant, one_of(*_BRUSSELATOR_ABE))
 
 
 def brusselator_problem(params=None):
@@ -213,5 +212,6 @@ PROBLEMS = {
 
 def make_problem(name):
     if name not in PROBLEMS:
-        raise KeyError(f"unknown problem {name!r}; have {sorted(PROBLEMS)}")
+        raise UnknownMethodError(
+            f"unknown problem {name!r}; have {sorted(PROBLEMS)}")
     return PROBLEMS[name]()

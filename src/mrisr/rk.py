@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, UnknownMethodError
+from .errors import INTEGER, PreconditionError, UnknownMethodError, require
 
 __all__ = ["frac", "ButcherTable", "rk_order_residuals", "rk_order",
            "bushy_tree_residuals", "certify", "HEUN", "BOGACKI_SHAMPINE",
@@ -141,8 +141,7 @@ def _tree_residuals(weights, mats, c, p):
     weights and mats map colour letters to weight vectors and coefficient
     matrices; each tree is evaluated for every colouring of b, A and B.
     """
-    if p > 5:
-        raise ValueError("conditions enumerated up to order 5 only")
+    require("p", p, INTEGER.at_most(5))
     c = _exact(c)
     weights = {s: _exact(b) for s, b in weights.items()}
     mats = {n: _exact(A) for n, A in mats.items()}
@@ -178,7 +177,7 @@ def rk_order_residuals(A, b, c, p):
       order 4: b.c^3 = 1/4, b.(c*Ac) = 1/8, b.Ac^2 = 1/12, b.AAc = 1/24
       order 5: the nine rooted trees of order five
     The same tree table serves the additive pairs of
-    theory.check_ark_order, in two colours. Raises ValueError for p > 5.
+    theory.check_ark_order, in two colours. p is an integer <= 5.
     """
     groups = _tree_residuals({"": b}, {"": A}, c, p)
     return {lbl: r for g in groups.values() for lbl, r in g.items()}

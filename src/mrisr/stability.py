@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import (ANGLE, FINITE, FINITE_NONNEGATIVE, INTEGER,
+                     PreconditionError, one_of, require)
 
 __all__ = ["phi", "eta_matrix", "stability_value", "SectorSpec",
            "sector_samples", "RegionScan", "scan_joint_region",
            "scan_component_region"]
+
+# the scan settings' rules, which harness.ExperimentConfig applies too
+WHICH = one_of("E", "I")
+WINDOW = FINITE.n_of(4, "four finite numbers")
+RES = INTEGER.at_least(2).n_of(2, "two integers >= 2")
 
 _TAYLOR_TERMS = 20
 _SWITCH_RADIUS = 0.5
@@ -42,10 +48,9 @@ def phi(k, z):
     Note phi_k(0) = 1/k. Evaluated by the recurrence
     phi_1 = (e^z - 1)/z, phi_{k+1} = (k phi_k - 1)/z, switching to a
     20-term Taylor series below |z| = 0.5 where the recurrence cancels.
-    Accepts complex scalars or arrays.
+    Accepts complex scalars or arrays; k is an integer >= 0.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    require("k", k, INTEGER.at_least(0))
     scalar = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     if k == 0:
@@ -94,10 +99,8 @@ class SectorSpec:
     radius: float
 
     def __post_init__(self):
-        if not 0 <= self.angle <= 90:
-            raise ValueError("angle must be in [0, 90] degrees")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        require("angle", self.angle, ANGLE)
+        require("radius", self.radius, FINITE_NONNEGATIVE)
 
 
 def sector_samples(spec, n_radial=16, n_angular=16):
@@ -154,10 +157,10 @@ _BATCH = 8192
 
 
 def _grid(window, res):
+    require("window", window, WINDOW)
+    require("res", res, RES)
     re0, re1, im0, im1 = window
     nre, nim = res
-    if nre < 2 or nim < 2:
-        raise ValueError("resolution must be at least 2 per axis")
     return np.linspace(re0, re1, nre), np.linspace(im0, im1, nim)
 
 
@@ -272,6 +275,5 @@ def scan_component_region(t, which, fast, window, res, n_radial=16,
     (which='I', zE=0), maximizing over the fast sector only; a cell's
     samples stop at its first |R| > 1 + tol. Solved and checked as
     scan_joint_region."""
-    if which not in ("E", "I"):
-        raise ValueError("which must be 'E' or 'I'")
+    require("which", which, WHICH)
     return _scan(t, which, {"F": fast}, window, res, n_radial, n_angular)

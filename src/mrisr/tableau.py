@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, UnknownMethodError
+from .errors import LIST, PreconditionError, UnknownMethodError, require
 from .rk import _fmat, _fvec, _readonly, frac
 
 __all__ = [
@@ -405,8 +405,7 @@ def _exact(x, where, depth):
             raise PreconditionError(
                 f"{where} = {x!r} is not a finite number or fraction "
                 "string") from None
-    if not isinstance(x, (list, tuple)):
-        raise PreconditionError(f"{where} = {x!r} is not a list")
+    require(where, x, LIST)
     return tuple(_exact(v, f"{where}[{i}]", depth - 1)
                  for i, v in enumerate(x))
 

@@ -8,7 +8,8 @@ the condition holds identically, not merely to rounding.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateEmbeddingError, PreconditionError
+from .errors import (INTEGER, DegenerateEmbeddingError, PreconditionError,
+                     one_of, require)
 from .rk import (_dot, _leading_order, _matvec, _tree_residuals,
                  bushy_tree_residuals)
 from .tableau import omega_bar, omega_row
@@ -135,6 +136,7 @@ def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
     By default the conditions use the last tableau row (the solution stage);
     passing embedding rows instead yields the embedded method's residuals.
     """
+    require("p", p, one_of(3, 4))
     s = t.s
     c = list(t.c)
     if final_omega_rows is None:
@@ -146,8 +148,6 @@ def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
     finL = fin(wL)
     if p == 3:
         return {"coupling3": _dot(finL, c) - Fraction(1, 6)}
-    if p != 4:
-        raise ValueError("coupling conditions available for p = 3 or 4 only")
     Ob = omega_bar(t)
     bE = fin(lambda k: Fraction(1, k + 1))
     Lc = _matvec([omega_row([O[i] for O in t.omega], wL) for i in range(s)], c)
@@ -190,11 +190,10 @@ def check_ark_order(ark, p):
     for s, n, m ranging over {E, I}: the rooted trees of the table behind
     rk.rk_order_residuals, evaluated for every colouring. Literature
     countings that also include fast-coupled trees arrive at different
-    totals; those conditions live in check_coupling_order. Raises
-    ValueError for p > 4.
+    totals; those conditions live in check_coupling_order. p is an
+    integer <= 4.
     """
-    if p > 4:
-        raise ValueError("conditions enumerated up to order 4 only")
+    require("p", p, INTEGER.at_most(4))
     groups = _tree_residuals({"E": ark.bE, "I": ark.bI},
                              {"E": ark.AE, "I": ark.AI}, ark.c, p)
     res = {lbl: r for g in groups.values() for lbl, r in g.items()}
@@ -259,12 +258,11 @@ def c_statistic(t, p):
 
     tau(q) is the vector of order-q condition residuals of the primary method
     and tau-hat(q) that of the embedded method. Requires p + 1 <= 4 since the
-    condition sets stop at order 4 (ValueError otherwise).
+    condition sets stop at order 4 (PreconditionError otherwise).
     """
     if not t.has_embedding:
         raise DegenerateEmbeddingError(f"{t.name} has no embedding")
-    if p + 1 > 4:
-        raise ValueError("order-5 residuals unavailable; need p + 1 <= 4")
+    require("p", p, INTEGER.at_most(3))
     tau_next = _residual_vector(t, p + 1, embedded=False)
     tau_hat_next = _residual_vector(t, p + 1, embedded=True)
     tau_hat_p = _residual_vector(t, p, embedded=True)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrisr import adaptivity
-from mrisr.adaptivity import (MMAX, ControllerState, ErrorEstimate,
+from mrisr.adaptivity import (HMIN, MMAX, ControllerState, ErrorEstimate,
                               accumulate_fast_error, controller_update,
                               estimate_slow_error, integrate_adaptive)
-from mrisr.errors import PreconditionError, StepSizeUnderflow
+from mrisr.errors import PreconditionError
 from mrisr.integrator import SplitIVP
 from mrisr.linalg import BandedMatrix
 from mrisr.rk import inner_method
@@ -83,9 +83,10 @@ def test_controller_m_bounds():
 
 
 def test_controller_underflow_raises():
-    # the shrink clamp takes H = 2e-12 to 2e-13, below HMIN = 1e-12
-    with pytest.raises(StepSizeUnderflow):
-        controller_update(_st(), ErrorEstimate(1e9, 1.0), 2e-12, 10)
+    # the shrink clamp takes H = 2e-12 to 2e-13, below HMIN = 1e-12; the
+    # driver gives the run up on it
+    _, Hn, _ = controller_update(_st(), ErrorEstimate(1e9, 1.0), 2e-12, 10)
+    assert Hn < HMIN
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3),
@@ -103,6 +104,12 @@ def test_controller_update_is_scale_free(H, eS, eF):
 def test_controller_state_validation():
     with pytest.raises(ValueError):
         ControllerState(slow_order=2, fast_order=2, safety=0.0)
+
+
+@pytest.mark.parametrize("safety", [0.0, 1.5, math.nan, True])
+def test_controller_state_names_the_field(safety):
+    with pytest.raises(PreconditionError, match=f"safety = {safety!r} is not"):
+        ControllerState(slow_order=2, fast_order=2, safety=safety)
 
 
 def test_estimate_slow_error_pins():
@@ -174,9 +181,9 @@ def test_adaptive_requires_embeddings():
                            inner_method("heun"), 1.0, 1e-4)
 
 
-@pytest.mark.parametrize("M0", [0, -5, 2.7])
+@pytest.mark.parametrize("M0", [0, -5, 2.7, True])
 def test_adaptive_rejects_bad_m0(M0):
-    # a bad M0 used to run silently as max(1, int(M0))
+    # a bad M0 used to run silently as max(1, int(M0)), and True as 1
     with pytest.raises(PreconditionError, match="positive integer"):
         integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),
                            inner_method("bogacki-shampine"), 1.0, 1e-4,
@@ -186,8 +193,9 @@ def test_adaptive_rejects_bad_m0(M0):
 @pytest.mark.parametrize("tol,H0", [
     (-1e-3, None), (0.0, None), (math.nan, None), (math.inf, None),
     (1e-4, 0.0), (1e-4, -0.1), (1e-4, math.nan), (1e-4, math.inf),
+    (True, None), (1e-4, True),
 ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf",
-        "H0-zero", "H0-negative", "H0-nan", "H0-inf"])
+        "H0-zero", "H0-negative", "H0-nan", "H0-inf", "tol-bool", "H0-bool"])
 def test_adaptive_rejects_bad_tol_and_h0(tol, H0):
     # a negative tol used to run as its absolute value, and a zero or NaN
     # tol or H0 ended in 'rejected 31 times' after 31 wasted steps
@@ -208,6 +216,16 @@ def test_adaptive_sample_point_validation():
     with pytest.raises(PreconditionError):
         integrate_adaptive(p, t, inner_method("bogacki-shampine"), 1.0, 1e-4,
                            sample_points=[0.5, 2.0])
+    # a NaN sample point was dropped silently, and a non-finite tEnd gave
+    # an unfailed record holding only t0
+    with pytest.raises(PreconditionError, match="sample points"):
+        integrate_adaptive(p, t, inner_method("bogacki-shampine"), 1.0, 1e-4,
+                           sample_points=[math.nan, 1.0])
+    for tEnd in (math.nan, math.inf):
+        with pytest.raises(PreconditionError,
+                           match=f"tEnd = {tEnd} is not a finite number"):
+            integrate_adaptive(p, t, inner_method("bogacki-shampine"), tEnd,
+                               1e-4)
 
 
 def test_adaptive_reports_repeated_rejection():
@@ -255,9 +273,7 @@ def test_adaptive_step_size_underflow_logs_and_counts_the_attempt(
 
     def underflow_third(st, est, H, M):
         calls.append(H)
-        if len(calls) == 3:
-            raise StepSizeUnderflow("step size fell below Hmin")
-        return True, H, M
+        return True, (HMIN / 2 if len(calls) == 3 else H), M
 
     monkeypatch.setattr(adaptivity, "controller_update", underflow_third)
     rec = integrate_adaptive(_scalar_problem(), load_builtin("imex-mri-sr21"),

@@ -30,3 +30,27 @@ def test_package_imports_resolve():
     for module, name in names:
         assert hasattr(importlib.import_module(f"mrisr.{module}"), name)
         assert hasattr(mrisr, name)
+
+
+def _raised_builtin_errors(path):
+    """(line, source) of every raise of ValueError, KeyError or TypeError."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and \
+                    exc.id in ("ValueError", "KeyError", "TypeError"):
+                yield node.lineno, ast.unparse(node.exc)
+
+
+def test_bad_input_is_a_precondition_error():
+    # a value rule lives in mrisr.errors, and a boundary raises
+    # PreconditionError (a ValueError) or UnknownMethodError (a KeyError)
+    # through it. Exempt: the CLI's usage errors, which main() catches, and
+    # LAPACK's illegal-argument code, a fault in the program, not bad input
+    found = [(path.name, line, src)
+             for path in sorted(Path(mrisr.__file__).parent.glob("*.py"))
+             for line, src in _raised_builtin_errors(path)
+             if path.name != "cli.py" and not (
+                 path.name == "linalg.py" and "illegal argument" in src)]
+    assert found == []

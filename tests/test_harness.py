@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import mrisr
-from mrisr import adaptivity, harness, theory
+from mrisr import adaptivity, errors, harness, stability, theory
 from mrisr.errors import MRISRError, PreconditionError, UnknownMethodError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
@@ -353,3 +353,14 @@ def test_problem_tables_cover_registry():
     from mrisr.problems import PROBLEMS
     assert set(PROBLEM_TEND) == set(PROBLEMS) == set(PROBLEM_H0)
     assert PROBLEM_TEND["kpr"] == pytest.approx(5.0 * math.pi / 2.0)
+
+
+def test_experiment_config_and_scans_share_their_rules():
+    # the CLI's checks are the library's, so they cannot drift apart
+    rules = {name: rule for names, rule in harness._FIELD_RULES
+             for name in names.split()}
+    assert rules["which"] is stability.WHICH
+    assert rules["window"] is stability.WINDOW
+    assert rules["res"] is stability.RES
+    assert rules["alpha"] is rules["beta"] is errors.ANGLE
+    assert rules["rho"] is rules["xi"] is errors.FINITE_NONNEGATIVE

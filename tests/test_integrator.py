@@ -445,15 +445,38 @@ def test_integrate_fixed_validates_schedule():
     with pytest.raises(ValueError):
         integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4,
                         sample_points=[0.1])
+    # a NaN sample point or t0 used to escape as round()'s bare ValueError
+    with pytest.raises(PreconditionError, match="sample point = nan is not"):
+        integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4,
+                        sample_points=[math.nan])
+    p.t0 = math.nan
+    with pytest.raises(PreconditionError, match="p.t0 = nan is not"):
+        integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4)
 
 
-@pytest.mark.parametrize("M", [0, -5, 2.7])
-def test_integrate_fixed_rejects_bad_m(M):
-    # a bad M used to run silently as max(1, int(M))
+@pytest.mark.parametrize("kw,named", [
+    (dict(M=0), "M = 0 is not a positive integer"),
+    (dict(M=-5), "M = -5 is not a positive integer"),
+    (dict(M=2.7), "M = 2.7 is not a positive integer"),
+    (dict(M=True), "M = True is not a positive integer"),
+    (dict(H=math.inf), "H = inf is not a positive finite number"),
+    (dict(H=math.nan), "H = nan is not a positive finite number"),
+    (dict(H=0.0), "H = 0.0 is not a positive finite number"),
+    (dict(H=True), "H = True is not a positive finite number"),
+    (dict(tEnd=math.nan), "tEnd = nan is not a finite number"),
+    (dict(tEnd=math.inf), "tEnd = inf is not a finite number"),
+], ids=["0", "-5", "2.7", "True", "H-inf", "H-nan", "H-zero", "H-bool",
+        "tEnd-nan", "tEnd-inf"])
+def test_integrate_fixed_rejects_bad_m(kw, named):
+    # a bad M used to run silently as max(1, int(M)), M = True as M = 1,
+    # and H = inf as zero steps that returned y0 as the solution at tEnd;
+    # H = nan, H = 0 and a non-finite tEnd ended in bare ValueError,
+    # ZeroDivisionError or OverflowError
     p = _nonstiff_problem()
-    with pytest.raises(PreconditionError, match="positive integer"):
+    args = {**dict(tEnd=1.0, H=0.25, M=4), **kw}
+    with pytest.raises(PreconditionError, match=re.escape(named)):
         integrate_fixed(p, load_builtin("imex-mri-sr21"), inner_method("heun"),
-                        1.0, 0.25, M)
+                        **args)
 
 
 def test_step_rejects_bad_m_and_h():
@@ -461,7 +484,8 @@ def test_step_rejects_bad_m_and_h():
     t, rk = load_builtin("imex-mri-sr21"), inner_method("heun")
     with pytest.raises(PreconditionError, match="positive integer"):
         step(p, t, rk, p.y0, 0.0, 0.1, 0)
-    with pytest.raises(PreconditionError, match="H must be positive"):
+    with pytest.raises(PreconditionError,
+                       match="H = 0.0 is not a positive finite number"):
         step(p, t, rk, p.y0, 0.0, 0.0, 4)
 
 
@@ -488,11 +512,12 @@ def test_wrong_shape_fails_the_run_naming_the_value(changes, named):
         integrate_fixed(p, t, rk, 1.0, 0.1, 2)
 
 
-@pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, -0.1, True])
 def test_step_rejects_nonfinite_h(H):
-    # H <= 0 let a NaN H through to the stage solves
+    # H <= 0 let a NaN H through to the stage solves, and H = True ran as 1
     p = _nonstiff_problem()
-    with pytest.raises(PreconditionError, match="positive and finite"):
+    with pytest.raises(PreconditionError,
+                       match=r"^H = .* is not a positive finite number$"):
         step(p, load_builtin("imex-mri-sr21"), inner_method("heun"), p.y0,
              0.0, H, 4)
 

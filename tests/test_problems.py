@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mrisr import problems
+from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.problems import (PROBLEMS, BrusselatorParams, brusselator_problem,
                             kpr_exact, kpr_problem, make_problem)
 
@@ -271,6 +273,18 @@ def test_brusselator_params_validation():
         BrusselatorParams(variant="chaotic")
 
 
+@pytest.mark.parametrize("kw,named", [
+    (dict(N=2), "N = 2 is not an integer >= 3"),
+    (dict(N=50.5), "N = 50.5 is not an integer >= 3"),
+    (dict(variant="chaotic"),
+     "variant = 'chaotic' is not 'fixed' or 'time-varying'"),
+], ids=["N-small", "N-float", "variant"])
+def test_brusselator_params_name_the_field(kw, named):
+    # these raised bare ValueErrors, and N = 50.5 failed later in linspace
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        BrusselatorParams(**kw)
+
+
 def test_registry():
     assert set(PROBLEMS) == {"kpr", "brusselator-201", "brusselator-801",
                              "brusselator-tv-101"}
@@ -278,6 +292,8 @@ def test_registry():
     assert p.dim == 303 and p.name == "brusselator-tv-101"
     assert make_problem("kpr").name == "kpr"
     with pytest.raises(KeyError):
+        make_problem("lorenz")
+    with pytest.raises(UnknownMethodError, match="unknown problem 'lorenz'"):
         make_problem("lorenz")
 
 

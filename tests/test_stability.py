@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -285,3 +286,30 @@ def test_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         scan_component_region(t, "X", SectorSpec(45.0, 1.0),
                               (-1.0, 0.0, -1.0, 1.0), (5, 5))
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: SectorSpec(120.0, 1.0), "angle = 120.0 is not an angle"),
+    (lambda: SectorSpec(True, 1.0), "angle = True is not an angle"),
+    (lambda: SectorSpec(45.0, -1.0), "radius = -1.0 is not a finite number"),
+    (lambda: SectorSpec(45.0, math.nan), "radius = nan is not"),
+    (lambda: SectorSpec(45.0, math.inf), "radius = inf is not"),
+    (lambda: phi(-1, 0.0), "k = -1 is not an integer >= 0"),
+    (lambda: scan_component_region(
+        load_builtin("imex-mri-sr21"), "X", SectorSpec(45.0, 1.0),
+        (-1.0, 0.0, -1.0, 1.0), (5, 5)), "which = 'X' is not 'E' or 'I'"),
+    (lambda: scan_component_region(
+        load_builtin("imex-mri-sr21"), "E", SectorSpec(45.0, 1.0),
+        (-1.0, 0.0, -1.0, 1.0), (1, 5)), "res = (1, 5) is not two integers"),
+    (lambda: scan_joint_region(
+        load_builtin("imex-mri-sr21"), SectorSpec(45.0, 1.0),
+        SectorSpec(45.0, 1.0), (-1.0, 0.0, -1.0, math.nan), (5, 5)),
+     "window = (-1.0, 0.0, -1.0, nan) is not four finite numbers"),
+], ids=["angle", "angle-bool", "radius-negative", "radius-nan", "radius-inf",
+        "phi-k", "which", "res", "window"])
+def test_bad_input_names_the_field(build, named):
+    # these raised bare ValueErrors naming no value, a NaN or inf radius
+    # was accepted, and a NaN in the window scanned a grid of NaNs
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        build()
+
