@@ -211,8 +211,6 @@ def _fit_rows(rows, floor, ceiling):
     diverged without failing has no correct digit left."""
     good = [(r["H"], r["maxError"]) for r in rows
             if not r["failed"] and floor < r["maxError"] < ceiling]
-    if len(good) < 2:
-        return None
     return fit_slope([g[0] for g in good], [g[1] for g in good])
 
 
@@ -371,17 +369,7 @@ def write_csv(path, header, rows, sidecar=None):
                 w.writerow(list(r))
     if sidecar is not None:
         with open(path + ".json", "w") as f:
-            json.dump(_jsonable(dict(sidecar, versions=versions())), f,
-                      indent=2, sort_keys=True)
+            json.dump(dict(sidecar, versions=versions()), f, indent=2,
+                      sort_keys=True, default=lambda x: x.item())
             f.write("\n")
     return path
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonFailure, Rule, SingularMatrixError, require
+from .errors import (FINITE_NONNEGATIVE, POSITIVE_FINITE, POSITIVE_INTEGER,
+                     NewtonFailure, Rule, SingularMatrixError, require)
 
 __all__ = ["BandedMatrix", "shifted_jacobian", "Factorization",
            "NewtonConfig", "NewtonState", "wrms", "newton_solve"]
@@ -98,6 +99,11 @@ class NewtonConfig:
     atol: float = 1e-12
     rtol: float = 1e-10
     max_iter: int = 10
+
+    def __post_init__(self):
+        require("atol", self.atol, POSITIVE_FINITE)
+        require("rtol", self.rtol, FINITE_NONNEGATIVE)
+        require("max_iter", self.max_iter, POSITIVE_INTEGER)
 
 
 _NEWTON_DEFAULT = NewtonConfig()

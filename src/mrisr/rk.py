@@ -8,11 +8,12 @@ built once, on first use.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import INTEGER, PreconditionError, UnknownMethodError, require
+from .errors import (INTEGER, POSITIVE_INTEGER, PreconditionError,
+                     UnknownMethodError, require)
 
 __all__ = ["frac", "ButcherTable", "rk_order_residuals", "rk_order",
            "bushy_tree_residuals", "certify", "HEUN", "BOGACKI_SHAMPINE",
@@ -45,10 +46,11 @@ def _readonly(rows):
 class ButcherTable:
     """An explicit RK method, optionally with an embedded weight row.
 
-    A is stored dense (strictly lower triangular for the shipped methods),
-    b/c/bhat as tuples of Fractions. `order` and `emb_order` are the orders the
-    coefficients are certified to in certify(). arrays() and plans are the
-    float forms solve_fast_ivp reads, each built on first use and cached.
+    A, b, c and bhat hold Fractions. Construction checks that A is strictly
+    lower triangular with row sums c, all sized by b, and that `order` and
+    `emb_order` (given with bhat) are positive integers; certify() verifies
+    them exactly. arrays() and plans are the float forms solve_fast_ivp
+    reads, each built on first use and cached.
     """
 
     name: str
@@ -58,6 +60,26 @@ class ButcherTable:
     order: int
     bhat: tuple = None
     emb_order: int = None
+
+    def __post_init__(self):
+        require("order", self.order, POSITIVE_INTEGER)
+        require("emb_order", self.emb_order, POSITIVE_INTEGER.or_none())
+        s = len(self.b)
+        if (len(self.A) != s or any(len(row) != s for row in self.A)
+                or len(self.c) != s
+                or (self.bhat is not None and len(self.bhat) != s)):
+            raise PreconditionError(f"{self.name}: A must be {s}x{s}, and c "
+                                    f"and bhat of length {s}, as b is")
+        if (self.bhat is None) != (self.emb_order is None):
+            raise PreconditionError(
+                f"{self.name}: bhat and emb_order go together")
+        for i, row in enumerate(self.A):
+            if any(row[i:]):
+                raise PreconditionError(f"{self.name}: row {i + 1} of A is "
+                                        "not strictly lower triangular")
+            if sum(row) != self.c[i]:
+                raise PreconditionError(
+                    f"{self.name}: row {i + 1} of A does not sum to c")
 
     @property
     def stages(self):
@@ -195,25 +217,18 @@ def bushy_tree_residuals(b, c, kmax):
 
 
 def certify(table):
-    """Verify the stated orders of a ButcherTable exactly; raise if wrong.
-
-    Also checks row-sum consistency c = A.1 and that b sums to 1.
+    """Verify the stated orders of a ButcherTable exactly (b to `order`,
+    bhat to `emb_order`, up to 5); raise if wrong. The structure, row sums
+    included, is checked when the table is constructed.
     """
-    for i, row in enumerate(table.A):
-        if sum(row) != table.c[i]:
-            raise PreconditionError(
-                f"{table.name}: row {i + 1} of A does not sum to c")
-    got = rk_order(table.A, table.b, table.c, maxp=min(table.order, 5))
-    if got < min(table.order, 5):
-        raise PreconditionError(
-            f"{table.name}: stated order {table.order}, verified only {got}")
-    if table.bhat is not None:
-        got_hat = rk_order(table.A, table.bhat, table.c,
-                           maxp=min(table.emb_order, 5))
-        if got_hat < min(table.emb_order, 5):
-            raise PreconditionError(
-                f"{table.name}: embedded order {table.emb_order}, "
-                f"verified only {got_hat}")
+    for kind, b, order in (("stated", table.b, table.order),
+                           ("embedded", table.bhat, table.emb_order)):
+        if b is None:
+            continue
+        got = rk_order(table.A, b, table.c, maxp=min(order, 5))
+        if got < min(order, 5):
+            raise PreconditionError(f"{table.name}: {kind} order {order}, "
+                                    f"verified only {got}")
     return table
 
 
@@ -288,18 +303,15 @@ INNER_METHODS = {
     "cash-karp": CASH_KARP,
 }
 
-_certified = set()
+
+@cache
+def _certified(name):
+    return certify(INNER_METHODS[name])
 
 
 def inner_method(name):
     """Look up an inner method by name, certifying it on first access."""
-    try:
-        table = INNER_METHODS[name]
-    except KeyError:
+    if name not in INNER_METHODS:
         raise UnknownMethodError(
-            f"unknown inner method {name!r}; have {sorted(INNER_METHODS)}"
-        ) from None
-    if name not in _certified:
-        certify(table)
-        _certified.add(name)
-    return table
+            f"unknown inner method {name!r}; have {sorted(INNER_METHODS)}")
+    return _certified(name)

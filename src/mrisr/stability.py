@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ANGLE, FINITE, FINITE_NONNEGATIVE, INTEGER,
-                     PreconditionError, one_of, require)
+from .errors import (ANGLE, FINITE, FINITE_NONNEGATIVE, INTEGER, one_of,
+                     require)
 
 __all__ = ["phi", "eta_matrix", "stability_value", "SectorSpec",
            "sector_samples", "RegionScan", "scan_joint_region",
@@ -199,21 +199,17 @@ def _scan(t, grid_role, sampled, window, res, n_radial, n_angular):
     other variable is 0 unless sampled.
 
     Samples are visited with zF outer and the other sampled variable inner.
-    For each zF the resolvent is solved by forward substitution (the
-    tableau's Omega is strictly lower and Gamma lower triangular, checked
-    here) over a block of inner samples times the cells still alive; the
-    block holds max(1, _BATCH // alive cells) samples. A cell keeps the max
-    |R| of its samples up to and including its first |R| > 1 + tol and is
-    then dropped, so it sees no later sample.
+    For each zF the resolvent is solved by forward substitution (an
+    MRISRTableau checks at construction that Omega is strictly lower and
+    Gamma lower triangular) over a block of inner samples times the cells
+    still alive; the block holds max(1, _BATCH // alive cells) samples. A
+    cell keeps the max |R| of its samples up to and including its first
+    |R| > 1 + tol and is then dropped, so it sees no later sample.
     """
     re, im = _grid(window, res)
     zgrid = (re[None, :] + 1j * im[:, None]).ravel()
     ncell = zgrid.size
-    c, omega, gamma, _, _ = t.floats
-    if np.triu(omega).any() or np.triu(gamma, 1).any():
-        raise PreconditionError(
-            f"{t.name}: a stability scan needs a strictly lower-triangular "
-            "Omega and a lower-triangular Gamma")
+    c, _, gamma, _, _ = t.floats
 
     sample_sets = {role: sector_samples(spec, n_radial, n_angular)
                    for role, spec in sampled.items()}
@@ -263,8 +259,8 @@ def scan_joint_region(t, fast, implicit, window, res, n_radial=16,
                       n_angular=16):
     """Joint stability scan: grid over zE, max over zF and zI sectors; a
     cell's samples stop at its first |R| > 1 + tol. Solved by batched
-    forward substitution; PreconditionError for a tableau whose Omega is
-    not strictly lower or whose Gamma is not lower triangular."""
+    forward substitution, which the triangular Omega and Gamma that
+    MRISRTableau checks at construction allow."""
     return _scan(t, "E", {"F": fast, "I": implicit}, window, res,
                  n_radial, n_angular)
 
@@ -273,7 +269,7 @@ def scan_component_region(t, which, fast, window, res, n_radial=16,
                           n_angular=16):
     """Single-variable scan: grid over zE (which='E', zI=0) or zI
     (which='I', zE=0), maximizing over the fast sector only; a cell's
-    samples stop at its first |R| > 1 + tol. Solved and checked as
+    samples stop at its first |R| > 1 + tol. Solved as
     scan_joint_region."""
     require("which", which, WHICH)
     return _scan(t, which, {"F": fast}, window, res, n_radial, n_angular)

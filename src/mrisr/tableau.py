@@ -18,7 +18,7 @@ followed by an implicit correction with the Gamma row.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class MRISRTableau:
     omega is a tuple of n_omega s-by-s matrices (tuples of tuples of
     Fractions); gamma is s-by-s. emb_omega/emb_gamma, when present, are the
     embedding rows (length s each, one omega row per k). The float forms
-    `floats` and `stage_rows` are cached on the frozen tableau.
+    `floats` and `stage_rows` are cached on the frozen tableau. Construction
+    raises PreconditionError with every finding of validate_structure.
     """
 
     name: str
@@ -48,6 +49,12 @@ class MRISRTableau:
     gamma: tuple
     emb_omega: tuple = None
     emb_gamma: tuple = None
+
+    def __post_init__(self):
+        findings = validate_structure(self)
+        if findings:
+            raise PreconditionError(
+                f"invalid tableau {self.name!r}: " + "; ".join(findings))
 
     @property
     def s(self):
@@ -126,6 +133,8 @@ def validate_structure(t):
     s = t.s
     if s == 0:
         return ["c is empty"]
+    if t.n_omega == 0:
+        findings.append("Omega is empty")
     if t.c[0] != 0:
         findings.append("c[1] must be 0")
     if t.c[-1] != 1:
@@ -133,22 +142,19 @@ def validate_structure(t):
     for i, ci in enumerate(t.c):
         if ci < 0:
             findings.append(f"c[{i + 1}] = {ci} is negative")
-    mats = [(f"Omega[{k}]", O) for k, O in enumerate(t.omega)]
-    mats.append(("Gamma", t.gamma))
-    for name, M in mats:
+    # diag = 1 lets Gamma hold a diagonal; every Omega[k] is strictly lower
+    mats = [(f"Omega[{k}]", O, 0) for k, O in enumerate(t.omega)]
+    mats.append(("Gamma", t.gamma, 1))
+    for name, M, diag in mats:
         if len(M) != s or any(len(row) != s for row in M):
             findings.append(f"{name} is not {s}x{s}")
             continue
         if any(x != 0 for x in M[0]):
             findings.append(f"{name} first row nonzero")
-        strict = not name.startswith("Gamma")
-        for i in range(s):
-            for j in range(s):
-                if j > i or (strict and j == i):
-                    if M[i][j] != 0:
-                        kind = ("not strictly lower triangular" if strict
-                                else "not lower triangular")
-                        findings.append(f"{name} {kind} at ({i + 1},{j + 1})")
+        kind = "lower triangular" if diag else "strictly lower triangular"
+        findings += [f"{name} not {kind} at ({i + 1},{j + 1})"
+                     for i in range(s) for j in range(i + diag, s)
+                     if M[i][j] != 0]
     if t.has_embedding:
         if len(t.emb_omega) != t.n_omega:
             findings.append("embedding omega rows must match n_omega")
@@ -337,6 +343,8 @@ _MERK_DEFAULT_C = {
 }
 
 
+# the MERK tableaux are built on first use (about 3 ms of Fraction work)
+@cache
 def _make_merk(order):
     """merkN from its fixed abscissae _MERK_DEFAULT_C[N]."""
     c = _MERK_DEFAULT_C[order]
@@ -355,18 +363,13 @@ _BUILTINS = {
 BUILTIN_NAMES = ("imex-mri-sr21", "imex-mri-sr32", "imex-mri-sr43",
                  "merk2", "merk3", "merk4", "merk5")
 
-# the MERK tableaux are built on first use (about 3 ms of Fraction work)
-_merk_cache = {}
-
 
 def load_builtin(name):
     """Return a built-in tableau by registry name."""
     if name in _BUILTINS:
         return _BUILTINS[name]
     if name in ("merk2", "merk3", "merk4", "merk5"):
-        if name not in _merk_cache:
-            _merk_cache[name] = _make_merk(int(name[-1]))
-        return _merk_cache[name]
+        return _make_merk(int(name[-1]))
     raise UnknownMethodError(
         f"unknown method {name!r}; have {list(BUILTIN_NAMES)}")
 
@@ -411,8 +414,8 @@ def _exact(x, where, depth):
 
 
 def tableau_from_dict(d):
-    """Tableau from its interchange dict; PreconditionError if invalid,
-    naming the missing key or the offending entry."""
+    """Tableau from its interchange dict; PreconditionError naming the
+    missing key, the offending entry, or (from MRISRTableau) the structure."""
     def entries(key, depth):
         if key not in d:
             raise PreconditionError(f"tableau dict has no {key!r}")
@@ -427,7 +430,7 @@ def tableau_from_dict(d):
     if d.get("embOmega") is not None:
         emb_omega = entries("embOmega", 2)
         emb_gamma = entries("embGamma", 1)
-    t = MRISRTableau(
+    return MRISRTableau(
         name=d["name"],
         c=entries("c", 1),
         omega=entries("omega", 3),
@@ -435,11 +438,6 @@ def tableau_from_dict(d):
         emb_omega=emb_omega,
         emb_gamma=emb_gamma,
     )
-    findings = validate_structure(t)
-    if findings:
-        raise PreconditionError(
-            f"invalid tableau {t.name!r}: " + "; ".join(findings))
-    return t
 
 
 def save_tableau(t, path):

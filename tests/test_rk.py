@@ -73,10 +73,11 @@ def test_certify_rejects_wrong_order():
 
 
 def test_certify_rejects_bad_row_sums():
-    bad = ButcherTable(name="bad", A=((0, 0), (0, 0)), b=HEUN.b, c=HEUN.c,
-                       order=1)
-    with pytest.raises(PreconditionError):
-        certify(bad)
+    # the row sums are checked when the table is built, before any certify
+    with pytest.raises(PreconditionError,
+                       match=r"^bad: row 2 of A does not sum to c$"):
+        ButcherTable(name="bad", A=((0, 0), (0, 0)), b=HEUN.b, c=HEUN.c,
+                     order=1)
 
 
 def test_inner_method_lookup():

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.integrator import _forcing
+from mrisr.linalg import NewtonConfig
+from mrisr.rk import HEUN, ButcherTable
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, load_builtin,
                            load_tableau, omega_bar, save_tableau,
                            tableau_from_dict, tableau_to_dict,
@@ -90,17 +95,59 @@ def test_structure_findings_for_corrupt_tableau():
     t = load_builtin("imex-mri-sr21")
     rows = [list(r) for r in t.omega[0]]
     rows[0][1] = F(1)  # first row must be zero
-    bad = MRISRTableau(name="bad", c=t.c,
-                       omega=(tuple(tuple(r) for r in rows),),
-                       gamma=t.gamma)
-    findings = validate_structure(bad)
-    assert any("first row" in f for f in findings)
-    bad2 = MRISRTableau(name="bad2", c=(F(1, 2),) + t.c[1:],
-                        omega=t.omega, gamma=t.gamma)
-    assert any("c[1]" in f for f in validate_structure(bad2))
-    bad3 = MRISRTableau(name="bad3", c=t.c[:2] + (F(-4, 15),) + t.c[3:],
-                        omega=t.omega, gamma=t.gamma)
-    assert validate_structure(bad3) == ["c[3] = -4/15 is negative"]
+    with pytest.raises(PreconditionError, match="first row"):
+        MRISRTableau(name="bad", c=t.c,
+                     omega=(tuple(tuple(r) for r in rows),), gamma=t.gamma)
+    with pytest.raises(PreconditionError, match=re.escape("c[1]")):
+        MRISRTableau(name="bad2", c=(F(1, 2),) + t.c[1:],
+                     omega=t.omega, gamma=t.gamma)
+    with pytest.raises(PreconditionError, match="^" + re.escape(
+            "invalid tableau 'bad3': c[3] = -4/15 is negative") + "$"):
+        MRISRTableau(name="bad3", c=t.c[:2] + (F(-4, 15),) + t.c[3:],
+                     omega=t.omega, gamma=t.gamma)
+
+
+def _sr21_omega_at_2_4():
+    t = load_builtin("imex-mri-sr21")
+    om = [list(r) for r in t.omega[0]]
+    om[1][3] = F(1, 7)
+    return replace(t, omega=(tuple(map(tuple, om)),))
+
+
+def _empty_omega_dict():
+    d = tableau_to_dict(load_builtin("imex-mri-sr21"))
+    del d["embOmega"], d["embGamma"]
+    return json.loads(json.dumps(dict(d, omega=[])))
+
+
+# each of these once built silently, then gave a wrong answer or failed
+# deep inside a step (or, for the order, inside certify)
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(load_builtin("imex-mri-sr21"),
+                     c=load_builtin("imex-mri-sr21").c[:-1] + (F(1, 2),)),
+     "invalid tableau 'imex-mri-sr21': c[s] must be 1 (solution stage)"),
+    (_sr21_omega_at_2_4, "invalid tableau 'imex-mri-sr21': "
+     "Omega[0] not strictly lower triangular at (2,4)"),
+    (lambda: ButcherTable(name="diag", A=((0, 0), (F(2, 3), F(1, 3))),
+                          b=HEUN.b, c=HEUN.c, order=2),
+     "diag: row 2 of A is not strictly lower triangular"),
+    (lambda: ButcherTable(name="unstated", A=HEUN.A, b=HEUN.b, c=HEUN.c,
+                          order=None),
+     "order = None is not a positive integer"),
+    (lambda: NewtonConfig(atol=-1.0, rtol=0.0),
+     "atol = -1.0 is not a positive finite number"),
+    (lambda: NewtonConfig(atol=math.nan),
+     "atol = nan is not a positive finite number"),
+    (lambda: NewtonConfig(max_iter=0),
+     "max_iter = 0 is not a positive integer"),
+    (lambda: tableau_from_dict(_empty_omega_dict()),
+     "invalid tableau 'imex-mri-sr21': Omega is empty"),
+], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-order-none",
+        "newton-atol-negative", "newton-atol-nan", "newton-max-iter-0",
+        "json-empty-omega"])
+def test_invalid_table_fails_at_construction(build, message):
+    with pytest.raises(PreconditionError, match="^" + re.escape(message)):
+        build()
 
 
 def test_load_rejects_invalid_tableau(tmp_path):
