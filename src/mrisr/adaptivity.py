@@ -144,9 +144,6 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     A next H below HMIN, more than MAX_REJECTS (30) rejections of one step
     and OSCILLATION_CAP (50) consecutive accept/reject alternations, tested
     in that order, end the run with a partial record, its failure set.
-    Every attempted step adds one step_log entry and one to accepted or
-    rejected; the attempt a run gives up on counts as rejected, with
-    accepted=0 in its entry.
     """
     if not t.has_embedding:
         raise PreconditionError(f"tableau {t.name!r} has no embedding")
@@ -167,11 +164,10 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
 
     tn = p.t0
     yn = np.array(p.y0, dtype=float)
-    rec = IntegrationRecord(t=[tn], y=[yn.copy()])
+    rec = IntegrationRecord()
     H = H0 if H0 is not None else (tEnd - p.t0) / 100.0
     M = M0
     alternations = 0
-    prev_accept = None
     rejects_here = 0
     ti = 0
     while tn < tEnd - 1e-14 * max(1.0, abs(tEnd)):
@@ -181,21 +177,22 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
         H_try = min(H, target - tn)
         truncated = H_try < H
         err_w = 1.0 / (tolF * (1.0 + np.abs(yn)))
+        cause = None
         try:
             y1, yhat, fast_errs = step(p, t, inner, yn, tn, H_try, M,
                                        stats=rec.stats, err_weights=err_w,
                                        state=rec.state)
             est = ErrorEstimate(slow=estimate_slow_error(y1, yhat, tolS, tolS),
                                 fast=accumulate_fast_error(fast_errs))
-        except StepFailure:
+        except StepFailure as e:
             est = ErrorEstimate(slow=math.inf, fast=math.inf)
             y1 = None
+            cause = str(e)
         accept, Hnext, Mnext = controller_update(st, est, H_try, M)
-        if prev_accept is not None and accept != prev_accept:
+        if rec.step_log and accept != rec.step_log[-1]["accepted"]:
             alternations += 1
         else:
             alternations = 0
-        prev_accept = accept
         rejects_here = 0 if accept else rejects_here + 1
         failure = None
         if Hnext < HMIN:
@@ -205,18 +202,12 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
                        f"alternations at t={tn:.6g}")
         elif rejects_here > MAX_REJECTS:
             failure = f"step at t={tn:.6g} rejected {rejects_here} times"
-        # every attempt is logged and counted once; an attempt the run
-        # gives up on counts as rejected
         accept = accept and failure is None
-        rec.step_log.append(dict(t=tn, H=H_try, M=M, epsS=est.slow,
-                                 epsF=est.fast, accepted=int(accept)))
-        if not accept:
-            rec.rejected += 1
+        rec.log(tn, H_try, M, accept, cause, est.slow, est.fast)
         if failure is not None:
             rec.failure = failure
             return rec
         if accept:
-            rec.accepted += 1
             tn = target if truncated else tn + H_try
             yn = y1
             if tn >= target - 1e-14 * max(1.0, abs(target)):

@@ -198,9 +198,7 @@ def _run_row(run, ref):
     if rec.failed:
         row["failure"] = rec.failure
     else:
-        # adaptive records also hold t0, which is not a sample point
-        ys = np.array(rec.y[-len(ref):])
-        row["maxError"] = float(np.max(np.abs(ys - ref)))
+        row["maxError"] = float(np.max(np.abs(np.array(rec.y) - ref)))
     return row
 
 

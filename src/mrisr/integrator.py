@@ -84,15 +84,20 @@ class StepStats:
 
 @dataclass
 class IntegrationRecord:
-    """Samples, cost counters and Newton state of one run: the record keeps
-    the run's last factorization alive. failed means failure is set."""
+    """The record of one run of either driver. t and y hold one sample per
+    sample point reached: an adaptive run also samples tEnd, and neither
+    samples t0 unless it is a fixed run's sample point. step_log holds one
+    dict per step() attempt with the keys t, H, M, epsS and epsF (the
+    normalized error estimates, None in a fixed run), accepted (1 or 0, and
+    0 for the attempt a run gives up on) and cause (the StepFailure text of
+    an attempt whose step raised, else None); accepted and rejected count
+    it. failed means failure is set. The record keeps the last
+    factorization of its NewtonState alive."""
 
     t: list = field(default_factory=list)
     y: list = field(default_factory=list)
     stats: StepStats = field(default_factory=StepStats)
     failure: str = None
-    accepted: int = 0
-    rejected: int = 0
     step_log: list = field(default_factory=list)
     state: NewtonState = field(init=False, repr=False, compare=False,
                                default_factory=NewtonState)
@@ -100,6 +105,19 @@ class IntegrationRecord:
     @property
     def failed(self):
         return self.failure is not None
+
+    @property
+    def accepted(self):
+        return sum(e["accepted"] for e in self.step_log)
+
+    @property
+    def rejected(self):
+        return len(self.step_log) - self.accepted
+
+    def log(self, t, H, M, accepted, cause=None, epsS=None, epsF=None):
+        """Append the step_log entry of one step() attempt."""
+        self.step_log.append(dict(t=t, H=H, M=M, epsS=epsS, epsF=epsF,
+                                  accepted=int(accepted), cause=cause))
 
 
 # floats of forcing evaluated ahead of the substep loop at a time: the
@@ -364,9 +382,10 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
             y, _, _ = step(p, t, inner, y, tn, H, M, stats=rec.stats,
                            want_embedded=False, state=rec.state)
         except StepFailure as e:
+            rec.log(tn, H, M, False, cause=str(e))
             rec.failure = f"step {k + 1} at t = {tn:.6g}: {e}"
             return rec
-        rec.accepted += 1
+        rec.log(tn, H, M, True)
         if k + 1 in sample_idx:
             rec.t.append(sample_idx[k + 1])
             rec.y.append(y.copy())

@@ -49,7 +49,7 @@ class ButcherTable:
     A, b, c and bhat hold Fractions. Construction checks that A is strictly
     lower triangular with row sums c, all sized by b, and that `order` and
     `emb_order` (given with bhat) are positive integers; certify() verifies
-    them exactly. arrays() and plans are the float forms solve_fast_ivp
+    them exactly. floats and plans are the float forms solve_fast_ivp
     reads, each built on first use and cached.
     """
 
@@ -85,12 +85,9 @@ class ButcherTable:
     def stages(self):
         return len(self.b)
 
-    def arrays(self):
-        """Read-only float views (A, b, c, bhat-or-None), built once."""
-        return self._arrays
-
     @cached_property
-    def _arrays(self):
+    def floats(self):
+        """Read-only float arrays (A, b, c, bhat-or-None), built once."""
         bhat = None if self.bhat is None else _readonly(self.bhat)
         return _readonly(self.A), _readonly(self.b), _readonly(self.c), bhat
 
@@ -103,7 +100,7 @@ class ButcherTable:
         floats, one tuple of the nonzero (r, a_qr) per stage q = 2..stages,
         b, and b - bhat as a read-only array (None in a fixed solve).
         """
-        A, b, c, bhat = self.arrays()
+        A, b, c, bhat = self.floats
 
         def plan(n, db):
             a = tuple(tuple((r, float(A[q, r])) for r in range(q)

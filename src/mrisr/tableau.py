@@ -37,7 +37,7 @@ class MRISRTableau:
     """One multirate stage-restart method.
 
     omega is a tuple of n_omega s-by-s matrices (tuples of tuples of
-    Fractions); gamma is s-by-s. emb_omega/emb_gamma, when present, are the
+    Fractions); gamma is s-by-s. emb_omega/emb_gamma, given together, are the
     embedding rows (length s each, one omega row per k). The float forms
     `floats` and `stage_rows` are cached on the frozen tableau. Construction
     raises PreconditionError with every finding of validate_structure.
@@ -163,6 +163,8 @@ def validate_structure(t):
                 findings.append(f"embOmega[{k}] length != s")
         if t.emb_gamma is None or len(t.emb_gamma) != s:
             findings.append("embGamma missing or wrong length")
+    elif t.emb_gamma is not None:
+        findings.append("embGamma without embOmega")
     return findings
 
 
@@ -421,22 +423,20 @@ def tableau_from_dict(d):
             raise PreconditionError(f"tableau dict has no {key!r}")
         return _exact(d[key], key, depth)
 
+    def optional(key, depth):
+        return None if d.get(key) is None else _exact(d[key], key, depth)
+
     if not isinstance(d, dict):
         raise PreconditionError(f"a tableau is a dict, not {type(d).__name__}")
     if "name" not in d:
         raise PreconditionError("tableau dict has no 'name'")
-    emb_omega = None
-    emb_gamma = None
-    if d.get("embOmega") is not None:
-        emb_omega = entries("embOmega", 2)
-        emb_gamma = entries("embGamma", 1)
     return MRISRTableau(
         name=d["name"],
         c=entries("c", 1),
         omega=entries("omega", 3),
         gamma=entries("gamma", 2),
-        emb_omega=emb_omega,
-        emb_gamma=emb_gamma,
+        emb_omega=optional("embOmega", 2),
+        emb_gamma=optional("embGamma", 1),
     )
 
 

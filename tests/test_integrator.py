@@ -130,7 +130,7 @@ def _reference_fast_ivp(p, coeffs, scale, tn, span, v0, inner, n_sub,
         acc *= scale
         return acc
 
-    A, b, c, bhat = inner.arrays()
+    A, b, c, bhat = inner.floats
     sF = len(b)
     h = span / n_sub
     v = np.array(v0, dtype=float)
@@ -200,9 +200,9 @@ def test_solve_fast_ivp_matches_reference_loop(monkeypatch, inner_name,
 def _reference_step_fast(p, coeffs, scale, tn, span, v0, f0, inner, n_sub,
                          stats, err_weights=None):
     """solve_fast_ivp as it was before the cached stage plans: the stage
-    structure rebuilt from inner.arrays() at every call, and theta and
+    structure rebuilt from inner.floats at every call, and theta and
     tn + theta formed as numpy arrays."""
-    A, b, c, bhat = inner.arrays()
+    A, b, c, bhat = inner.floats
     sF = len(b)
     h = span / n_sub
     v = np.array(v0, dtype=float)
@@ -574,7 +574,10 @@ def test_integrate_fixed_partial_record_on_failure():
     t = load_builtin("imex-mri-sr21")
     rec = integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4)
     assert rec.failed and "stage" in rec.failure
-    assert rec.accepted < 4
+    assert rec.accepted < 4 and rec.rejected == 1
+    assert len(rec.step_log) == rec.accepted + 1
+    last = rec.step_log[-1]
+    assert last["cause"].startswith("stage ") and last["cause"] in rec.failure
 
 
 def _singular_at_first_stage():
@@ -589,8 +592,30 @@ def test_singular_stage_matrix_fails_fixed_run():
     rec = integrate_fixed(_singular_at_first_stage(),
                           load_builtin("imex-mri-sr21"), inner_method("heun"),
                           0.2, 0.1, 2)
-    assert rec.failed and "stage 2" in rec.failure
-    assert rec.accepted == 0
+    assert rec.failure == "step 1 at t = 0: stage 2: LU factorization: " \
+        "zero pivot 1"
+    # the failed attempt is logged and counted as rejected, with its cause
+    assert (rec.accepted, rec.rejected) == (0, 1)
+    assert rec.step_log == [dict(t=0.0, H=0.1, M=2, epsS=None, epsF=None,
+                                 accepted=0, cause="stage 2: LU "
+                                 "factorization: zero pivot 1")]
+
+
+def test_fixed_run_logs_every_step_like_an_adaptive_run():
+    from mrisr.adaptivity import integrate_adaptive
+    p = _nonstiff_problem()
+    t = load_builtin("imex-mri-sr21")
+    rec = integrate_fixed(p, t, inner_method("heun"), 0.2, 0.05, 3)
+    adaptive = integrate_adaptive(p, t, inner_method("bogacki-shampine"),
+                                  0.2, 1e-4)
+    assert not rec.failed and not adaptive.failed
+    assert [list(e) for e in rec.step_log] == \
+        [list(adaptive.step_log[0])] * 4
+    assert [e["t"] for e in rec.step_log] == [k * 0.05 for k in range(4)]
+    assert all(e["H"] == 0.05 and e["M"] == 3 and e["epsS"] is None
+               and e["epsF"] is None and e["accepted"] == 1
+               and e["cause"] is None for e in rec.step_log)
+    assert (rec.accepted, rec.rejected) == (4, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -836,6 +861,7 @@ def test_benchmark_hooks_resolve_and_see_every_layer():
         assert tr.calls[layer] > 0, layer
     assert tr.calls["linalg.backsolve"] == rec.stats.newton_iters
     assert tr.calls["problems.fI"] == rec.stats.slow_i_evals
+    assert tr.calls["integrator.step"] == len(rec.step_log)
     # the adaptive driver reaches step() through adaptivity's own global
     from mrisr import adaptivity
     with tracing.Tracer(problems=(p,)) as tr:

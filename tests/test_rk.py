@@ -87,11 +87,11 @@ def test_inner_method_lookup():
 
 
 def test_arrays_are_floats():
-    A, b, c, bhat = BOGACKI_SHAMPINE.arrays()
+    A, b, c, bhat = BOGACKI_SHAMPINE.floats
     assert A.dtype == float and bhat is not None
     assert np.allclose(A.sum(axis=1), c)
     # built once, and shared read-only
-    assert BOGACKI_SHAMPINE.arrays() is BOGACKI_SHAMPINE.arrays()
+    assert BOGACKI_SHAMPINE.floats is BOGACKI_SHAMPINE.floats
     assert list(bhat) == [float(x) for x in BOGACKI_SHAMPINE.bhat]
     with pytest.raises(ValueError):
         b[0] = 0.0
@@ -102,7 +102,7 @@ def test_stage_plans_are_the_float_view(name):
     # (fixed, embedded): the stages run, their c, every nonzero a_qr in
     # order and no zero, b, and b - bhat for the embedded mode
     table = INNER_METHODS[name]
-    A, b, c, bhat = table.arrays()
+    A, b, c, bhat = table.floats
     plans = table.plans
     assert table.plans is plans  # built once
     assert type(plans) is tuple and len(plans) == 2
@@ -141,7 +141,7 @@ def test_all_inner_methods_certify(name):
 def test_linear_stability_consistency(name, z):
     # R(z) = b^T (I - zA)^{-1} 1 * z + 1 matches the exp-Taylor to order p
     t = INNER_METHODS[name]
-    A, b, c, _ = t.arrays()
+    A, b, c, _ = t.floats
     s = len(b)
     R = 1.0 + z * b @ np.linalg.solve(np.eye(s) - z * A, np.ones(s))
     taylor = sum(z ** k / math.factorial(k) for k in range(t.order + 1))

@@ -120,6 +120,12 @@ def _empty_omega_dict():
     return json.loads(json.dumps(dict(d, omega=[])))
 
 
+def _no_emb_omega_dict():
+    d = tableau_to_dict(load_builtin("imex-mri-sr21"))
+    del d["embOmega"]
+    return d
+
+
 # each of these once built silently, then gave a wrong answer or failed
 # deep inside a step (or, for the order, inside certify)
 @pytest.mark.parametrize("build, message", [
@@ -142,9 +148,13 @@ def _empty_omega_dict():
      "max_iter = 0 is not a positive integer"),
     (lambda: tableau_from_dict(_empty_omega_dict()),
      "invalid tableau 'imex-mri-sr21': Omega is empty"),
+    (lambda: replace(load_builtin("merk2"), emb_gamma=(0, 0, 0)),
+     "invalid tableau 'merk2': embGamma without embOmega"),
+    (lambda: tableau_from_dict(_no_emb_omega_dict()),
+     "invalid tableau 'imex-mri-sr21': embGamma without embOmega"),
 ], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-order-none",
         "newton-atol-negative", "newton-atol-nan", "newton-max-iter-0",
-        "json-empty-omega"])
+        "json-empty-omega", "emb-gamma-alone", "json-emb-gamma-alone"])
 def test_invalid_table_fails_at_construction(build, message):
     with pytest.raises(PreconditionError, match="^" + re.escape(message)):
         build()
@@ -178,7 +188,7 @@ def _set(value, key, *index):
 
 @pytest.mark.parametrize("edit,named", [
     (_drop("c"), "no 'c'"),
-    (_drop("embGamma"), "no 'embGamma'"),
+    (_drop("embGamma"), "embGamma missing"),
     (_drop("name"), "no 'name'"),
     (_set(float("nan"), "gamma", 1, 0), r"gamma\[1\]\[0\] = nan"),
     (_set(float("inf"), "omega", 0, 2, 1), r"omega\[0\]\[2\]\[1\] = inf"),
