@@ -157,9 +157,8 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     targets = sorted(set(list(sample_points or []) + [tEnd]))
     if not all(p.t0 < x <= tEnd for x in targets):
         raise PreconditionError("sample points must lie in (t0, tEnd]")
-    q = inner.emb_order if inner.emb_order is not None else inner.order
     st = ControllerState(slow_order=method_order(t, inner.order),
-                         fast_order=q)
+                         fast_order=inner.emb_order)
     tolS = tolF = 0.5 * tol
 
     tn = p.t0

@@ -15,10 +15,10 @@ import scipy
 from . import adaptivity, stability, theory
 from .errors import (ANGLE, FINITE_NONNEGATIVE, INTEGER, LIST,
                      POSITIVE_FINITE, POSITIVE_INTEGER, MRISRError,
-                     PreconditionError, UnknownMethodError, require)
+                     PreconditionError, UnknownMethodError, one_of, require)
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
 from .problems import PROBLEMS, kpr_exact, make_problem
-from .rk import inner_method
+from .rk import INNER_METHODS, inner_method
 from .tableau import BUILTIN_NAMES, load_builtin, validate_structure
 
 __all__ = ["ExperimentConfig", "RunRecord", "default_inner", "fit_slope",
@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
         for tol in self.tols or ():
             require("tol", tol, POSITIVE_FINITE)
+        for m, name in self.inner.items():
+            require("inner key", m, one_of(*self.methods))
+            require(f"inner[{m!r}]", name, one_of(*INNER_METHODS))
 
     def inner_for(self, method):
         if method in self.inner:

@@ -1,22 +1,21 @@
 """Inner (fast) explicit Runge-Kutta methods and exact order-condition checks.
 
 Coefficients are stored as exact rationals so that order conditions and the
-bushy-tree quadrature conditions b^T c^k = 1/(k+1) can be verified with zero
-residual. A table's float view and the stage plans of its fast solves are
-built once, on first use.
+bushy-tree quadrature conditions b^T c^k = 1/(k+1) hold with zero residual.
+A table's orders, its float view and the stage plans of its fast solves are
+derived from its coefficients, each once, on first use.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (INTEGER, POSITIVE_INTEGER, PreconditionError,
-                     UnknownMethodError, require)
+from .errors import INTEGER, PreconditionError, UnknownMethodError, require
 
 __all__ = ["frac", "ButcherTable", "rk_order_residuals", "rk_order",
-           "bushy_tree_residuals", "certify", "HEUN", "BOGACKI_SHAMPINE",
+           "bushy_tree_residuals", "HEUN", "BOGACKI_SHAMPINE",
            "ZONNEVELD", "CASH_KARP", "INNER_METHODS", "inner_method"]
 
 
@@ -47,32 +46,24 @@ class ButcherTable:
     """An explicit RK method, optionally with an embedded weight row.
 
     A, b, c and bhat hold Fractions. Construction checks that A is strictly
-    lower triangular with row sums c, all sized by b, and that `order` and
-    `emb_order` (given with bhat) are positive integers; certify() verifies
-    them exactly. floats and plans are the float forms solve_fast_ivp
-    reads, each built on first use and cached.
+    lower triangular with row sums c, all sized by b. order and emb_order
+    are derived from the coefficients; floats and plans are the float forms
+    solve_fast_ivp reads. Each is built on first use and cached.
     """
 
     name: str
     A: tuple
     b: tuple
     c: tuple
-    order: int
     bhat: tuple = None
-    emb_order: int = None
 
     def __post_init__(self):
-        require("order", self.order, POSITIVE_INTEGER)
-        require("emb_order", self.emb_order, POSITIVE_INTEGER.or_none())
         s = len(self.b)
         if (len(self.A) != s or any(len(row) != s for row in self.A)
                 or len(self.c) != s
                 or (self.bhat is not None and len(self.bhat) != s)):
             raise PreconditionError(f"{self.name}: A must be {s}x{s}, and c "
                                     f"and bhat of length {s}, as b is")
-        if (self.bhat is None) != (self.emb_order is None):
-            raise PreconditionError(
-                f"{self.name}: bhat and emb_order go together")
         for i, row in enumerate(self.A):
             if any(row[i:]):
                 raise PreconditionError(f"{self.name}: row {i + 1} of A is "
@@ -84,6 +75,18 @@ class ButcherTable:
     @property
     def stages(self):
         return len(self.b)
+
+    @cached_property
+    def order(self):
+        """Order of b: the largest p <= 5 whose rooted-tree conditions all
+        hold exactly (a table of order 6 or more reads 5)."""
+        return rk_order(self.A, self.b, self.c)
+
+    @cached_property
+    def emb_order(self):
+        """Order of bhat, capped at 5 like order; None without bhat."""
+        return (None if self.bhat is None
+                else rk_order(self.A, self.bhat, self.c))
 
     @cached_property
     def floats(self):
@@ -202,9 +205,9 @@ def rk_order_residuals(A, b, c, p):
     return {lbl: r for g in groups.values() for lbl, r in g.items()}
 
 
-def rk_order(A, b, c, maxp=5):
-    """Largest order <= maxp at which all conditions hold exactly."""
-    return _leading_order(_tree_residuals({"": b}, {"": A}, c, maxp))
+def rk_order(A, b, c):
+    """Largest order <= 5 at which all rooted-tree conditions hold exactly."""
+    return _leading_order(_tree_residuals({"": b}, {"": A}, c, 5))
 
 
 def bushy_tree_residuals(b, c, kmax):
@@ -213,28 +216,11 @@ def bushy_tree_residuals(b, c, kmax):
             for k in range(kmax + 1)}
 
 
-def certify(table):
-    """Verify the stated orders of a ButcherTable exactly (b to `order`,
-    bhat to `emb_order`, up to 5); raise if wrong. The structure, row sums
-    included, is checked when the table is constructed.
-    """
-    for kind, b, order in (("stated", table.b, table.order),
-                           ("embedded", table.bhat, table.emb_order)):
-        if b is None:
-            continue
-        got = rk_order(table.A, b, table.c, maxp=min(order, 5))
-        if got < min(order, 5):
-            raise PreconditionError(f"{table.name}: {kind} order {order}, "
-                                    f"verified only {got}")
-    return table
-
-
 HEUN = ButcherTable(
     name="heun",
     A=_fmat([[0, 0], [1, 0]]),
     b=_fvec(["1/2", "1/2"]),
     c=_fvec([0, 1]),
-    order=2,
 )
 
 # Bogacki-Shampine 3(2). The propagating weights are third order; the fourth
@@ -249,9 +235,7 @@ BOGACKI_SHAMPINE = ButcherTable(
     ]),
     b=_fvec(["2/9", "1/3", "4/9", 0]),
     c=_fvec([0, "1/2", "3/4", 1]),
-    order=3,
     bhat=_fvec(["7/24", "1/4", "1/3", "1/8"]),
-    emb_order=2,
 )
 
 # Zonneveld 4(3): classical RK4 plus a fifth stage giving a third-order
@@ -267,9 +251,7 @@ ZONNEVELD = ButcherTable(
     ]),
     b=_fvec(["1/6", "1/3", "1/3", "1/6", 0]),
     c=_fvec([0, "1/2", "1/2", 1, "3/4"]),
-    order=4,
     bhat=_fvec(["-1/2", "7/3", "7/3", "13/6", "-16/3"]),
-    emb_order=3,
 )
 
 # Cash-Karp 5(4): fifth-order propagating weights with a fourth-order
@@ -287,10 +269,8 @@ CASH_KARP = ButcherTable(
     ]),
     b=_fvec(["37/378", 0, "250/621", "125/594", 0, "512/1771"]),
     c=_fvec([0, "1/5", "3/10", "3/5", 1, "7/8"]),
-    order=5,
     bhat=_fvec(["2825/27648", 0, "18575/48384", "13525/55296",
                 "277/14336", "1/4"]),
-    emb_order=4,
 )
 
 INNER_METHODS = {
@@ -301,14 +281,9 @@ INNER_METHODS = {
 }
 
 
-@cache
-def _certified(name):
-    return certify(INNER_METHODS[name])
-
-
 def inner_method(name):
-    """Look up an inner method by name, certifying it on first access."""
+    """Look up an inner method by name."""
     if name not in INNER_METHODS:
         raise UnknownMethodError(
             f"unknown inner method {name!r}; have {sorted(INNER_METHODS)}")
-    return _certified(name)
+    return INNER_METHODS[name]

@@ -402,14 +402,15 @@ def tableau_to_dict(t):
 def _exact(x, where, depth):
     """Nested tuples of Fractions, depth levels deep, from nested lists of
     numbers or fraction strings; PreconditionError naming the first entry
-    that is not one (a NaN or inf, None, or a string like 'abc')."""
+    that is not one (a NaN or inf, None, a bool, or a string like 'abc')."""
     if depth == 0:
         try:
-            return frac(x)
+            if not isinstance(x, bool):
+                return frac(x)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            raise PreconditionError(
-                f"{where} = {x!r} is not a finite number or fraction "
-                "string") from None
+            pass
+        raise PreconditionError(
+            f"{where} = {x!r} is not a finite number or fraction string")
     require(where, x, LIST)
     return tuple(_exact(v, f"{where}[{i}]", depth - 1)
                  for i, v in enumerate(x))

@@ -17,8 +17,7 @@ def test_list_methods(capsys):
 def test_verify_all_methods(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "structure=ok" in out
-    assert "imex-mri-sr43" in out
+    assert "imex-mri-sr43  base=4  coupling=4  order=4" in out
 
 
 def test_verify_json(capsys):
@@ -264,6 +263,15 @@ def test_inner_flag_forms(capsys):
                  "--inner", "imex-mri-sr21=bogacki-shampine", "--json"])
     assert code == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_misspelt_inner_key_is_a_usage_error(capsys):
+    # it used to be ignored, so the run printed the default pairing's rows
+    assert main(["converge", "--method", "imex-mri-sr21", "--problem", "kpr",
+                 "--inner", "imex-mri-sr12=zonneveld"]) == 1
+    captured = capsys.readouterr()
+    assert "inner key = 'imex-mri-sr12'" in captured.err
+    assert captured.out == ""
 
 
 def test_failed_rows_exit_code(monkeypatch, capsys):

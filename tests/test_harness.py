@@ -108,11 +108,16 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
     (dict(rho=-1.0), "rho = -1.0 is not a finite number >= 0"),
     (dict(xi=-5), "xi = -5 is not a finite number >= 0"),
     (dict(xi="1e4"), "xi = '1e4' is not a finite number >= 0"),
+    (dict(inner={"imex-mri-sr12": "zonneveld"}),
+     "inner key = 'imex-mri-sr12' is not 'imex-mri-sr21'"),
+    (dict(methods=["imex-mri-sr21", "imex-mri-sr32"],
+          inner={"imex-mri-sr32": "rk4"}),
+     "inner['imex-mri-sr32'] = 'rk4' is not 'heun' or"),
 ], ids=["method", "problem", "kmin-kmax", "window-three", "window-inf",
         "window-string", "res-one", "res-float", "res-scalar", "M-zero",
         "M-string", "M-float", "M-bool", "kmin-float", "kmax-string", "which",
         "alpha-over-90", "beta-negative", "alpha-nan", "rho-negative",
-        "xi-negative", "xi-string"])
+        "xi-negative", "xi-string", "inner-key", "inner-name"])
 def test_experiment_config_rejects_bad_input_by_field(kw, named):
     # at construction, so a study never starts on it
     cfg = dict(kind="stability", methods=["imex-mri-sr21"])

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.rk import (BOGACKI_SHAMPINE, CASH_KARP, HEUN, INNER_METHODS,
-                      ZONNEVELD, ButcherTable, bushy_tree_residuals, certify,
-                      frac, inner_method, rk_order, rk_order_residuals)
+                      ZONNEVELD, ButcherTable, bushy_tree_residuals, frac,
+                      inner_method, rk_order, rk_order_residuals)
 
 
 def test_frac_coercion():
@@ -66,22 +66,26 @@ def test_bushy_tree_residuals():
     assert res2[2] == Fraction(1, 2) - Fraction(1, 3)
 
 
-def test_certify_rejects_wrong_order():
-    bad = ButcherTable(name="bad", A=HEUN.A, b=HEUN.b, c=HEUN.c, order=3)
-    with pytest.raises(PreconditionError):
-        certify(bad)
-
-
-def test_certify_rejects_bad_row_sums():
-    # the row sums are checked when the table is built, before any certify
+def test_construction_rejects_bad_row_sums():
     with pytest.raises(PreconditionError,
                        match=r"^bad: row 2 of A does not sum to c$"):
-        ButcherTable(name="bad", A=((0, 0), (0, 0)), b=HEUN.b, c=HEUN.c,
-                     order=1)
+        ButcherTable(name="bad", A=((0, 0), (0, 0)), b=HEUN.b, c=HEUN.c)
+
+
+def test_hand_built_table_derives_its_orders():
+    # nothing states them, so a table built by hand reads its own
+    t = ButcherTable(name="mine", A=HEUN.A, b=HEUN.b, c=HEUN.c)
+    assert (t.order, t.emb_order) == (2, None)
+
+
+def test_builtin_inner_orders():
+    assert [(INNER_METHODS[n].order, INNER_METHODS[n].emb_order)
+            for n in ("heun", "bogacki-shampine", "zonneveld",
+                      "cash-karp")] == [(2, None), (3, 2), (4, 3), (5, 4)]
 
 
 def test_inner_method_lookup():
-    assert inner_method("heun") is HEUN
+    assert all(inner_method(n) is t for n, t in INNER_METHODS.items())
     with pytest.raises(UnknownMethodError):
         inner_method("rk4")
 
@@ -129,11 +133,6 @@ def test_stage_plans_are_the_float_view(name):
                 pdb[0] = 0.0
     with pytest.raises(TypeError):
         plans[0][2][0] = ()
-
-
-@given(st.sampled_from(sorted(INNER_METHODS)))
-def test_all_inner_methods_certify(name):
-    certify(INNER_METHODS[name])
 
 
 @given(st.sampled_from(sorted(INNER_METHODS)),

@@ -127,7 +127,7 @@ def _no_emb_omega_dict():
 
 
 # each of these once built silently, then gave a wrong answer or failed
-# deep inside a step (or, for the order, inside certify)
+# deep inside a step
 @pytest.mark.parametrize("build, message", [
     (lambda: replace(load_builtin("imex-mri-sr21"),
                      c=load_builtin("imex-mri-sr21").c[:-1] + (F(1, 2),)),
@@ -135,11 +135,8 @@ def _no_emb_omega_dict():
     (_sr21_omega_at_2_4, "invalid tableau 'imex-mri-sr21': "
      "Omega[0] not strictly lower triangular at (2,4)"),
     (lambda: ButcherTable(name="diag", A=((0, 0), (F(2, 3), F(1, 3))),
-                          b=HEUN.b, c=HEUN.c, order=2),
+                          b=HEUN.b, c=HEUN.c),
      "diag: row 2 of A is not strictly lower triangular"),
-    (lambda: ButcherTable(name="unstated", A=HEUN.A, b=HEUN.b, c=HEUN.c,
-                          order=None),
-     "order = None is not a positive integer"),
     (lambda: NewtonConfig(atol=-1.0, rtol=0.0),
      "atol = -1.0 is not a positive finite number"),
     (lambda: NewtonConfig(atol=math.nan),
@@ -152,9 +149,9 @@ def _no_emb_omega_dict():
      "invalid tableau 'merk2': embGamma without embOmega"),
     (lambda: tableau_from_dict(_no_emb_omega_dict()),
      "invalid tableau 'imex-mri-sr21': embGamma without embOmega"),
-], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-order-none",
-        "newton-atol-negative", "newton-atol-nan", "newton-max-iter-0",
-        "json-empty-omega", "emb-gamma-alone", "json-emb-gamma-alone"])
+], ids=["c_s-half", "omega-2-4", "inner-diagonal", "newton-atol-negative",
+        "newton-atol-nan", "newton-max-iter-0", "json-empty-omega",
+        "emb-gamma-alone", "json-emb-gamma-alone"])
 def test_invalid_table_fails_at_construction(build, message):
     with pytest.raises(PreconditionError, match="^" + re.escape(message)):
         build()
@@ -197,8 +194,9 @@ def _set(value, key, *index):
     (_set("1/0", "embGamma", 2), r"embGamma\[2\] = '1/0'"),
     (_set(3, "gamma", 1), r"gamma\[1\] = 3 is not a list"),
     (lambda d: d.update(c=[]), "c is empty"),
+    (_set(True, "gamma", 1, 1), r"gamma\[1\]\[1\] = True is not a finite"),
 ], ids=["missing-c", "missing-embGamma", "missing-name", "nan", "inf",
-        "none", "abc", "zero-denominator", "scalar-row", "empty-c"])
+        "none", "abc", "zero-denominator", "scalar-row", "empty-c", "bool"])
 def test_tableau_from_dict_names_bad_key_or_entry(edit, named, tmp_path):
     # these used to escape as KeyError, ValueError, OverflowError or
     # TypeError from deep inside the Fraction conversion
