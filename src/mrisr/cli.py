@@ -122,12 +122,15 @@ def _inner_map(opts, methods):
     raw = opts.get("inner")
     if raw is None:
         return {}
-    if isinstance(raw, (str, dict)):
+    if not isinstance(raw, list):
         raw = [raw]
     mapping = {}
     for item in raw:
         if isinstance(item, dict):
             mapping.update(item)
+        elif not isinstance(item, str):
+            raise ValueError(f"inner {item!r} is not NAME, METHOD=NAME or "
+                             "a dict of them")
         elif "=" in item:
             m, name = item.split("=", 1)
             mapping[m.strip()] = name.strip()

@@ -7,7 +7,7 @@ from collections import namedtuple
 __all__ = ["MRISRError", "UnknownMethodError", "PreconditionError",
            "DegenerateEmbeddingError", "SingularMatrixError", "NewtonFailure",
            "FastSolveDivergence", "StepFailure", "Rule", "one_of", "require",
-           "LIST", "INTEGER", "POSITIVE_INTEGER", "FINITE",
+           "LIST", "DICT", "INTEGER", "POSITIVE_INTEGER", "FINITE",
            "POSITIVE_FINITE", "FINITE_NONNEGATIVE", "ANGLE"]
 
 
@@ -52,6 +52,7 @@ def require(name, value, rule):
 
 
 LIST = Rule(lambda x: isinstance(x, (list, tuple)), "a list")
+DICT = Rule(lambda x: isinstance(x, dict), "a dict")
 # every rule rejects a bool: True is a numbers.Integral, not the number 1
 INTEGER = Rule(lambda x: isinstance(x, numbers.Integral)
                and not isinstance(x, bool), "an integer")

@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from . import adaptivity, stability, theory
-from .errors import (ANGLE, FINITE_NONNEGATIVE, INTEGER, LIST,
+from .errors import (ANGLE, DICT, FINITE_NONNEGATIVE, INTEGER, LIST,
                      POSITIVE_FINITE, POSITIVE_INTEGER, MRISRError,
                      PreconditionError, UnknownMethodError, one_of, require)
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
@@ -67,6 +67,7 @@ _FIELD_RULES = (
     ("M", POSITIVE_INTEGER),
     ("H0", POSITIVE_FINITE.or_none()),
     ("tols", LIST.or_none()),
+    ("inner", DICT),
     ("which", stability.WHICH),
     ("alpha beta", ANGLE),
     ("rho xi", FINITE_NONNEGATIVE),

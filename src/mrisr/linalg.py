@@ -161,9 +161,10 @@ def newton_solve(residual, fac, guess, stats, cfg=None, state=None):
     |delta| <= 1 (Hairer & Wanner, Solving ODEs II, IV.8): eta is the
     contraction estimate earlier solves measured with this factorization,
     1 when none has, which leaves |delta| <= 1. Each later update k stores
-    theta/(1 - theta) in state.eta, theta = |delta_k|/|delta_(k-1)| (inf
-    when theta >= 1). Each iteration adds one to `stats.newton_iters`, so
-    a solve that fails still counts the iterations it spent. Returns the root.
+    theta/(1 - theta) in state.eta, theta = |delta_k|/|delta_(k-1)|; an
+    update that grows (theta >= 1) stores inf and ends the solve as
+    diverged. Each iteration adds one to `stats.newton_iters`, so a solve
+    that fails still counts the iterations it spent. Returns the root.
     """
     cfg = cfg or _NEWTON_DEFAULT
     state = state or NewtonState()
@@ -188,6 +189,8 @@ def newton_solve(residual, fac, guess, stats, cfg=None, state=None):
             if prev is not None:
                 theta = norm / prev
                 state.eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
+                if theta >= 1.0:
+                    raise NewtonFailure("Newton iteration diverged")
             elif eta0 * norm <= 1.0:
                 return x
             if norm <= 1.0:

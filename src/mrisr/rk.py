@@ -46,7 +46,8 @@ class ButcherTable:
     """An explicit RK method, optionally with an embedded weight row.
 
     A, b, c and bhat hold Fractions. Construction checks that A is strictly
-    lower triangular with row sums c, all sized by b. order and emb_order
+    lower triangular with row sums c, all sized by b, and that b (and bhat)
+    sum to 1, so every table has order >= 1. order and emb_order
     are derived from the coefficients; floats and plans are the float forms
     solve_fast_ivp reads. Each is built on first use and cached.
     """
@@ -71,6 +72,10 @@ class ButcherTable:
             if sum(row) != self.c[i]:
                 raise PreconditionError(
                     f"{self.name}: row {i + 1} of A does not sum to c")
+        for key, w in (("b", self.b), ("bhat", self.bhat)):
+            if w is not None and sum(w) != 1:
+                raise PreconditionError(
+                    f"{self.name}: {key} does not sum to 1")
 
     @property
     def stages(self):
@@ -116,14 +121,6 @@ class ButcherTable:
         db = b - bhat
         db.flags.writeable = False
         return fixed, plan(len(b), db)
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-def _matvec(A, v):
-    return [_dot(row, v) for row in A]
 
 
 # Rooted trees of order 1..5 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -212,8 +209,8 @@ def rk_order(A, b, c):
 
 def bushy_tree_residuals(b, c, kmax):
     """Residuals of b^T c^k - 1/(k+1) for k = 0..kmax."""
-    return {k: _dot(b, [x ** k for x in c]) - Fraction(1, k + 1)
-            for k in range(kmax + 1)}
+    b, c = _exact(b), _exact(c)
+    return {k: b @ c ** k - Fraction(1, k + 1) for k in range(kmax + 1)}
 
 
 HEUN = ButcherTable(

@@ -23,10 +23,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import LIST, PreconditionError, UnknownMethodError, require
-from .rk import _fmat, _fvec, _readonly, frac
+from .rk import _exact, _fmat, _fvec, _readonly, frac
 
 __all__ = [
-    "MRISRTableau", "load_builtin", "omega_bar", "omega_row",
+    "MRISRTableau", "load_builtin", "omega_bar", "weighted",
     "validate_structure", "tableau_to_dict", "tableau_from_dict",
     "save_tableau", "load_tableau", "BUILTIN_NAMES",
 ]
@@ -105,26 +105,22 @@ class MRISRTableau:
             for ci, gii, om, gam in rows)
 
 
-def omega_row(rows, weight):
-    """sum_k weight(k) * rows[k], as a tuple of Fractions.
+def weighted(stack, weight):
+    """sum_k weight(k) * stack[k], as an object ndarray of Fractions.
 
-    rows holds one row per tendency power k. Row i of every Omega[k] gives
-    row i of a weighted Omega sum (of omega_bar, with weight 1/(k+1)), and
-    t.emb_omega with the same weight gives the embedded slow weights.
+    stack holds one row or one matrix per tendency power k: t.omega gives a
+    weighted Omega sum (omega_bar, with weight 1/(k+1)), and t.emb_omega
+    or the last rows of t.omega give the slow weights of a solution row.
     """
-    ws = [weight(k) for k in range(len(rows))]
-    return tuple(sum((w * row[j] for w, row in zip(ws, rows)), Fraction(0))
-                 for j in range(len(rows[0])))
+    return sum(weight(k) * x for k, x in enumerate(_exact(stack)))
 
 
 def omega_bar(t):
-    """Integral of the tendency polynomials over tau in [0,1].
-
-    Returns sum_k Omega[k]/(k+1) as an s-by-s tuple of Fractions, one
-    omega_row per stage. This is the explicit slow base table.
+    """Integral of the tendency polynomials over tau in [0,1]:
+    sum_k Omega[k]/(k+1), an s-by-s object ndarray of Fractions. This is
+    the explicit slow base table.
     """
-    return tuple(omega_row([O[i] for O in t.omega],
-                           lambda k: Fraction(1, k + 1)) for i in range(t.s))
+    return weighted(t.omega, lambda k: Fraction(1, k + 1))
 
 
 def validate_structure(t):
@@ -275,14 +271,6 @@ _SR43 = MRISRTableau(
 # MERK tableaux, generated from the interpolation rule
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _merk_omegas(c, groups):
     """Tendency matrices for a MERK-style method.
 
@@ -301,28 +289,20 @@ def _merk_omegas(c, groups):
     """
     s = len(c)
     nk = 1 + max((len(v) for v in groups.values()), default=0)
-    omegas = [[[Fraction(0)] * s for _ in range(s)] for _ in range(nk)]
+    omegas = np.full((nk, s, s), Fraction(0), dtype=object)
     for i in range(1, s):
         nodes = groups.get(i, ())
-        col_polys = {0: [Fraction(1)]}
+        # omega_{i,1}/c_i, lowest power first, of the degree of every M_j
+        first = _exact([1] + [0] * len(nodes))
         for j in nodes:
-            num = [Fraction(0), c[i]]
-            den = c[j]
+            M = _exact([0, c[i]]) / c[j]
             for l in nodes:
-                if l == j:
-                    continue
-                num = _poly_mul(num, [-c[l], c[i]])
-                den *= c[j] - c[l]
-            M = [x / den for x in num]
-            col_polys[j] = M
-            base = col_polys[0] + [Fraction(0)] * (len(M) - len(col_polys[0]))
-            col_polys[0] = [a - b for a, b in
-                            zip(base, M + [Fraction(0)] * (len(base) - len(M)))]
-        for j, poly in col_polys.items():
-            for k, coef in enumerate(poly):
-                if coef:
-                    omegas[k][i][j] = c[i] * coef
-    return tuple(tuple(tuple(row) for row in O) for O in omegas)
+                if l != j:
+                    M = np.convolve(M, _exact([-c[l], c[i]]) / (c[j] - c[l]))
+            omegas[:len(M), i, j] = c[i] * M
+            first -= M
+        omegas[:len(first), i, 0] = c[i] * first
+    return tuple(_fmat(O) for O in omegas)
 
 
 _MERK_GROUPS = {
@@ -350,10 +330,9 @@ _MERK_DEFAULT_C = {
 def _make_merk(order):
     """merkN from its fixed abscissae _MERK_DEFAULT_C[N]."""
     c = _MERK_DEFAULT_C[order]
-    omegas = _merk_omegas(list(c), _MERK_GROUPS[order])
-    s = len(c)
-    gamma = tuple(tuple(Fraction(0) for _ in range(s)) for _ in range(s))
-    return MRISRTableau(name=f"merk{order}", c=c, omega=omegas, gamma=gamma)
+    return MRISRTableau(name=f"merk{order}", c=c,
+                        omega=_merk_omegas(c, _MERK_GROUPS[order]),
+                        gamma=_fmat([[0] * len(c)] * len(c)))
 
 
 _BUILTINS = {
@@ -399,7 +378,7 @@ def tableau_to_dict(t):
     return d
 
 
-def _exact(x, where, depth):
+def _fractions(x, where, depth):
     """Nested tuples of Fractions, depth levels deep, from nested lists of
     numbers or fraction strings; PreconditionError naming the first entry
     that is not one (a NaN or inf, None, a bool, or a string like 'abc')."""
@@ -412,7 +391,7 @@ def _exact(x, where, depth):
         raise PreconditionError(
             f"{where} = {x!r} is not a finite number or fraction string")
     require(where, x, LIST)
-    return tuple(_exact(v, f"{where}[{i}]", depth - 1)
+    return tuple(_fractions(v, f"{where}[{i}]", depth - 1)
                  for i, v in enumerate(x))
 
 
@@ -422,10 +401,10 @@ def tableau_from_dict(d):
     def entries(key, depth):
         if key not in d:
             raise PreconditionError(f"tableau dict has no {key!r}")
-        return _exact(d[key], key, depth)
+        return _fractions(d[key], key, depth)
 
     def optional(key, depth):
-        return None if d.get(key) is None else _exact(d[key], key, depth)
+        return None if d.get(key) is None else _fractions(d[key], key, depth)
 
     if not isinstance(d, dict):
         raise PreconditionError(f"a tableau is a dict, not {type(d).__name__}")

@@ -1,18 +1,20 @@
 """Order-condition verification: GARK flattening, base ARK extraction,
 internal consistency, coupling conditions, and the embedding C-statistic.
 
-All residuals are computed in exact rational arithmetic; a residual of 0 means
-the condition holds identically, not merely to rounding.
+All residuals are computed in exact rational arithmetic, on object ndarrays
+of Fractions; a residual of 0 means the condition holds identically, not
+merely to rounding.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (INTEGER, DegenerateEmbeddingError, PreconditionError,
                      one_of, require)
-from .rk import (_dot, _leading_order, _matvec, _tree_residuals,
-                 bushy_tree_residuals)
-from .tableau import omega_bar, omega_row
+from .rk import _exact, _leading_order, _tree_residuals, bushy_tree_residuals
+from .tableau import omega_bar, weighted
 
 __all__ = [
     "GarkTables", "ARKPair", "OrderReport", "assemble_gark", "base_ark",
@@ -39,45 +41,45 @@ class OrderReport:
 
 @dataclass(frozen=True)
 class ARKPair:
-    """The slow base method: an implicit-explicit pair with shared abscissae.
+    """The slow base method: an implicit-explicit pair with shared abscissae,
+    each field an object ndarray of Fractions.
 
     bE/bI may differ when the last Gamma row is nonzero.
     """
 
-    AE: tuple
-    AI: tuple
-    bE: tuple
-    bI: tuple
-    c: tuple
+    AE: np.ndarray
+    AI: np.ndarray
+    bE: np.ndarray
+    bI: np.ndarray
+    c: np.ndarray
 
 
 @dataclass(frozen=True)
 class GarkTables:
-    """Flattened coupled coefficient tables of a multirate method + inner RK.
+    """Flattened coupled coefficient tables of a multirate method + inner RK,
+    each field an object ndarray of Fractions.
 
     Fast block unknowns are ordered stage-major: the s_F inner stages of slow
     stage 1, then of slow stage 2, and so on. The fast stages see fE and fI
     through one forcing, so AFE is also the fast-implicit coupling.
     """
 
-    AFF: tuple
-    AFE: tuple
-    ASF: tuple
-    ASE: tuple
-    ASI: tuple
-    bF: tuple
-    bE: tuple
-    bI: tuple
-    cF: tuple
+    AFF: np.ndarray
+    AFE: np.ndarray
+    ASF: np.ndarray
+    ASE: np.ndarray
+    ASI: np.ndarray
+    bF: np.ndarray
+    bE: np.ndarray
+    bI: np.ndarray
+    cF: np.ndarray
 
 
 def base_ark(t):
     """Extract the slow base ARK pair (AE = Omega-bar, AI = Omega-bar + Gamma)."""
-    Ob = omega_bar(t)
-    s = t.s
-    AI = tuple(tuple(Ob[i][j] + t.gamma[i][j] for j in range(s))
-               for i in range(s))
-    return ARKPair(AE=Ob, AI=AI, bE=Ob[s - 1], bI=AI[s - 1], c=t.c)
+    AE = omega_bar(t)
+    AI = AE + _exact(t.gamma)
+    return ARKPair(AE=AE, AI=AI, bE=AE[-1], bI=AI[-1], c=_exact(t.c))
 
 
 def assemble_gark(t, inner):
@@ -93,23 +95,17 @@ def assemble_gark(t, inner):
         raise PreconditionError(
             "inner method fails quadrature condition b^T c^k = 1/(k+1) "
             f"for k in {bad} (needed for n_omega = {t.n_omega})")
-    s, sF = t.s, inner.stages
     ark = base_ark(t)
+    A, b, c = _exact(inner.A), _exact(inner.b), _exact(inner.c)
     # the fast blocks are block diagonal: stage i scales the inner table by c_i
-    AFF = tuple(tuple(t.c[i] * inner.A[p][q] if j == i else Fraction(0)
-                      for j in range(s) for q in range(sF))
-                for i in range(s) for p in range(sF))
-    ASF = tuple(tuple(t.c[i] * inner.b[p] if j == i else Fraction(0)
-                      for j in range(s) for p in range(sF)) for i in range(s))
-    # Row (i, p) of the fast-slow coupling: sum_k (A^F c^F^k)[p] * Omega[k][i]
-    Ack = [_matvec(inner.A, [x ** k for x in inner.c])
-           for k in range(t.n_omega)]
-    AFE = tuple(omega_row([O[i] for O in t.omega], lambda k: Ack[k][p])
-                for i in range(s) for p in range(sF))
-    cF = tuple(t.c[i] * inner.c[p] for i in range(s) for p in range(sF))
+    C = np.diag(ark.c)
+    ASF = np.kron(C, b[None, :])
+    # row (i, p) of the fast-slow coupling: sum_k Omega[k][i] (A^F c^F^k)[p]
+    AFE = sum(np.kron(O, (A @ c ** k)[:, None])
+              for k, O in enumerate(_exact(t.omega)))
     return GarkTables(
-        AFF=AFF, AFE=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
-        bF=ASF[s - 1], bE=ark.bE, bI=ark.bI, cF=cF,
+        AFF=np.kron(C, A), AFE=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
+        bF=ASF[-1], bE=ark.bE, bI=ark.bI, cF=np.kron(ark.c, c),
     )
 
 
@@ -119,13 +115,11 @@ def check_internal_consistency(t):
     With a base method and inner method of order >= 2 these act as the
     second-order conditions. Residuals are vector max-norms, exact.
     """
-    res = {}
-    s = t.s
-    res["Omega[0].1-c"] = max(abs(sum(t.omega[0][i]) - t.c[i])
-                              for i in range(s))
+    sums = _exact(t.omega).sum(axis=2)  # row sums of every Omega[k]
+    res = {"Omega[0].1-c": abs(sums[0] - _exact(t.c)).max()}
     for k in range(1, t.n_omega):
-        res[f"Omega[{k}].1"] = max(abs(sum(t.omega[k][i])) for i in range(s))
-    res["Gamma.1"] = max(abs(sum(t.gamma[i])) for i in range(s))
+        res[f"Omega[{k}].1"] = abs(sums[k]).max()
+    res["Gamma.1"] = abs(_exact(t.gamma).sum(axis=1)).max()
     order = 2 if all(v == 0 for v in res.values()) else 0
     return OrderReport(order=order, residuals=res)
 
@@ -137,33 +131,31 @@ def _coupling_residuals(t, p, final_omega_rows=None, final_gamma_row=None):
     passing embedding rows instead yields the embedded method's residuals.
     """
     require("p", p, one_of(3, 4))
-    s = t.s
-    c = list(t.c)
+    c = _exact(t.c)
     if final_omega_rows is None:
-        final_omega_rows = tuple(t.omega[k][s - 1] for k in range(t.n_omega))
-        final_gamma_row = t.gamma[s - 1]
+        final_omega_rows = [O[-1] for O in t.omega]
+        final_gamma_row = t.gamma[-1]
 
-    fin = lambda weight: omega_row(final_omega_rows, weight)
+    fin = lambda weight: weighted(final_omega_rows, weight)
     wL = lambda k: Fraction(1, (k + 1) * (k + 2))
     finL = fin(wL)
     if p == 3:
-        return {"coupling3": _dot(finL, c) - Fraction(1, 6)}
-    Ob = omega_bar(t)
-    bE = fin(lambda k: Fraction(1, k + 1))
-    Lc = _matvec([omega_row([O[i] for O in t.omega], wL) for i in range(s)], c)
-    CLc = [c[i] * Lc[i] for i in range(s)]
-    res = {}
-    res["coupling4a"] = _dot(fin(
-        lambda k: Fraction(1, (k + 1) * (k + 3))), c) - Fraction(1, 8)
-    res["coupling4b"] = _dot(finL, [x * x for x in c]) - Fraction(1, 12)
-    res["coupling4c"] = _dot(final_gamma_row, CLc)
-    res["coupling4d"] = _dot(bE, CLc) - Fraction(1, 24)
-    res["coupling4f"] = _dot(finL, _matvec(Ob, c)) - Fraction(1, 24)
-    res["coupling4g"] = _dot(finL, _matvec(t.gamma, c))
-    # implied by coupling3 minus coupling4a; checked as a sanity assertion
-    res["coupling4-implied"] = _dot(fin(
-        lambda k: Fraction(1, (k + 1) * (k + 2) * (k + 3))), c) - Fraction(1, 24)
-    return res
+        return {"coupling3": finL @ c - Fraction(1, 6)}
+    CLc = c * (weighted(t.omega, wL) @ c)
+    return {
+        "coupling4a": fin(lambda k: Fraction(1, (k + 1) * (k + 3))) @ c
+        - Fraction(1, 8),
+        "coupling4b": finL @ c ** 2 - Fraction(1, 12),
+        "coupling4c": _exact(final_gamma_row) @ CLc,
+        "coupling4d": fin(lambda k: Fraction(1, k + 1)) @ CLc
+        - Fraction(1, 24),
+        "coupling4f": finL @ omega_bar(t) @ c - Fraction(1, 24),
+        "coupling4g": finL @ _exact(t.gamma) @ c,
+        # implied by coupling3 minus coupling4a; checked as a sanity assertion
+        "coupling4-implied":
+            fin(lambda k: Fraction(1, (k + 1) * (k + 2) * (k + 3))) @ c
+            - Fraction(1, 24),
+    }
 
 
 def check_coupling_order(t, p):
@@ -233,7 +225,7 @@ def method_order(t, inner_order):
 
 
 def _residual_vector(t, order, embedded):
-    """All residuals at exactly `order`, as an ordered list of Fractions.
+    """All residuals at exactly `order`, as an object ndarray of Fractions.
 
     Includes the base-ARK colored-tree conditions at that order plus the
     coupling conditions at that order (orders 3 and 4 only).
@@ -241,16 +233,15 @@ def _residual_vector(t, order, embedded):
     ark = base_ark(t)
     rows, gamma_row = (t.emb_omega, t.emb_gamma) if embedded else \
         ([O[-1] for O in t.omega], t.gamma[-1])
-    bE = omega_row(rows, lambda k: Fraction(1, k + 1))
-    bI = tuple(x + g for x, g in zip(bE, gamma_row))
-    groups = _tree_residuals({"E": bE, "I": bI}, {"E": ark.AE, "I": ark.AI},
-                             t.c, order)
+    bE = weighted(rows, lambda k: Fraction(1, k + 1))
+    groups = _tree_residuals({"E": bE, "I": bE + _exact(gamma_row)},
+                             {"E": ark.AE, "I": ark.AI}, ark.c, order)
     vec = list(groups[order].values())
     if order in (3, 4):
         cres = _coupling_residuals(t, order, rows, gamma_row)
         cres.pop("coupling4-implied", None)
         vec.extend(cres[k] for k in sorted(cres))
-    return vec
+    return _exact(vec)
 
 
 def c_statistic(t, p):
@@ -266,13 +257,13 @@ def c_statistic(t, p):
     tau_next = _residual_vector(t, p + 1, embedded=False)
     tau_hat_next = _residual_vector(t, p + 1, embedded=True)
     tau_hat_p = _residual_vector(t, p, embedded=True)
-    denom = sum(x * x for x in tau_hat_p)
+    denom = tau_hat_p @ tau_hat_p
     if denom == 0:
         raise DegenerateEmbeddingError(
             f"embedding of {t.name} has zero order-{p} residual; "
             "it is not one order lower")
-    num = sum((a - b) ** 2 for a, b in zip(tau_hat_next, tau_next))
-    return float(num) ** 0.5 / float(denom) ** 0.5
+    d = tau_hat_next - tau_next
+    return float(d @ d) ** 0.5 / float(denom) ** 0.5
 
 
 def gark_linear_step(g, zF, zE, zI, y0=1.0):
@@ -282,8 +273,6 @@ def gark_linear_step(g, zF, zE, zI, y0=1.0):
     tables, with z* = H*lam*. This is the verification oracle against which
     the step algorithm is checked. Returns y1.
     """
-    import numpy as np
-
     AFF = np.array(g.AFF, dtype=float)
     AFE = np.array(g.AFE, dtype=float)
     ASF = np.array(g.ASF, dtype=float)

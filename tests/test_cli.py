@@ -81,10 +81,13 @@ def test_bad_m_gives_failed_rows(command, args, m, capsys):
     ({"m": "10"}, "M = '10' is not a positive integer"),
     ({"kmin": 2.5}, "kmin = 2.5 is not an integer"),
     ({"kmax": "8"}, "kmax = '8' is not an integer"),
-], ids=["m-string", "kmin-float", "kmax-string"])
+    ({"inner": 5}, "inner 5 is not NAME, METHOD=NAME or a dict"),
+    ({"inner": ["heun", 5]}, "inner 5 is not NAME, METHOD=NAME or a dict"),
+], ids=["m-string", "kmin-float", "kmax-string", "inner-int",
+        "inner-list-int"])
 def test_bad_config_value_is_a_usage_error(option, named, tmp_path, capsys):
-    # {"m": "10"} used to fail every row, and {"kmin": 2.5} escaped as a
-    # TypeError from range()
+    # {"m": "10"} used to fail every row, and {"kmin": 2.5} and
+    # {"inner": 5} escaped as a TypeError from range() and from iterating 5
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "imex-mri-sr21", "problem": "kpr",
                                "kmin": 2, "kmax": 3, **option}))

@@ -113,11 +113,12 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
     (dict(methods=["imex-mri-sr21", "imex-mri-sr32"],
           inner={"imex-mri-sr32": "rk4"}),
      "inner['imex-mri-sr32'] = 'rk4' is not 'heun' or"),
+    (dict(inner=["heun"]), "inner = ['heun'] is not a dict"),
 ], ids=["method", "problem", "kmin-kmax", "window-three", "window-inf",
         "window-string", "res-one", "res-float", "res-scalar", "M-zero",
         "M-string", "M-float", "M-bool", "kmin-float", "kmax-string", "which",
         "alpha-over-90", "beta-negative", "alpha-nan", "rho-negative",
-        "xi-negative", "xi-string", "inner-key", "inner-name"])
+        "xi-negative", "xi-string", "inner-key", "inner-name", "inner-list"])
 def test_experiment_config_rejects_bad_input_by_field(kw, named):
     # at construction, so a study never starts on it
     cfg = dict(kind="stability", methods=["imex-mri-sr21"])

@@ -116,6 +116,17 @@ def test_newton_divergence_raises():
                      StepStats(), cfg=NewtonConfig(max_iter=5))
 
 
+def test_newton_stops_at_the_first_update_that_grows():
+    # the frozen Jacobian 1 of 3x - 3 gives x_(k+1) = 3 - 2 x_k: each update
+    # is -2 times the last, so the second update ends the solve as diverged
+    # instead of running on to max_iter
+    stats, state = StepStats(), NewtonState()
+    with pytest.raises(NewtonFailure, match="^Newton iteration diverged$"):
+        newton_solve(lambda x: 3.0 * x - 3.0, Factorization(np.eye(1)),
+                     np.zeros(1), stats, state=state)
+    assert stats.newton_iters == 2 and state.eta == np.inf
+
+
 def test_newton_counters():
     stats = StepStats()
     newton_solve(lambda x: np.array([x[0] - 1.0]),

@@ -64,7 +64,7 @@ def test_omega_bar_first_column():
     t = load_builtin("imex-mri-sr21")
     ob = omega_bar(t)
     # single Omega matrix: omega_bar equals Omega[0]
-    assert ob == t.omega[0]
+    assert np.array_equal(ob, t.omega[0])
 
 
 def test_merk2_generated_entries():
@@ -137,6 +137,12 @@ def _no_emb_omega_dict():
     (lambda: ButcherTable(name="diag", A=((0, 0), (F(2, 3), F(1, 3))),
                           b=HEUN.b, c=HEUN.c),
      "diag: row 2 of A is not strictly lower triangular"),
+    (lambda: ButcherTable(name="half", A=HEUN.A, b=(F(1, 2), F(1, 4)),
+                          c=HEUN.c),
+     "half: b does not sum to 1"),
+    (lambda: ButcherTable(name="hat", A=HEUN.A, b=HEUN.b, c=HEUN.c,
+                          bhat=(F(1), F(1))),
+     "hat: bhat does not sum to 1"),
     (lambda: NewtonConfig(atol=-1.0, rtol=0.0),
      "atol = -1.0 is not a positive finite number"),
     (lambda: NewtonConfig(atol=math.nan),
@@ -149,7 +155,8 @@ def _no_emb_omega_dict():
      "invalid tableau 'merk2': embGamma without embOmega"),
     (lambda: tableau_from_dict(_no_emb_omega_dict()),
      "invalid tableau 'imex-mri-sr21': embGamma without embOmega"),
-], ids=["c_s-half", "omega-2-4", "inner-diagonal", "newton-atol-negative",
+], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-b-sum",
+        "inner-bhat-sum", "newton-atol-negative",
         "newton-atol-nan", "newton-max-iter-0", "json-empty-omega",
         "emb-gamma-alone", "json-emb-gamma-alone"])
 def test_invalid_table_fails_at_construction(build, message):
