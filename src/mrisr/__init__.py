@@ -9,8 +9,8 @@ from .adaptivity import (ControllerState, ErrorEstimate,
                          accumulate_fast_error, controller_update,
                          estimate_slow_error, integrate_adaptive)
 from .errors import MRISRError
-from .integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
-                         StepStats, integrate_fixed, step)
+from .integrator import (IntegrationRecord, SplitIVP, StepStats,
+                         integrate_fixed, step)
 from .problems import (BrusselatorParams, PROBLEMS, brusselator_problem,
                        kpr_exact, kpr_problem, make_problem)
 from .rk import ButcherTable, INNER_METHODS, inner_method

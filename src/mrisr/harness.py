@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy
 
 from . import adaptivity, stability, theory
 from .errors import (ANGLE, DICT, FINITE_NONNEGATIVE, INTEGER, LIST,
@@ -353,6 +352,8 @@ def _echo(cfg, **extra):
 
 def versions():
     """Versions of mrisr, Python, numpy and scipy, as recorded in sidecars."""
+    import scipy
+
     from . import __version__
     return dict(mrisr=__version__, python=platform.python_version(),
                 numpy=np.__version__, scipy=scipy.__version__)

@@ -14,9 +14,9 @@ correction follows:
 
 solved by modified Newton when gamma_{i,i} != 0. A run's steps share one
 NewtonState, so a stage matrix I - H*gamma_{i,i}*J bit-equal to the last
-one is not factored again. The embedded solution,
-when wanted, is one more row of the same stage kernel: c = 1 with the
-embedding Omega and Gamma rows over the first s - 1 tendencies.
+one is not factored again. The embedded solution, when error weights are
+given, is one more row of the same stage kernel: c = 1 with the embedding
+Omega and Gamma rows over the first s - 1 tendencies.
 """
 
 import math
@@ -27,9 +27,9 @@ import numpy as np
 from .errors import (FINITE, POSITIVE_FINITE, POSITIVE_INTEGER,
                      FastSolveDivergence, NewtonFailure, PreconditionError,
                      SingularMatrixError, StepFailure, require)
-from .linalg import NewtonConfig, NewtonState, newton_solve, wrms
+from .linalg import NewtonState, newton_solve, wrms
 
-__all__ = ["SplitIVP", "StepStats", "NewtonConfig", "IntegrationRecord",
+__all__ = ["SplitIVP", "StepStats", "IntegrationRecord",
            "solve_fast_ivp", "implicit_stage_solve", "step",
            "integrate_fixed"]
 
@@ -229,8 +229,7 @@ def _fd_jacobian(fI, t, y):
     return J
 
 
-def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
-                         cfg=None):
+def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state):
     """Solve Y = base + H*gamma_ii*fI(t_stage, Y) by modified Newton from
     Y = base, counting the work in stats; returns Y (a copy of base when
     gamma_ii = 0). The Jacobian is evaluated at base, analytic or by
@@ -254,7 +253,7 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state,
         stats.slow_i_evals += 1
         return y - base - scale * p.fI(t_stage, y)
 
-    y = newton_solve(residual, fac, base, stats, cfg=cfg, state=state)
+    y = newton_solve(residual, fac, base, stats, state=state)
     stats.implicit_solves += 1
     return y
 
@@ -264,13 +263,14 @@ def _check_shape(name, shape, dim):
         raise PreconditionError(f"{name} has shape {shape}, not {(dim,)}")
 
 
-def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
-         err_weights=None, state=None):
+def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
+         state=None):
     """One slow step from (tn, yn) to tn + H with M fast substeps per unit c.
 
     Returns (y1, yhat, fast_errs): yhat is the embedded solution when
-    want_embedded and the tableau has an embedding, else None; fast_errs
-    holds every stage's per-substep fast error norms (see solve_fast_ivp).
+    err_weights is given and the tableau has an embedding, else None;
+    fast_errs holds every stage's per-substep fast error norms, weighted
+    by err_weights (see solve_fast_ivp).
     The stage rows come from the tableau's cached t.stage_rows, so the
     stage times tn + c_i*H and the weights H*gamma_ij are Python floats.
     fF(tn, yn) is evaluated once, at the first row with c_i > 0, and
@@ -289,7 +289,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
     s = t.s
     # (c_i, gamma_ii, nonzero (k, j, Omega), nonzero (j, Gamma)) over the
     # first i tendencies; the embedding is one more row with c = 1 over s - 1
-    rows = t.stage_rows if want_embedded else t.stage_rows[:s - 1]
+    rows = t.stage_rows if err_weights is not None else t.stage_rows[:s - 1]
     nk = t.n_omega
     yn = np.asarray(yn, dtype=float)
     _check_shape("y_n", yn.shape, p.dim)
@@ -331,8 +331,7 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
             for j, g in gam:
                 base = base + (H * g) * fI[j]
             ts = tn + ci * H
-            Yi = implicit_stage_solve(p, base, gii, ts, H, stats, state,
-                                      cfg)
+            Yi = implicit_stage_solve(p, base, gii, ts, H, stats, state)
         except (FastSolveDivergence, NewtonFailure,
                 SingularMatrixError) as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
@@ -340,6 +339,13 @@ def step(p, t, inner, yn, tn, H, M, cfg=None, stats=None, want_embedded=True,
         Y.append(Yi)
     yhat = Y[s] if len(Y) > s else None
     return Y[s - 1], yhat, fast_errs
+
+
+def _steps_to(t_end, t0, H):
+    """(t_end - t0)/H rounded, or None unless it is an integer to 1e-9."""
+    k_f = (t_end - t0) / H
+    k = round(k_f)
+    return k if abs(k_f - k) <= 1e-9 * max(1.0, abs(k_f)) else None
 
 
 def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
@@ -355,18 +361,16 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
     require("M", M, POSITIVE_INTEGER)
     t0 = p.t0
     require("p.t0", t0, FINITE)
-    n_steps_f = (tEnd - t0) / H
-    n_steps = round(n_steps_f)
-    if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, abs(n_steps_f)):
+    n_steps = _steps_to(tEnd, t0, H)
+    if n_steps is None or n_steps < 0:
         raise PreconditionError(
-            f"(tEnd - t0)/H = {n_steps_f} is not an integer")
+            f"(tEnd - t0)/H = {(tEnd - t0) / H} is not an integer")
     samples = list(sample_points) if sample_points is not None else [tEnd]
     sample_idx = {}
     for ts in samples:
         require("sample point", ts, FINITE)
-        k_f = (ts - t0) / H
-        k = round(k_f)
-        if abs(k_f - k) > 1e-9 * max(1.0, abs(k_f)) or not 0 <= k <= n_steps:
+        k = _steps_to(ts, t0, H)
+        if k is None or not 0 <= k <= n_steps:
             raise PreconditionError(
                 f"sample point {ts} is not a step boundary")
         sample_idx.setdefault(k, ts)
@@ -380,7 +384,7 @@ def integrate_fixed(p, t, inner, tEnd, H, M, sample_points=None):
         tn = t0 + k * H
         try:
             y, _, _ = step(p, t, inner, y, tn, H, M, stats=rec.stats,
-                           want_embedded=False, state=rec.state)
+                           state=rec.state)
         except StepFailure as e:
             rec.log(tn, H, M, False, cause=str(e))
             rec.failure = f"step {k + 1} at t = {tn:.6g}: {e}"

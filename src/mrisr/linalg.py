@@ -11,15 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FINITE_NONNEGATIVE, POSITIVE_FINITE, POSITIVE_INTEGER,
-                     NewtonFailure, Rule, SingularMatrixError, require)
+from .errors import NewtonFailure, Rule, SingularMatrixError, require
 
 __all__ = ["BandedMatrix", "shifted_jacobian", "Factorization",
-           "NewtonConfig", "NewtonState", "wrms", "newton_solve"]
+           "NEWTON_ATOL", "NEWTON_RTOL", "NEWTON_MAX_ITER", "NewtonState",
+           "wrms", "newton_solve"]
 
 # the rounding unit (machine epsilon): the floor of the contraction
 # estimate a solve starts from
 _UROUND = np.finfo(float).eps
+
+# Newton's stopping rule, one for every solve (see newton_solve)
+NEWTON_ATOL = 1e-12
+NEWTON_RTOL = 1e-10
+NEWTON_MAX_ITER = 10
 
 
 @dataclass
@@ -94,21 +99,6 @@ class Factorization:
         return x
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    atol: float = 1e-12
-    rtol: float = 1e-10
-    max_iter: int = 10
-
-    def __post_init__(self):
-        require("atol", self.atol, POSITIVE_FINITE)
-        require("rtol", self.rtol, FINITE_NONNEGATIVE)
-        require("max_iter", self.max_iter, POSITIVE_INTEGER)
-
-
-_NEWTON_DEFAULT = NewtonConfig()
-
-
 class NewtonState:
     """The Newton data one run carries from solve to solve: the last stage
     matrix I - scale*J with its Factorization, and eta, the contraction
@@ -149,33 +139,33 @@ def wrms(v, weights):
     return math.sqrt(np.add.reduce(d * d) / d.size)
 
 
-def newton_solve(residual, fac, guess, stats, cfg=None, state=None):
+def newton_solve(residual, fac, guess, stats, state=None):
     """Solve residual(x) = 0 by modified Newton iteration.
 
     fac is the caller's Factorization of the residual's Jacobian, reused
-    for every iteration; cfg (NewtonConfig) and state (NewtonState) are
-    the run's, defaults when None. Updates are measured in the WRMS norm
-    with weights 1/(cfg.atol + cfg.rtol*|x|) frozen at the initial guess,
-    and the solve stops when |delta| <= 1, within cfg.max_iter iterations.
+    for every iteration; state is the run's NewtonState, a fresh one when
+    None. Updates are measured in the WRMS norm with weights
+    1/(NEWTON_ATOL + NEWTON_RTOL*|x|) frozen at the initial guess, and the
+    solve stops when |delta| <= 1, within NEWTON_MAX_ITER iterations.
     The first update also stops it when max(state.eta, uround)^0.8 *
     |delta| <= 1 (Hairer & Wanner, Solving ODEs II, IV.8): eta is the
     contraction estimate earlier solves measured with this factorization,
     1 when none has, which leaves |delta| <= 1. Each later update k stores
     theta/(1 - theta) in state.eta, theta = |delta_k|/|delta_(k-1)|; an
-    update that grows (theta >= 1) stores inf and ends the solve as
-    diverged. Each iteration adds one to `stats.newton_iters`, so a solve
-    that fails still counts the iterations it spent. Returns the root.
+    update that grows (theta >= 1, or NaN when both norms overflow) stores
+    inf and ends the solve as diverged. Each iteration adds one to
+    `stats.newton_iters`, so a solve that fails still counts the iterations
+    it spent. Returns the root.
     """
-    cfg = cfg or _NEWTON_DEFAULT
     state = state or NewtonState()
     x = np.array(guess, dtype=float)
-    weights = 1.0 / (cfg.atol + cfg.rtol * np.abs(x))
+    weights = 1.0 / (NEWTON_ATOL + NEWTON_RTOL * np.abs(x))
     eta0 = max(state.eta, _UROUND) ** 0.8
     prev = None
     # a diverging iteration is reported below, so the numpy warnings on
     # the way there (an update norm that overflows) are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             f = np.asarray(residual(x), dtype=float)
             if not np.logical_and.reduce(np.isfinite(f)):
                 raise NewtonFailure(
@@ -188,12 +178,14 @@ def newton_solve(residual, fac, guess, stats, cfg=None, state=None):
             norm = wrms(delta, weights)
             if prev is not None:
                 theta = norm / prev
-                state.eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
-                if theta >= 1.0:
+                if not theta < 1.0:
+                    state.eta = math.inf
                     raise NewtonFailure("Newton iteration diverged")
+                state.eta = theta / (1.0 - theta)
             elif eta0 * norm <= 1.0:
                 return x
             if norm <= 1.0:
                 return x
             prev = norm
-    raise NewtonFailure(f"no convergence in {cfg.max_iter} Newton iterations")
+    raise NewtonFailure(
+        f"no convergence in {NEWTON_MAX_ITER} Newton iterations")

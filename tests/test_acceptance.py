@@ -33,8 +33,7 @@ from scipy.integrate import quad
 
 from mrisr.adaptivity import (ControllerState, ErrorEstimate,
                               controller_update, integrate_adaptive)
-from mrisr.integrator import (NewtonConfig, SplitIVP, StepStats,
-                              integrate_fixed, step)
+from mrisr.integrator import SplitIVP, StepStats, integrate_fixed, step
 from mrisr.problems import kpr_exact, kpr_problem, make_problem
 from mrisr.rk import inner_method
 from mrisr.stability import (SectorSpec, phi, scan_component_region,
@@ -130,7 +129,6 @@ def test_criterion_4_gark_equivalence():
     # coupling structure being verified enters at O(1) through zE and zI
     lamF, lamE, lamI = -0.03, -1.3, -0.7
     H, M = 1e-3, 10 ** 4
-    cfg = NewtonConfig(atol=1e-15, rtol=1e-14, max_iter=20)
     p = SplitIVP(dim=1, fF=lambda t, y: lamF * y, fE=lambda t, y: lamE * y,
                  fI=lambda t, y: lamI * y, y0=np.array([1.0]))
     for name in BUILTIN_NAMES:
@@ -139,12 +137,10 @@ def test_criterion_4_gark_equivalence():
                               4: "zonneveld"}[t.n_omega])
         g = assemble_gark(t, inner)
         oracle = gark_linear_step(g, lamF * H, lamE * H, lamI * H)
-        y1, _, _ = step(p, t, inner, p.y0, 0.0, H, M, cfg=cfg,
-                        stats=StepStats(), want_embedded=False)
+        y1, _, _ = step(p, t, inner, p.y0, 0.0, H, M, stats=StepStats())
         assert abs(y1[0] - oracle.real) <= 1e-10, name
         # with one substep per stage the equivalence is algebraic
-        y1, _, _ = step(p, t, inner, p.y0, 0.0, H, 1, cfg=cfg,
-                        stats=StepStats(), want_embedded=False)
+        y1, _, _ = step(p, t, inner, p.y0, 0.0, H, 1, stats=StepStats())
         assert abs(y1[0] - oracle.real) <= 1e-13, name
 
 

@@ -54,3 +54,20 @@ def test_bad_input_is_a_precondition_error():
              if path.name != "cli.py" and not (
                  path.name == "linalg.py" and "illegal argument" in src)]
     assert found == []
+
+
+def test_traced_names_resolve():
+    # the benchmark's --trace wraps these (module, attribute path) names of
+    # mrisr by setattr; tracing.py is parsed, not imported, so a rename
+    # fails here and not only when a traced benchmark runs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    wrapped, = [ast.literal_eval(node.value)
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["WRAPPED"]]
+    assert wrapped
+    for module, attr_path, _ in wrapped:
+        owner = importlib.import_module(f"mrisr.{module}")
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        assert owner is not None, (module, attr_path)

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from mrisr import integrator
+from mrisr import integrator, linalg
 from mrisr.errors import (FastSolveDivergence, NewtonFailure,
                           PreconditionError, SingularMatrixError, StepFailure)
-from mrisr.integrator import (IntegrationRecord, NewtonConfig, SplitIVP,
-                              StepStats, integrate_fixed, solve_fast_ivp,
-                              step)
+from mrisr.integrator import (IntegrationRecord, SplitIVP, StepStats,
+                              integrate_fixed, solve_fast_ivp, step)
 from mrisr.linalg import BandedMatrix, NewtonState, wrms
 from mrisr.rk import INNER_METHODS, inner_method
 from mrisr.tableau import BUILTIN_NAMES, load_builtin
@@ -68,7 +67,7 @@ def test_zero_fast_limit_matches_base_imex_pair(name):
                  y0=np.array([1.0]))
     H = 0.3
     y1, _, _ = step(p, t, inner_method(inner), p.y0, 0.0, H, 3,
-                    stats=StepStats(), want_embedded=False)
+                    stats=StepStats())
     assert y1[0] == pytest.approx(_dirk_step(t, (lamE, lamI), H), abs=1e-12)
 
 
@@ -97,7 +96,7 @@ def test_fast_limit_exponential():
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([1.0]))
     y1, _, _ = step(p, t, inner_method("zonneveld"), p.y0, 0.0, 1.0, 50,
-                    stats=StepStats(), want_embedded=False)
+                    stats=StepStats())
     assert y1[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
@@ -251,8 +250,7 @@ def _reference_step_fast(p, coeffs, scale, tn, span, v0, f0, inner, n_sub,
     return v, errs
 
 
-def _reference_step(p, t, inner, yn, tn, H, M, stats, want_embedded=True,
-                    err_weights=None):
+def _reference_step(p, t, inner, yn, tn, H, M, stats, err_weights=None):
     """step() as it was before the cached stage plans: the stage rows
     sliced from t.floats at every call, with numpy-scalar coefficients."""
     state = NewtonState()
@@ -260,7 +258,7 @@ def _reference_step(p, t, inner, yn, tn, H, M, stats, want_embedded=True,
     s = t.s
     rows = [(c[i], omega[:, i, :i], gamma[i, :i], gamma[i, i])
             for i in range(1, s)]
-    if want_embedded and t.has_embedding:
+    if err_weights is not None and t.has_embedding:
         rows.append((1.0, emb_omega[:, :s - 1], emb_gamma[:s - 1],
                      emb_gamma[s - 1]))
     yn = np.asarray(yn, dtype=float)
@@ -301,7 +299,7 @@ def _reference_step(p, t, inner, yn, tn, H, M, stats, want_embedded=True,
                     base = base + (H * g) * fI[j]
             ts = tn + ci * H
             Yi = integrator.implicit_stage_solve(p, base, gii, ts, H, stats,
-                                                 state, NewtonConfig())
+                                                 state)
         except (FastSolveDivergence, NewtonFailure,
                 SingularMatrixError) as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
@@ -341,8 +339,7 @@ def test_step_matches_reference_step(name, problem):
         inner = inner_method(inner_name)
         for H, M in _STEP_SIZES[problem]:
             for embedded in (False, True):
-                kw = dict(want_embedded=embedded,
-                          err_weights=w if embedded else None)
+                kw = dict(err_weights=w if embedded else None)
                 want_stats, stats = StepStats(), StepStats()
                 # a diverging Newton update overflows its norm on the way
                 # to the failure both sides report
@@ -373,16 +370,17 @@ def test_pinned_step_values():
     # frozen one-step outputs on the coupled benchmark initial data
     from mrisr.problems import kpr_problem
     p = kpr_problem()
+    w = 1.0 / (1e-3 * (1.0 + np.abs(p.y0)))
     t = load_builtin("imex-mri-sr21")
     y1, yhat, _ = step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 5,
-                       stats=StepStats())
+                       stats=StepStats(), err_weights=w)
     assert y1 == pytest.approx([1.6081771001298533, 1.7306843270610364],
                                abs=1e-12)
     assert yhat == pytest.approx([1.6081768124357632, 1.7303370608596722],
                                  abs=1e-12)
     t = load_builtin("merk3")
     y1, yhat, _ = step(p, t, inner_method("bogacki-shampine"), p.y0, 0.0,
-                       0.1, 5, stats=StepStats())
+                       0.1, 5, stats=StepStats(), err_weights=w)
     assert yhat is None
     assert y1 == pytest.approx([1.6074465250452463, 1.730611015284307],
                                abs=1e-12)
@@ -392,10 +390,9 @@ def test_embedding_pass_is_optional():
     t = load_builtin("imex-mri-sr21")
     p = _nonstiff_problem()
     s1, s2 = StepStats(), StepStats()
-    step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 4, stats=s1,
-         want_embedded=False)
+    step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 4, stats=s1)
     step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 4, stats=s2,
-         want_embedded=True)
+         err_weights=np.ones(1))
     assert s2.fast_f_evals > s1.fast_f_evals
 
 
@@ -405,8 +402,7 @@ def test_substep_counts_scale_with_abscissae():
     t = load_builtin("imex-mri-sr32")
     p = _nonstiff_problem()
     stats = StepStats()
-    step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 15, stats=stats,
-         want_embedded=False)
+    step(p, t, inner_method("heun"), p.y0, 0.0, 0.1, 15, stats=stats)
     c = [float(x) for x in t.c[1:] if x > 0]
     expect = 1 + sum(2 * max(1, math.ceil(ci * 15)) - 1 for ci in c)
     assert stats.fast_f_evals == expect
@@ -423,9 +419,9 @@ def test_step_counts_every_fast_call_it_makes(embedded):
     y0 = np.array([0.8, -0.4, 1.3])
     stats = StepStats()
     M = 6
+    w = 1.0 / (1e-3 * (1.0 + np.abs(y0))) if embedded else None
     step(p, t, inner_method("bogacki-shampine"), y0, 0.2, 0.1, M,
-         stats=stats, want_embedded=embedded,
-         err_weights=1.0 / (1e-3 * (1.0 + np.abs(y0))) if embedded else None)
+         stats=stats, err_weights=w)
     c = [float(x) for x in t.c[1:] if x > 0] + ([1.0] if embedded else [])
     per_substep = 4 if embedded else 3
     fast_calls = 1 + sum(per_substep * max(1, math.ceil(ci * M)) - 1
@@ -652,13 +648,14 @@ def test_fd_jacobian_calls_are_counted():
     assert rec.stats.slow_i_evals == calls["n"]
 
 
-def test_failed_newton_iterations_are_counted():
+def test_failed_newton_iterations_are_counted(monkeypatch):
     # one Newton iteration is not enough to meet the update tolerance
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 1)
     p = _nonstiff_problem()
     stats = StepStats()
     with pytest.raises(StepFailure):
         step(p, load_builtin("imex-mri-sr21"), inner_method("heun"), p.y0,
-             0.0, 0.1, 4, cfg=NewtonConfig(max_iter=1), stats=stats)
+             0.0, 0.1, 4, stats=stats)
     assert stats.newton_iters == 1
     assert stats.implicit_solves == 0
 
@@ -715,9 +712,9 @@ def test_fixed_brusselator_forms_forcing_once_per_fast_solve(
 
 
 def test_diverging_newton_run_fails_without_warnings():
-    # SR32 on brusselator-201 at H = 0.3: every Newton update norm of
-    # stage 5 overflows on the way to the failure, which is reported as
-    # a failed record and not as a numpy warning
+    # SR32 on brusselator-201 at H = 0.3: the Newton update norms of
+    # stage 5 overflow, which ends the solve as diverged at the second
+    # update and is reported as a failed record, not as a numpy warning
     from mrisr.problems import make_problem
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -726,8 +723,8 @@ def test_diverging_newton_run_fails_without_warnings():
                               inner_method("bogacki-shampine"), 3.0, 0.3,
                               10, sample_points=[3.0])
     assert rec.failed
-    assert rec.failure == ("step 1 at t = 0: stage 5: no convergence in 10 "
-                           "Newton iterations")
+    assert rec.failure == ("step 1 at t = 0: stage 5: Newton iteration "
+                           "diverged")
 
 
 def test_kpr_refactors_every_solve_and_keeps_its_result():

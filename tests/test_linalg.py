@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrisr import linalg
 from mrisr.errors import NewtonFailure, SingularMatrixError
 from mrisr.integrator import StepStats
-from mrisr.linalg import (BandedMatrix, Factorization, NewtonConfig,
-                          NewtonState, newton_solve, shifted_jacobian, wrms)
+from mrisr.linalg import (BandedMatrix, Factorization, NewtonState,
+                          newton_solve, shifted_jacobian, wrms)
 
 
 def _random_banded(n, ml, mu, rng):
@@ -87,13 +88,14 @@ def test_wrms_is_bitwise_mean_formula(n):
         assert float.hex(wrms(v, w)) == float.hex(want)
 
 
-def test_newton_scalar_quadratic():
+def test_newton_scalar_quadratic(monkeypatch):
     # the Jacobian stays frozen at x = 3, so the error contracts by
     # |1 - 2*2/6| = 1/3 per iteration: about 20 to reach the 3e-10 update
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 40)
     stats = StepStats()
     root = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]),
                         Factorization(np.array([[6.0]])), np.array([3.0]),
-                        stats, cfg=NewtonConfig(max_iter=40))
+                        stats)
     assert root[0] == pytest.approx(2.0, abs=1e-8)
     assert stats.newton_iters <= 25
 
@@ -109,11 +111,12 @@ def test_newton_modified_linear_system_one_iteration():
     assert stats.newton_iters == 2
 
 
-def test_newton_divergence_raises():
+def test_newton_divergence_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 5)
     with pytest.raises(NewtonFailure):
         newton_solve(lambda x: np.array([np.exp(x[0])]),
                      Factorization(np.array([[1.0]])), np.array([0.0]),
-                     StepStats(), cfg=NewtonConfig(max_iter=5))
+                     StepStats())
 
 
 def test_newton_stops_at_the_first_update_that_grows():
@@ -123,6 +126,17 @@ def test_newton_stops_at_the_first_update_that_grows():
     stats, state = StepStats(), NewtonState()
     with pytest.raises(NewtonFailure, match="^Newton iteration diverged$"):
         newton_solve(lambda x: 3.0 * x - 3.0, Factorization(np.eye(1)),
+                     np.zeros(1), stats, state=state)
+    assert stats.newton_iters == 2 and state.eta == np.inf
+
+
+def test_newton_stops_when_two_update_norms_overflow():
+    # the same iteration scaled by 1e200: the weights 1e12 of the guess 0
+    # overflow both update norms, and their ratio inf/inf = NaN ends the
+    # solve as diverged, as a growing update does
+    stats, state = StepStats(), NewtonState()
+    with pytest.raises(NewtonFailure, match="^Newton iteration diverged$"):
+        newton_solve(lambda x: 3.0 * x - 3e200, Factorization(np.eye(1)),
                      np.zeros(1), stats, state=state)
     assert stats.newton_iters == 2 and state.eta == np.inf
 
@@ -225,26 +239,27 @@ def test_newton_contraction_stop_skips_the_confirming_update():
     assert stats.newton_iters == 4 + 2
 
 
-def test_newton_contraction_stop_keeps_the_update_test():
+def test_newton_contraction_stop_keeps_the_update_test(monkeypatch):
     # a slowly contracting iteration: the carried estimate never lets a
     # solve stop later than |delta| <= 1 would
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 40)
     stats, state = StepStats(), NewtonState()
     fac = Factorization(np.array([[6.0]]))
     newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
-                 np.array([3.0]), stats, cfg=NewtonConfig(max_iter=40),
-                 state=state)
+                 np.array([3.0]), stats, state=state)
     plain = StepStats()
     newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), fac,
-                 np.array([3.0]), plain, cfg=NewtonConfig(max_iter=40))
+                 np.array([3.0]), plain)
     assert 0.0 < state.eta < 1.0
     assert stats.newton_iters == plain.newton_iters
 
 
 def test_import_does_not_load_scipy_linalg():
     # the benchmark's setup time imports mrisr.harness; scipy.linalg and
-    # scipy.integrate load only when a factorization or a reference needs them
+    # scipy.integrate load only when a factorization or a reference needs
+    # them, and scipy itself when its version is recorded
     code = ("import sys, mrisr, mrisr.harness, mrisr.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.integrate') "
+            "print([m for m in ('scipy', 'scipy.linalg', 'scipy.integrate') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)

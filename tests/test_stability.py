@@ -105,7 +105,7 @@ def test_r_matches_resolved_time_step():
     p = SplitIVP(dim=1, fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
                  fI=lambda tt, y: lamI * y, y0=np.array([1.0]))
     y1, _, _ = step(p, t, inner_method("zonneveld"), p.y0, 0.0, H, 400,
-                    stats=StepStats(), want_embedded=False)
+                    stats=StepStats())
     R = stability_value(t, lamF * H, lamE * H, lamI * H)
     assert abs(R.imag) < 1e-14
     assert y1[0] == pytest.approx(R.real, abs=1e-9)

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.integrator import _forcing
-from mrisr.linalg import NewtonConfig
 from mrisr.rk import HEUN, ButcherTable
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, load_builtin,
                            load_tableau, omega_bar, save_tableau,
@@ -143,12 +141,6 @@ def _no_emb_omega_dict():
     (lambda: ButcherTable(name="hat", A=HEUN.A, b=HEUN.b, c=HEUN.c,
                           bhat=(F(1), F(1))),
      "hat: bhat does not sum to 1"),
-    (lambda: NewtonConfig(atol=-1.0, rtol=0.0),
-     "atol = -1.0 is not a positive finite number"),
-    (lambda: NewtonConfig(atol=math.nan),
-     "atol = nan is not a positive finite number"),
-    (lambda: NewtonConfig(max_iter=0),
-     "max_iter = 0 is not a positive integer"),
     (lambda: tableau_from_dict(_empty_omega_dict()),
      "invalid tableau 'imex-mri-sr21': Omega is empty"),
     (lambda: replace(load_builtin("merk2"), emb_gamma=(0, 0, 0)),
@@ -156,8 +148,7 @@ def _no_emb_omega_dict():
     (lambda: tableau_from_dict(_no_emb_omega_dict()),
      "invalid tableau 'imex-mri-sr21': embGamma without embOmega"),
 ], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-b-sum",
-        "inner-bhat-sum", "newton-atol-negative",
-        "newton-atol-nan", "newton-max-iter-0", "json-empty-omega",
+        "inner-bhat-sum", "json-empty-omega",
         "emb-gamma-alone", "json-emb-gamma-alone"])
 def test_invalid_table_fails_at_construction(build, message):
     with pytest.raises(PreconditionError, match="^" + re.escape(message)):

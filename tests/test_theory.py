@@ -183,6 +183,5 @@ def test_step_equals_gark_flattening_at_m1(name):
     p = SplitIVP(dim=1, fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
                  fI=lambda tt, y: lamI * y, y0=np.array([1.0]))
     oracle = gark_linear_step(g, lamF * H, lamE * H, lamI * H)
-    y1, _, _ = step(p, t, inner, p.y0, 0.0, H, 1, stats=StepStats(),
-                    want_embedded=False)
+    y1, _, _ = step(p, t, inner, p.y0, 0.0, H, 1, stats=StepStats())
     assert y1[0] == pytest.approx(oracle.real, abs=1e-13)
