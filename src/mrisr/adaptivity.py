@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FINITE, POSITIVE_FINITE, POSITIVE_INTEGER,
+from .errors import (FINITE, INTEGER, POSITIVE_FINITE, POSITIVE_INTEGER,
                      PreconditionError, StepFailure, require)
 from .integrator import IntegrationRecord, step
 from .linalg import wrms
@@ -35,7 +35,7 @@ GROW_LIMIT, SHRINK_LIMIT = 5.0, 0.1
 class ControllerState:
     """Constant-constant controller parameters.
 
-    slow_order/fast_order are the orders p and q entering the update
+    slow_order/fast_order are the integer orders p, q >= 0 in the update
     exponents K1/(p+1) and K2/(q+1); safety in (0, 1] scales both factors.
     """
 
@@ -44,6 +44,8 @@ class ControllerState:
     safety: float = 0.9
 
     def __post_init__(self):
+        require("slow_order", self.slow_order, INTEGER.at_least(0))
+        require("fast_order", self.fast_order, INTEGER.at_least(0))
         require("safety", self.safety, POSITIVE_FINITE.at_most(1))
 
 

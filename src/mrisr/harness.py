@@ -359,9 +359,9 @@ def versions():
                 numpy=np.__version__, scipy=scipy.__version__)
 
 
-def write_csv(path, header, rows, sidecar=None):
-    """Write rows (dicts or sequences) as CSV; optional JSON sidecar, to
-    which write_csv adds the versions() under 'versions'."""
+def write_csv(path, header, rows, sidecar):
+    """Write rows (dicts or sequences) as CSV, and the dict sidecar as JSON
+    to path + '.json', with the versions() added under 'versions'."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -370,9 +370,8 @@ def write_csv(path, header, rows, sidecar=None):
                 w.writerow([r.get(h, "") for h in header])
             else:
                 w.writerow(list(r))
-    if sidecar is not None:
-        with open(path + ".json", "w") as f:
-            json.dump(dict(sidecar, versions=versions()), f, indent=2,
-                      sort_keys=True, default=lambda x: x.item())
-            f.write("\n")
+    with open(path + ".json", "w") as f:
+        json.dump(dict(sidecar, versions=versions()), f, indent=2,
+                  sort_keys=True, default=lambda x: x.item())
+        f.write("\n")
     return path

@@ -101,7 +101,7 @@ class BrusselatorParams:
         require("variant", self.variant, one_of(*_BRUSSELATOR_ABE))
 
 
-def brusselator_problem(params=None):
+def brusselator_problem(params):
     """1-D advection-reaction-diffusion brusselator on [0, 1].
 
     fI = diffusion, fE = advection, fF = reaction; second-order centered
@@ -119,12 +119,11 @@ def brusselator_problem(params=None):
     element sees the operations of the row-wise form, in the same order,
     so the outputs are bitwise those of the state viewed as rows u, v, w.
     """
-    pr = params or BrusselatorParams()
-    N = pr.N
+    N = params.N
     dx = 1.0 / (N - 1)
     x = np.linspace(0.0, 1.0, N)
-    tv = pr.variant == "time-varying"
-    a, b, eps = _BRUSSELATOR_ABE[pr.variant]
+    tv = params.variant == "time-varying"
+    a, b, eps = _BRUSSELATOR_ABE[params.variant]
 
     def alpha_t(t):
         return 6e-5 + 5e-5 * math.cos(math.pi * t) if tv else _FIXED_ALPHA

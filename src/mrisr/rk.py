@@ -14,24 +14,17 @@ import numpy as np
 
 from .errors import INTEGER, PreconditionError, UnknownMethodError, require
 
-__all__ = ["frac", "ButcherTable", "rk_order_residuals", "rk_order",
+__all__ = ["ButcherTable", "rk_order_residuals", "rk_order",
            "bushy_tree_residuals", "HEUN", "BOGACKI_SHAMPINE",
            "ZONNEVELD", "CASH_KARP", "INNER_METHODS", "inner_method"]
 
 
-def frac(x):
-    """Coerce ints, strings like '7/24', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def _fmat(rows):
-    return tuple(tuple(frac(x) for x in row) for row in rows)
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def _fvec(row):
-    return tuple(frac(x) for x in row)
+    return tuple(Fraction(x) for x in row)
 
 
 def _readonly(rows):

@@ -103,11 +103,14 @@ class SectorSpec:
         require("radius", self.radius, FINITE_NONNEGATIVE)
 
 
-def sector_samples(spec, n_radial=16, n_angular=16):
+def sector_samples(spec, n_radial, n_angular):
     """Sample points of a sector: log-radial lattice plus the origin.
 
-    The lattice endpoints cover the two boundary rays and the outer arc.
+    Both counts are integers >= 2: with two or more radii and angles the
+    lattice endpoints cover the two boundary rays and the outer arc.
     """
+    require("n_radial", n_radial, INTEGER.at_least(2))
+    require("n_angular", n_angular, INTEGER.at_least(2))
     if spec.radius == 0:
         return np.array([0.0 + 0.0j])
     radii = np.geomspace(spec.radius * 1e-6, spec.radius, n_radial)

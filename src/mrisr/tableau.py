@@ -23,7 +23,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import LIST, PreconditionError, UnknownMethodError, require
-from .rk import _exact, _fmat, _fvec, _readonly, frac
+from .rk import _exact, _fmat, _fvec, _readonly
 
 __all__ = [
     "MRISRTableau", "load_builtin", "omega_bar", "weighted",
@@ -385,7 +385,7 @@ def _fractions(x, where, depth):
     if depth == 0:
         try:
             if not isinstance(x, bool):
-                return frac(x)
+                return Fraction(x)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
         raise PreconditionError(

@@ -61,7 +61,8 @@ class GarkTables:
 
     Fast block unknowns are ordered stage-major: the s_F inner stages of slow
     stage 1, then of slow stage 2, and so on. The fast stages see fE and fI
-    through one forcing, so AFE is also the fast-implicit coupling.
+    through one forcing, so AFE is also the fast-implicit coupling. The
+    weights bF, bE and bI are the last rows of ASF, ASE and ASI.
     """
 
     AFF: np.ndarray
@@ -69,10 +70,6 @@ class GarkTables:
     ASF: np.ndarray
     ASE: np.ndarray
     ASI: np.ndarray
-    bF: np.ndarray
-    bE: np.ndarray
-    bI: np.ndarray
-    cF: np.ndarray
 
 
 def base_ark(t):
@@ -99,14 +96,11 @@ def assemble_gark(t, inner):
     A, b, c = _exact(inner.A), _exact(inner.b), _exact(inner.c)
     # the fast blocks are block diagonal: stage i scales the inner table by c_i
     C = np.diag(ark.c)
-    ASF = np.kron(C, b[None, :])
     # row (i, p) of the fast-slow coupling: sum_k Omega[k][i] (A^F c^F^k)[p]
     AFE = sum(np.kron(O, (A @ c ** k)[:, None])
               for k, O in enumerate(_exact(t.omega)))
-    return GarkTables(
-        AFF=np.kron(C, A), AFE=AFE, ASF=ASF, ASE=ark.AE, ASI=ark.AI,
-        bF=ASF[-1], bE=ark.bE, bI=ark.bI, cF=np.kron(ark.c, c),
-    )
+    return GarkTables(AFF=np.kron(C, A), AFE=AFE, ASF=np.kron(C, b[None, :]),
+                      ASE=ark.AE, ASI=ark.AI)
 
 
 def check_internal_consistency(t):
@@ -266,8 +260,9 @@ def c_statistic(t, p):
     return float(d @ d) ** 0.5 / float(denom) ** 0.5
 
 
-def gark_linear_step(g, zF, zE, zI, y0=1.0):
-    """One step of the flattened coupled method on y' = (lamF+lamE+lamI)*y.
+def gark_linear_step(g, zF, zE, zI):
+    """One step from y0 = 1 of the flattened coupled method on
+    y' = (lamF+lamE+lamI)*y.
 
     Solves the combined linear stage system directly from the flattened
     tables, with z* = H*lam*. This is the verification oracle against which
@@ -286,5 +281,5 @@ def gark_linear_step(g, zF, zE, zI, y0=1.0):
     Z[n:, :n] = zF * ASF
     Z[n:, n:] = zE * ASE + zI * ASI
     u = np.linalg.solve(np.eye(N, dtype=complex) - Z,
-                        np.full(N, y0, dtype=complex))
+                        np.ones(N, dtype=complex))
     return u[-1]

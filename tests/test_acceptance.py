@@ -214,10 +214,11 @@ def test_criterion_6_phi_quadrature_oracle():
 
 # -- criterion 7: brusselator fixed-step slopes and instability --------------
 #
-# The reference is scipy BDF at rtol 1e-11 / atol 1e-13, cross-checked
-# against Radau (rtol 1e-12) to 2.1e-10 and against this package's own
-# step-halving reference to 8.6e-10, so errors above the 1e-8 floor
-# (100x the reference accuracy) are trusted to better than one percent.
+# The reference is scipy BDF at rtol 1e-11 / atol 1e-13. It differs from
+# scipy Radau (atol 1e-13) by 8.55e-10 at rtol 1e-12 and by 8.55e-10 at
+# rtol 1e-13, two Radau runs that agree with each other to 8.9e-12; that
+# is the reference's own error. Errors above the 1e-8 floor are therefore
+# trusted to 8.6% (8.55e-10 / 1e-8), not to one percent.
 
 _BRUSS_FLOOR = 1e-8
 

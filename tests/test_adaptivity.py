@@ -112,6 +112,22 @@ def test_controller_state_names_the_field(safety):
         ControllerState(slow_order=2, fast_order=2, safety=safety)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("slow_order", -1), ("fast_order", -1), ("slow_order", 2.5),
+    ("fast_order", True), ("fast_order", None)])
+def test_controller_state_checks_its_orders(field, value):
+    # at p = -1 the exponent K/(p+1) divides by zero in controller_update;
+    # 2.5, True and None are not orders
+    with pytest.raises(PreconditionError, match=f"{field} = {value!r} is not"):
+        _st(**{field: value})
+
+
+def test_controller_state_allows_order_zero():
+    # method_order reads 0 for a tableau that fails its first-order checks
+    st_ = _st(slow_order=0, fast_order=0)
+    assert controller_update(st_, ErrorEstimate(1.0, 1.0), 1.0, 10)[0]
+
+
 def test_estimate_slow_error_pins():
     e = estimate_slow_error([1.0, 2.0], [1.1, 2.2], 0.1, 0.0)
     assert e == pytest.approx(math.sqrt(2.5), rel=1e-14)

@@ -7,14 +7,8 @@ from hypothesis import given, strategies as st
 
 from mrisr.errors import PreconditionError, UnknownMethodError
 from mrisr.rk import (BOGACKI_SHAMPINE, CASH_KARP, HEUN, INNER_METHODS,
-                      ZONNEVELD, ButcherTable, bushy_tree_residuals, frac,
+                      ZONNEVELD, ButcherTable, bushy_tree_residuals,
                       inner_method, rk_order, rk_order_residuals)
-
-
-def test_frac_coercion():
-    assert frac("7/24") == Fraction(7, 24)
-    assert frac(3) == 3
-    assert frac(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_stated_orders_verified_exactly():

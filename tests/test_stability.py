@@ -143,8 +143,26 @@ def test_sector_samples_lie_in_sector(angle, radius):
 
 
 def test_sector_samples_degenerate():
-    pts = sector_samples(SectorSpec(30.0, 0.0))
+    pts = sector_samples(SectorSpec(30.0, 0.0), 2, 2)
     assert pts.shape == (1,) and pts[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, 2.5, True])
+def test_sector_sample_counts_fail_at_the_boundary(n):
+    # one radius samples only |z| = radius*1e-6 and none only the origin,
+    # so either count below 2 would scan a point, not the sector
+    t = load_builtin("imex-mri-sr32")
+    fast, implicit = SectorSpec(45.0, 100.0), SectorSpec(45.0, 1e4)
+    window, res = (-4.0, 1.0, -3.0, 3.0), (4, 4)
+    for name, counts in (("n_radial", dict(n_radial=n, n_angular=8)),
+                         ("n_angular", dict(n_radial=8, n_angular=n))):
+        msg = f"{name} = {n!r} is not"
+        with pytest.raises(PreconditionError, match=re.escape(msg)):
+            sector_samples(SectorSpec(30.0, 0.0), **counts)
+        with pytest.raises(PreconditionError, match=re.escape(msg)):
+            scan_joint_region(t, fast, implicit, window, res, **counts)
+        with pytest.raises(PreconditionError, match=re.escape(msg)):
+            scan_component_region(t, "I", fast, window, res, **counts)
 
 
 def test_degenerate_fast_sector_equals_base_region():

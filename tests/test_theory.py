@@ -147,16 +147,18 @@ def test_gark_bushy_precondition():
     with pytest.raises(PreconditionError):
         assemble_gark(load_builtin("merk5"), inner_method("heun"))
     g = assemble_gark(load_builtin("merk5"), inner_method("zonneveld"))
-    assert len(g.cF) == 11 * 5
+    assert g.AFF.shape == (11 * 5, 11 * 5)
 
 
 def test_gark_shapes_and_weights():
     t = load_builtin("imex-mri-sr21")
     g = assemble_gark(t, inner_method("heun"))
-    assert np.array_equal(g.bE, g.ASE[-1]) and np.array_equal(g.bI, g.ASI[-1])
+    ark = base_ark(t)
+    assert np.array_equal(g.ASE[-1], ark.bE)
+    assert np.array_equal(g.ASI[-1], ark.bI)
     # fast weights are the last ASF row: c_s * b^F on the last slow block
-    assert np.array_equal(g.bF[-2:], (F(1, 2), F(1, 2)))
-    assert all(x == 0 for x in g.bF[:-2])
+    assert np.array_equal(g.ASF[-1, -2:], (F(1, 2), F(1, 2)))
+    assert all(x == 0 for x in g.ASF[-1, :-2])
 
 
 def test_gark_linear_step_neutral():

@@ -6,8 +6,9 @@ the tolerances of perfbench/workloads.py, each run measured in the max norm
 against the stored Radau solution in perfbench/refs.npz. Both files are
 only read. It is run three ways:
 
-- the rounding family: fF scaled by (1 + k 2^-52), with
-  k = numpy.random.default_rng(seed).uniform(-4, 4), seeds 0-7
+- the rounding families: fF, and then fI, scaled by (1 + j 2^-52) for
+  j = +-1, +-2, +-3, +-4; each scale is a distinct double next to 1, so
+  each family is eight distinct last-bit perturbations of one callback
 - the H0 family: H0 scaled by 1, 1 +- {1, 3}e-12, 1 +- {1, 3}e-11,
   1 +- 1e-10, 1 +- 1e-9, 1 +- 1e-8 and 1 +- 1e-7
 - H0 scaled by 1 - 1e-6
@@ -18,7 +19,7 @@ four assertions hold (no run fails, the error falls at every tighter tol,
 the last error is below 1% of the first, and fF calls and implicit solves
 both grow from the first tol to the last), and the attempted steps, fF
 calls and implicit solves summed over the sweep. The last line counts the
-runs per family that keep criterion 8. It takes about 80 s on 2 cores:
+runs per family that keep criterion 8. It takes about 85 s on 2 cores:
 
     python3 tools/adaptive_families.py
 """
@@ -73,15 +74,13 @@ def main():
     print(f"{'run (error/tol at tol)':24s} {tols}  tol_ratio    max_err  "
           "crit8  attempts  fF calls  implicit")
     runs = []
-    for seed in range(8):
-        k = np.random.default_rng(seed).uniform(-4, 4)
-        scale = 1 + k * 2.0 ** -52
+    for part in ("fF", "fI"):
+        for j in (1, -1, 2, -2, 3, -3, 4, -4):
+            def scaled(s, y, f=getattr(p, part), scale=1 + j * 2.0 ** -52):
+                return f(s, y) * scale
 
-        def fF(s, y, f=p.fF, scale=scale):
-            return f(s, y) * scale
-
-        runs.append(("rounding", f"seed {seed} (k = {k:+.3f})",
-                     dataclasses.replace(p, fF=fF), H0))
+            runs.append((f"{part} rounding", f"{part} x (1 {j:+d} 2^-52)",
+                         dataclasses.replace(p, **{part: scaled}), H0))
     runs += [("H0", f"H0 x {x!r}", p, H0 * x) for x in H0_SCALES]
     runs.append(("H0 x (1 - 1e-6)", f"H0 x {1 - 1e-6!r}", p,
                  H0 * (1 - 1e-6)))
