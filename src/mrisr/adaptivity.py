@@ -156,9 +156,10 @@ def integrate_adaptive(p, t, inner, tEnd, tol, sample_points=None, H0=None,
     require("M0", M0, POSITIVE_INTEGER)
     require("tol", tol, POSITIVE_FINITE)
     require("H0", H0, POSITIVE_FINITE.or_none())
-    targets = sorted(set(list(sample_points or []) + [tEnd]))
-    if not all(p.t0 < x <= tEnd for x in targets):
+    targets = [*(sample_points if sample_points is not None else ()), tEnd]
+    if not all(FINITE.test(x) and p.t0 < x <= tEnd for x in targets):
         raise PreconditionError("sample points must lie in (t0, tEnd]")
+    targets = sorted(set(targets))
     st = ControllerState(slow_order=method_order(t, inner.order),
                          fast_order=inner.emb_order)
     tolS = tolF = 0.5 * tol

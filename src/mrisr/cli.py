@@ -89,12 +89,16 @@ def _build_parser():
 
 def _merge_config(args):
     """Options from the --config file overlaid by explicit flags; a config
-    key that names no flag of the subcommand is a usage error."""
+    that is not a JSON object, or a key of it that names no flag of the
+    subcommand, is a usage error."""
     flags = set(vars(args)) - {"command", "config"}
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
-            merged.update(json.load(f))
+            merged = json.load(f)
+        if not isinstance(merged, dict):
+            raise ValueError(f"--config {args.config} does not hold a JSON "
+                             "object")
     unknown = sorted(set(merged) - flags)
     if unknown:
         raise ValueError(f"unknown option {unknown[0]!r}")
@@ -224,8 +228,7 @@ def main(argv=None):
                   "efficiency": harness.run_efficiency,
                   "adaptive": harness.run_adaptive}[cmd]
         return _emit_records(cmd, cfg, runner(cfg))
-    except (MRISRError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as e:
+    except (MRISRError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,24 +3,27 @@
 import math
 import numbers
 from collections import namedtuple
+from collections.abc import Hashable
 
-__all__ = ["MRISRError", "UnknownMethodError", "PreconditionError",
-           "DegenerateEmbeddingError", "SingularMatrixError", "NewtonFailure",
-           "FastSolveDivergence", "StepFailure", "Rule", "one_of", "require",
-           "LIST", "DICT", "INTEGER", "POSITIVE_INTEGER", "FINITE",
-           "POSITIVE_FINITE", "FINITE_NONNEGATIVE", "ANGLE"]
+__all__ = ["MRISRError", "PreconditionError", "StepFailure", "Rule",
+           "one_of", "require", "LIST", "NONEMPTY_LIST", "DICT", "INTEGER",
+           "POSITIVE_INTEGER", "FINITE", "POSITIVE_FINITE",
+           "FINITE_NONNEGATIVE", "ANGLE"]
 
 
 class MRISRError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnknownMethodError(MRISRError, KeyError):
-    """Requested method or problem name is not in the registry."""
-
-
 class PreconditionError(MRISRError, ValueError):
-    """A documented operation precondition was violated."""
+    """Bad input: an unknown method, problem or inner-method name, a bad
+    coefficient, or any other documented precondition that fails."""
+
+
+class StepFailure(MRISRError):
+    """A solve inside a slow step could not finish: the fast IVP diverged,
+    the LU factorization was singular, or Newton failed. step() prefixes
+    the message with the failing stage."""
 
 
 class Rule(namedtuple("Rule", "test what")):
@@ -42,7 +45,10 @@ class Rule(namedtuple("Rule", "test what")):
 
 
 def one_of(*choices):
-    return Rule(lambda x: x in choices, " or ".join(map(repr, choices)))
+    # an unhashable value (a list, a dict, an array) is none of them, even
+    # where == would say so elementwise, and cannot reach a dict lookup
+    return Rule(lambda x: isinstance(x, Hashable) and x in choices,
+                " or ".join(map(repr, choices)))
 
 
 def require(name, value, rule):
@@ -52,6 +58,8 @@ def require(name, value, rule):
 
 
 LIST = Rule(lambda x: isinstance(x, (list, tuple)), "a list")
+NONEMPTY_LIST = Rule(lambda x: LIST.test(x) and len(x) > 0,
+                     "a list of one or more entries")
 DICT = Rule(lambda x: isinstance(x, dict), "a dict")
 # every rule rejects a bool: True is a numbers.Integral, not the number 1
 INTEGER = Rule(lambda x: isinstance(x, numbers.Integral)
@@ -66,24 +74,3 @@ POSITIVE_FINITE = Rule(lambda x: FINITE.test(x) and x > 0,
 FINITE_NONNEGATIVE = FINITE.at_least(0)
 ANGLE = Rule(lambda x: FINITE.test(x) and 0 <= x <= 90,
              "an angle in [0, 90] degrees")
-
-
-class DegenerateEmbeddingError(MRISRError):
-    """Embedding residual vector vanishes where a nonzero norm is required."""
-
-
-class SingularMatrixError(MRISRError):
-    """LU factorization hit an exactly singular matrix."""
-
-
-class NewtonFailure(MRISRError):
-    """Newton iteration exceeded its iteration budget or diverged."""
-
-
-class FastSolveDivergence(MRISRError):
-    """Fast inner integration produced a non-finite state."""
-
-
-class StepFailure(MRISRError):
-    """A slow step could not be completed; the message names the failing
-    stage."""

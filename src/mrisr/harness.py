@@ -12,13 +12,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptivity, stability, theory
-from .errors import (ANGLE, DICT, FINITE_NONNEGATIVE, INTEGER, LIST,
-                     POSITIVE_FINITE, POSITIVE_INTEGER, MRISRError,
-                     PreconditionError, UnknownMethodError, one_of, require)
+from .errors import (ANGLE, DICT, FINITE_NONNEGATIVE, INTEGER,
+                     NONEMPTY_LIST, POSITIVE_FINITE, POSITIVE_INTEGER,
+                     MRISRError, PreconditionError, one_of, require)
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
-from .problems import PROBLEMS, kpr_exact, make_problem
-from .rk import INNER_METHODS, inner_method
-from .tableau import BUILTIN_NAMES, load_builtin, validate_structure
+from .problems import PROBLEM_NAME, kpr_exact, make_problem
+from .rk import INNER_NAME, inner_method
+from .tableau import (BUILTIN_NAMES, METHOD_NAME, load_builtin,
+                      validate_structure)
 
 __all__ = ["ExperimentConfig", "RunRecord", "default_inner", "fit_slope",
            "run_convergence", "run_efficiency", "run_adaptive",
@@ -54,18 +55,19 @@ _DEFAULT_INNER = {
 def default_inner(method_name):
     """Inner explicit RK paired with a builtin slow method, matching its
     order."""
-    if method_name not in _DEFAULT_INNER:
-        raise UnknownMethodError(f"unknown method {method_name!r}")
+    require("method", method_name, METHOD_NAME)
     return inner_method(_DEFAULT_INNER[method_name])
 
 
 # (fields, rule) of ExperimentConfig's one-field checks, shared with the
 # library objects it builds where they check the same value
 _FIELD_RULES = (
+    ("methods", NONEMPTY_LIST),
+    ("problem", PROBLEM_NAME),
     ("kmin kmax", INTEGER),
     ("M", POSITIVE_INTEGER),
     ("H0", POSITIVE_FINITE.or_none()),
-    ("tols", LIST.or_none()),
+    ("tols", NONEMPTY_LIST.or_none()),
     ("inner", DICT),
     ("which", stability.WHICH),
     ("alpha beta", ANGLE),
@@ -99,23 +101,18 @@ class ExperimentConfig:
     joint: bool = False
 
     def __post_init__(self):
-        for m in self.methods:
-            if m not in BUILTIN_NAMES:
-                raise PreconditionError(f"unknown method {m!r}")
-        if self.problem not in PROBLEMS:
-            raise PreconditionError(
-                f"unknown problem {self.problem!r}; known problems: "
-                f"{', '.join(sorted(PROBLEMS))}")
         for names, rule in _FIELD_RULES:
             for name in names.split():
                 require(name, getattr(self, name), rule)
+        for m in self.methods:
+            require("method", m, METHOD_NAME)
         if self.kmin > self.kmax:
             raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
         for tol in self.tols or ():
             require("tol", tol, POSITIVE_FINITE)
         for m, name in self.inner.items():
             require("inner key", m, one_of(*self.methods))
-            require(f"inner[{m!r}]", name, one_of(*INNER_METHODS))
+            require(f"inner[{m!r}]", name, INNER_NAME)
 
     def inner_for(self, method):
         if method in self.inner:

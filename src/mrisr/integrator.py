@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (FINITE, POSITIVE_FINITE, POSITIVE_INTEGER,
-                     FastSolveDivergence, NewtonFailure, PreconditionError,
-                     SingularMatrixError, StepFailure, require)
+                     PreconditionError, StepFailure, require)
 from .linalg import NewtonState, newton_solve, wrms
 
 __all__ = ["SplitIVP", "StepStats", "IntegrationRecord",
@@ -165,7 +164,7 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
     stats, also when the solve raises. Returns
     (v, errs): errs holds one WRMS error norm per substep when err_weights
     is given and the inner method has an embedding, and is empty
-    otherwise. Raises FastSolveDivergence on non-finite states.
+    otherwise. Raises StepFailure on non-finite states.
     """
     want_err = err_weights is not None and inner.bhat is not None
     n_stages, c, a, b, db = inner.plans[want_err]
@@ -205,9 +204,8 @@ def solve_fast_ivp(p, coeffs, scale, tn, span, v0, f0, inner, n_sub, stats,
                     calls += n_stages - (m == 0)
                     v = v + h * (b @ K)
                     if not np.logical_and.reduce(np.isfinite(v)):
-                        raise FastSolveDivergence(
-                            f"non-finite fast state at substep "
-                            f"{m + 1}/{n_sub}")
+                        raise StepFailure(f"non-finite fast state at substep "
+                                          f"{m + 1}/{n_sub}")
                     if want_err:
                         errs.append(wrms(h * (db @ K), err_weights))
     finally:
@@ -235,8 +233,8 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state):
     gamma_ii = 0). The Jacobian is evaluated at base, analytic or by
     finite differences, and the run's NewtonState factors
     I - H*gamma_ii*J, or reuses the last factorization when that matrix
-    is bit-equal to the last one. NewtonFailure and SingularMatrixError
-    propagate.
+    is bit-equal to the last one. A singular matrix or a failed Newton
+    solve raises StepFailure.
     """
     if gammaii == 0.0:
         return np.array(base, dtype=float)
@@ -279,8 +277,7 @@ def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
     NewtonState, a fresh one when None. PreconditionError (a ValueError)
     unless H is positive and finite, M is a positive integer, and y_n,
     fF(tn, yn) and stage 1's fE and fI have shape (p.dim,); StepFailure
-    names the stage whose fast solve diverged or whose Newton solve
-    failed.
+    names the stage whose fast or implicit solve could not finish.
     """
     require("H", H, POSITIVE_FINITE)
     require("M", M, POSITIVE_INTEGER)
@@ -332,8 +329,7 @@ def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
                 base = base + (H * g) * fI[j]
             ts = tn + ci * H
             Yi = implicit_stage_solve(p, base, gii, ts, H, stats, state)
-        except (FastSolveDivergence, NewtonFailure,
-                SingularMatrixError) as e:
+        except StepFailure as e:
             where = f"stage {i + 1}" if i < s else "embedding pass"
             raise StepFailure(f"{where}: {e}") from e
         Y.append(Yi)

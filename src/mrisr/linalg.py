@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonFailure, Rule, SingularMatrixError, require
+from .errors import Rule, StepFailure, require
 
 __all__ = ["BandedMatrix", "shifted_jacobian", "Factorization",
            "NEWTON_ATOL", "NEWTON_RTOL", "NEWTON_MAX_ITER", "NewtonState",
@@ -63,7 +63,7 @@ def shifted_jacobian(J, scale):
 class Factorization:
     """LU factorization reusable across solves (modified Newton): LAPACK
     dgetrf/dgetrs for a dense matrix, dgbtrf/dgbtrs for a BandedMatrix. A
-    zero pivot or a non-finite factor raises SingularMatrixError.
+    zero pivot or a non-finite factor raises StepFailure.
     """
 
     def __init__(self, A):
@@ -84,9 +84,9 @@ class Factorization:
         if info < 0:
             raise ValueError(f"LU factorization: illegal argument {-info}")
         if info > 0:
-            raise SingularMatrixError(f"LU factorization: zero pivot {info}")
+            raise StepFailure(f"LU factorization: zero pivot {info}")
         if not np.isfinite(lu).all():
-            raise SingularMatrixError("LU factorization: non-finite factor")
+            raise StepFailure("LU factorization: non-finite factor")
         self._lu, self._piv = lu, piv
 
     def solve(self, rhs):
@@ -95,7 +95,7 @@ class Factorization:
         else:
             x, info = self._trs(self._lu, *self._band, rhs, self._piv)
         if info != 0:
-            raise SingularMatrixError(f"LU back-solve failed, info={info}")
+            raise StepFailure(f"LU back-solve failed, info={info}")
         return x
 
 
@@ -168,24 +168,23 @@ def newton_solve(residual, fac, guess, stats, state=None):
         for _ in range(NEWTON_MAX_ITER):
             f = np.asarray(residual(x), dtype=float)
             if not np.logical_and.reduce(np.isfinite(f)):
-                raise NewtonFailure(
+                raise StepFailure(
                     "non-finite residual during Newton iteration")
             delta = fac.solve(-f)
             x = x + delta
             stats.newton_iters += 1
             if not np.logical_and.reduce(np.isfinite(x)):
-                raise NewtonFailure("Newton iteration diverged")
+                raise StepFailure("Newton iteration diverged")
             norm = wrms(delta, weights)
             if prev is not None:
                 theta = norm / prev
                 if not theta < 1.0:
                     state.eta = math.inf
-                    raise NewtonFailure("Newton iteration diverged")
+                    raise StepFailure("Newton iteration diverged")
                 state.eta = theta / (1.0 - theta)
             elif eta0 * norm <= 1.0:
                 return x
             if norm <= 1.0:
                 return x
             prev = norm
-    raise NewtonFailure(
-        f"no convergence in {NEWTON_MAX_ITER} Newton iterations")
+    raise StepFailure(f"no convergence in {NEWTON_MAX_ITER} Newton iterations")

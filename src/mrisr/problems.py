@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import INTEGER, UnknownMethodError, one_of, require
+from .errors import INTEGER, one_of, require
 from .integrator import SplitIVP
 from .linalg import BandedMatrix
 
@@ -208,9 +208,9 @@ PROBLEMS = {
         BrusselatorParams(N=101, variant="time-varying")),
 }
 
+PROBLEM_NAME = one_of(*PROBLEMS)
+
 
 def make_problem(name):
-    if name not in PROBLEMS:
-        raise UnknownMethodError(
-            f"unknown problem {name!r}; have {sorted(PROBLEMS)}")
+    require("problem", name, PROBLEM_NAME)
     return PROBLEMS[name]()

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import INTEGER, PreconditionError, UnknownMethodError, require
+from .errors import INTEGER, PreconditionError, one_of, require
 
 __all__ = ["ButcherTable", "rk_order_residuals", "rk_order",
            "bushy_tree_residuals", "HEUN", "BOGACKI_SHAMPINE",
@@ -270,10 +270,10 @@ INNER_METHODS = {
     "cash-karp": CASH_KARP,
 }
 
+INNER_NAME = one_of(*INNER_METHODS)
+
 
 def inner_method(name):
     """Look up an inner method by name."""
-    if name not in INNER_METHODS:
-        raise UnknownMethodError(
-            f"unknown inner method {name!r}; have {sorted(INNER_METHODS)}")
+    require("inner method", name, INNER_NAME)
     return INNER_METHODS[name]

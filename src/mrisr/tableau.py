@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import LIST, PreconditionError, UnknownMethodError, require
+from .errors import LIST, PreconditionError, one_of, require
 from .rk import _exact, _fmat, _fvec, _readonly
 
 __all__ = [
@@ -343,16 +343,15 @@ _BUILTINS = {
 
 BUILTIN_NAMES = ("imex-mri-sr21", "imex-mri-sr32", "imex-mri-sr43",
                  "merk2", "merk3", "merk4", "merk5")
+METHOD_NAME = one_of(*BUILTIN_NAMES)
 
 
 def load_builtin(name):
     """Return a built-in tableau by registry name."""
+    require("method", name, METHOD_NAME)
     if name in _BUILTINS:
         return _BUILTINS[name]
-    if name in ("merk2", "merk3", "merk4", "merk5"):
-        return _make_merk(int(name[-1]))
-    raise UnknownMethodError(
-        f"unknown method {name!r}; have {list(BUILTIN_NAMES)}")
+    return _make_merk(int(name[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +365,6 @@ def _fstr(x):
 def tableau_to_dict(t):
     d = {
         "name": t.name,
-        "s": t.s,
-        "nOmega": t.n_omega,
         "c": [_fstr(x) for x in t.c],
         "omega": [[[_fstr(x) for x in row] for row in O] for O in t.omega],
         "gamma": [[_fstr(x) for x in row] for row in t.gamma],
@@ -395,9 +392,13 @@ def _fractions(x, where, depth):
                  for i, v in enumerate(x))
 
 
+_TABLEAU_KEY = one_of("name", "c", "omega", "gamma", "embOmega", "embGamma")
+
+
 def tableau_from_dict(d):
     """Tableau from its interchange dict; PreconditionError naming the
-    missing key, the offending entry, or (from MRISRTableau) the structure."""
+    missing or unknown key, the offending entry, or (from MRISRTableau) the
+    structure."""
     def entries(key, depth):
         if key not in d:
             raise PreconditionError(f"tableau dict has no {key!r}")
@@ -410,6 +411,8 @@ def tableau_from_dict(d):
         raise PreconditionError(f"a tableau is a dict, not {type(d).__name__}")
     if "name" not in d:
         raise PreconditionError("tableau dict has no 'name'")
+    for key in d:
+        require("tableau dict key", key, _TABLEAU_KEY)
     return MRISRTableau(
         name=d["name"],
         c=entries("c", 1),

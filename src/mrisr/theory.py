@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (INTEGER, DegenerateEmbeddingError, PreconditionError,
-                     one_of, require)
+from .errors import INTEGER, PreconditionError, one_of, require
 from .rk import _exact, _leading_order, _tree_residuals, bushy_tree_residuals
 from .tableau import omega_bar, weighted
 
@@ -243,17 +242,18 @@ def c_statistic(t, p):
 
     tau(q) is the vector of order-q condition residuals of the primary method
     and tau-hat(q) that of the embedded method. Requires p + 1 <= 4 since the
-    condition sets stop at order 4 (PreconditionError otherwise).
+    condition sets stop at order 4, and an embedding with a nonzero
+    tau-hat(p) (PreconditionError otherwise).
     """
     if not t.has_embedding:
-        raise DegenerateEmbeddingError(f"{t.name} has no embedding")
+        raise PreconditionError(f"{t.name} has no embedding")
     require("p", p, INTEGER.at_most(3))
     tau_next = _residual_vector(t, p + 1, embedded=False)
     tau_hat_next = _residual_vector(t, p + 1, embedded=True)
     tau_hat_p = _residual_vector(t, p, embedded=True)
     denom = tau_hat_p @ tau_hat_p
     if denom == 0:
-        raise DegenerateEmbeddingError(
+        raise PreconditionError(
             f"embedding of {t.name} has zero order-{p} residual; "
             "it is not one order lower")
     d = tau_hat_next - tau_next

@@ -237,11 +237,27 @@ def test_adaptive_sample_point_validation():
     with pytest.raises(PreconditionError, match="sample points"):
         integrate_adaptive(p, t, inner_method("bogacki-shampine"), 1.0, 1e-4,
                            sample_points=[math.nan, 1.0])
+    # a string sample point escaped as a TypeError from sorting
+    with pytest.raises(PreconditionError, match="sample points"):
+        integrate_adaptive(p, t, inner_method("bogacki-shampine"), 1.0, 1e-4,
+                           sample_points=["0.5", 1.0])
     for tEnd in (math.nan, math.inf):
         with pytest.raises(PreconditionError,
                            match=f"tEnd = {tEnd} is not a finite number"):
             integrate_adaptive(p, t, inner_method("bogacki-shampine"), tEnd,
                                1e-4)
+
+
+def test_adaptive_takes_any_iterable_of_sample_points():
+    # an array used to raise numpy's bare 'truth value ... is ambiguous'
+    # ValueError
+    p = _scalar_problem()
+    t, rk = load_builtin("imex-mri-sr32"), inner_method("bogacki-shampine")
+    want = integrate_adaptive(p, t, rk, 1.0, 1e-5, sample_points=[0.5, 1.0])
+    for points in (np.array([0.5, 1.0]), (0.5, 1.0), iter([0.5, 1.0])):
+        got = integrate_adaptive(p, t, rk, 1.0, 1e-5, sample_points=points)
+        assert got.t == want.t
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.y, want.y))
 
 
 def test_adaptive_reports_repeated_rejection():

@@ -243,10 +243,26 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         assert repr(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["5", '[["method", "merk2"]]'],
+                         ids=["number", "pairs"])
+def test_config_that_is_not_an_object_is_a_usage_error(content, tmp_path,
+                                                       capsys):
+    # 5 escaped as a TypeError, and a list of pairs was read silently as
+    # the options they name
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["converge", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"--config {cfg} does not hold a JSON object" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_errors(capsys):
     assert main(["converge"]) == 1  # --method required
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main(["converge", "--method", "rk99"]) == 1  # unknown method
+    # an empty method list used to print a header and exit 0
+    assert main(["converge", "--method", ",", "--problem", "kpr"]) == 1
     assert main(["converge", "--method", "merk2", "--config",
                  "/nonexistent.json"]) == 1
     capsys.readouterr()

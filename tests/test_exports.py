@@ -3,10 +3,17 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mrisr
+from mrisr.errors import PreconditionError
+from mrisr.harness import ExperimentConfig, default_inner
+from mrisr.problems import make_problem
+from mrisr.rk import inner_method
+from mrisr.tableau import load_builtin
 
+SRC = sorted(Path(mrisr.__file__).parent.glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mrisr.__path__))
 
 
@@ -32,28 +39,45 @@ def test_package_imports_resolve():
         assert hasattr(mrisr, name)
 
 
-def _raised_builtin_errors(path):
-    """(line, source) of every raise of ValueError, KeyError or TypeError."""
-    tree = ast.parse(path.read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and node.exc is not None:
+def _raises():
+    """(file, line, raised name, source) of every raise in src/, except
+    the CLI's usage errors, which main() catches, and LAPACK's
+    illegal-argument code, a fault in the program, not bad input."""
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and \
-                    exc.id in ("ValueError", "KeyError", "TypeError"):
-                yield node.lineno, ast.unparse(node.exc)
+            src = ast.unparse(node.exc)
+            if path.name != "cli.py" and not (
+                    path.name == "linalg.py" and "illegal argument" in src):
+                yield path.name, node.lineno, ast.unparse(exc), src
 
 
-def test_bad_input_is_a_precondition_error():
-    # a value rule lives in mrisr.errors, and a boundary raises
-    # PreconditionError (a ValueError) or UnknownMethodError (a KeyError)
-    # through it. Exempt: the CLI's usage errors, which main() catches, and
-    # LAPACK's illegal-argument code, a fault in the program, not bad input
-    found = [(path.name, line, src)
-             for path in sorted(Path(mrisr.__file__).parent.glob("*.py"))
-             for line, src in _raised_builtin_errors(path)
-             if path.name != "cli.py" and not (
-                 path.name == "linalg.py" and "illegal argument" in src)]
+def test_every_raise_is_one_of_the_two_errors():
+    # bad input is a PreconditionError (a ValueError), which a boundary
+    # raises through a value rule of mrisr.errors, and a solve inside a
+    # step that cannot finish is a StepFailure; MRISRError is left for the
+    # harness's reference solve, which is neither
+    found = [r for r in _raises()
+             if r[2] not in ("PreconditionError", "StepFailure", "MRISRError")]
     assert found == []
+
+
+@pytest.mark.parametrize("lookup", [
+    load_builtin, inner_method, make_problem, default_inner,
+    lambda name: ExperimentConfig(kind="converge", methods=["merk2"],
+                                  problem=name),
+], ids=["load_builtin", "inner_method", "make_problem", "default_inner",
+        "ExperimentConfig-problem"])
+@pytest.mark.parametrize("name", [
+    ["heun"], {}, np.array(["merk2"]), np.array(["kpr", "heun"])],
+    ids=["list", "dict", "array", "array-2"])
+def test_an_unhashable_name_is_a_precondition_error(lookup, name):
+    # these used to escape as a bare TypeError: unhashable type, or, for
+    # an array of two, numpy's 'truth value ... is ambiguous' ValueError
+    with pytest.raises(PreconditionError, match=r" = (\[|\{|array)"):
+        lookup(name)
 
 
 def test_traced_names_resolve():

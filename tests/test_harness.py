@@ -12,7 +12,7 @@ import scipy
 
 import mrisr
 from mrisr import adaptivity, errors, harness, stability, theory
-from mrisr.errors import MRISRError, PreconditionError, UnknownMethodError
+from mrisr.errors import MRISRError, PreconditionError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
                            ExperimentConfig, default_inner, fit_slope,
                            run_adaptive, run_convergence, run_stability_export,
@@ -57,7 +57,7 @@ def test_default_inner_pairing():
     assert default_inner("merk5").name == "cash-karp"
     # every builtin has a pairing: there is no fallback by order
     assert set(harness._DEFAULT_INNER) == set(BUILTIN_NAMES)
-    with pytest.raises(UnknownMethodError):
+    with pytest.raises(PreconditionError, match="method = 'rk4'"):
         default_inner("rk4")
 
 
@@ -86,8 +86,12 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
 
 
 @pytest.mark.parametrize("kw,named", [
-    (dict(methods=["rk4"]), "unknown method 'rk4'"),
-    (dict(problem="nope"), "unknown problem 'nope'"),
+    (dict(methods=["rk4"]), "method = 'rk4' is not 'imex-mri-sr21' or"),
+    (dict(problem="nope"), "problem = 'nope' is not 'kpr' or"),
+    # an empty list used to run nothing, or the default tols
+    (dict(methods=[]), "methods = [] is not a list of one or more entries"),
+    (dict(methods="merk2"), "methods = 'merk2' is not a list"),
+    (dict(tols=[]), "tols = [] is not a list of one or more entries"),
     (dict(kmin=5, kmax=2), "kmin = 5 > kmax = 2"),
     (dict(window=(1.0, 2.0, 3.0)), "window = (1.0, 2.0, 3.0)"),
     (dict(window=(-8.0, 0.5, -6.0, math.inf)), "window = "),
@@ -114,7 +118,8 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
           inner={"imex-mri-sr32": "rk4"}),
      "inner['imex-mri-sr32'] = 'rk4' is not 'heun' or"),
     (dict(inner=["heun"]), "inner = ['heun'] is not a dict"),
-], ids=["method", "problem", "kmin-kmax", "window-three", "window-inf",
+], ids=["method", "problem", "methods-empty", "methods-string",
+        "tols-empty", "kmin-kmax", "window-three", "window-inf",
         "window-string", "res-one", "res-float", "res-scalar", "M-zero",
         "M-string", "M-float", "M-bool", "kmin-float", "kmax-string", "which",
         "alpha-over-90", "beta-negative", "alpha-nan", "rho-negative",

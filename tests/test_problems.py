@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrisr import problems
-from mrisr.errors import PreconditionError, UnknownMethodError
+from mrisr.errors import PreconditionError
 from mrisr.problems import (PROBLEMS, BrusselatorParams, brusselator_problem,
                             kpr_exact, kpr_problem, make_problem)
 
@@ -291,9 +291,9 @@ def test_registry():
     p = make_problem("brusselator-tv-101")
     assert p.dim == 303 and p.name == "brusselator-tv-101"
     assert make_problem("kpr").name == "kpr"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         make_problem("lorenz")
-    with pytest.raises(UnknownMethodError, match="unknown problem 'lorenz'"):
+    with pytest.raises(PreconditionError, match="problem = 'lorenz'"):
         make_problem("lorenz")
 
 

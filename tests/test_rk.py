@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mrisr.errors import PreconditionError, UnknownMethodError
+from mrisr.errors import PreconditionError
 from mrisr.rk import (BOGACKI_SHAMPINE, CASH_KARP, HEUN, INNER_METHODS,
                       ZONNEVELD, ButcherTable, bushy_tree_residuals,
                       inner_method, rk_order, rk_order_residuals)
@@ -80,7 +80,7 @@ def test_builtin_inner_orders():
 
 def test_inner_method_lookup():
     assert all(inner_method(n) is t for n, t in INNER_METHODS.items())
-    with pytest.raises(UnknownMethodError):
+    with pytest.raises(PreconditionError, match="inner method = 'rk4'"):
         inner_method("rk4")
 
 

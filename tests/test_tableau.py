@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mrisr.errors import PreconditionError, UnknownMethodError
+from mrisr.errors import PreconditionError
 from mrisr.integrator import _forcing
 from mrisr.rk import HEUN, ButcherTable
 from mrisr.tableau import (BUILTIN_NAMES, MRISRTableau, load_builtin,
@@ -24,7 +24,7 @@ def test_builtins_validate_clean(name):
 
 
 def test_unknown_method():
-    with pytest.raises(UnknownMethodError):
+    with pytest.raises(PreconditionError, match="method = 'imex-mri-sr99'"):
         load_builtin("imex-mri-sr99")
 
 
@@ -193,8 +193,13 @@ def _set(value, key, *index):
     (_set(3, "gamma", 1), r"gamma\[1\] = 3 is not a list"),
     (lambda d: d.update(c=[]), "c is empty"),
     (_set(True, "gamma", 1, 1), r"gamma\[1\]\[1\] = True is not a finite"),
+    # a misspelt key used to load the tableau without its embedding, and
+    # a derived count to be ignored whatever it said
+    (lambda d: d.update(embOmgea=d.pop("embOmega")), "key = 'embOmgea'"),
+    (lambda d: d.update(s=9), "key = 's'"),
 ], ids=["missing-c", "missing-embGamma", "missing-name", "nan", "inf",
-        "none", "abc", "zero-denominator", "scalar-row", "empty-c", "bool"])
+        "none", "abc", "zero-denominator", "scalar-row", "empty-c", "bool",
+        "misspelt-key", "derived-key"])
 def test_tableau_from_dict_names_bad_key_or_entry(edit, named, tmp_path):
     # these used to escape as KeyError, ValueError, OverflowError or
     # TypeError from deep inside the Fraction conversion
@@ -271,9 +276,11 @@ def test_json_roundtrip(name, tmp_path):
     save_tableau(t, path)
     back = load_tableau(path)
     assert back == t
-    # entries are serialized as exact fraction strings
+    # entries are serialized as exact fraction strings, and nothing that
+    # is derived from them (s, n_omega) is written
     d = json.loads(path.read_text())
-    assert d["s"] == t.s and d["nOmega"] == t.n_omega
+    assert all(type(x) is str for x in d["c"])
+    assert set(d) <= {"name", "c", "omega", "gamma", "embOmega", "embGamma"}
 
 
 def test_dict_roundtrip_preserves_embedding():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrisr.errors import DegenerateEmbeddingError, PreconditionError
+from mrisr.errors import PreconditionError
 from mrisr.rk import INNER_METHODS, inner_method, rk_order_residuals
 from mrisr.tableau import BUILTIN_NAMES, MRISRTableau, load_builtin
 from mrisr.theory import (ARKPair, assemble_gark, base_ark, c_statistic,
@@ -138,7 +138,7 @@ def test_c_statistic_pins():
 def test_c_statistic_errors():
     with pytest.raises(ValueError):
         c_statistic(load_builtin("imex-mri-sr43"), 4)
-    with pytest.raises(DegenerateEmbeddingError):
+    with pytest.raises(PreconditionError, match="merk3 has no embedding"):
         c_statistic(load_builtin("merk3"), 3)
 
 
