@@ -144,11 +144,10 @@ def _inner_map(opts, methods):
     return mapping
 
 
-def _experiment_config(kind, opts):
+def _experiment_config(cmd, opts):
     """ExperimentConfig from merged options, passed by field name."""
-    methods = _methods(opts, default_all=(kind in ("verify", "stability")))
-    kw = dict(kind=kind, methods=methods,
-              inner=_inner_map(opts, methods))
+    methods = _methods(opts, default_all=(cmd in ("verify", "stability")))
+    kw = dict(methods=methods, inner=_inner_map(opts, methods))
     for key, value in opts.items():
         if key not in ("method", "inner") and value is not None:
             kw[_FLAG_FIELDS.get(key, key)] = value
@@ -161,12 +160,12 @@ def _experiment_config(kind, opts):
     return harness.ExperimentConfig(**kw)
 
 
-def _emit_records(kind, cfg, records):
-    keys = _ROW_KEYS[kind]
+def _emit_records(cmd, cfg, records):
+    keys = _ROW_KEYS[cmd]
     all_rows = [row for rec in records for row in rec.rows]
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, f"{kind}-{cfg.problem}.csv")
+        path = os.path.join(cfg.out, f"{cmd}-{cfg.problem}.csv")
         harness.write_csv(path, keys, all_rows, sidecar=dict(
             config=[rec.config for rec in records],
             slopes={rec.config["method"]: rec.slope for rec in records}))

@@ -79,7 +79,6 @@ _FIELD_RULES = (
 
 @dataclass
 class ExperimentConfig:
-    kind: str
     methods: list
     problem: str = "kpr"
     inner: dict = field(default_factory=dict)  # method -> inner name
@@ -153,14 +152,14 @@ _REF_CACHE = {}
 _REF_FLOOR = 1e-8
 
 
-def _exact_samples(problem_name, p, sample_points):
-    """(samples array, error floor) for a problem: analytic for KPR, scipy
-    BDF at rtol 1e-12 / atol 1e-14 on fF + fE + fI otherwise. Raises
-    MRISRError with scipy's message when BDF does not reach the last
+def _exact_samples(p, sample_points):
+    """(samples array, error floor) for a problem, keyed by p.name: analytic
+    for KPR, scipy BDF at rtol 1e-12 / atol 1e-14 on fF + fE + fI otherwise.
+    Raises MRISRError with scipy's message when BDF does not reach the last
     sample point."""
-    key = (problem_name, tuple(sample_points))
+    key = (p.name, tuple(sample_points))
     if key not in _REF_CACHE:
-        if problem_name == "kpr":
+        if p.name == "kpr":
             out = (np.array([list(kpr_exact(s)) for s in sample_points]), 0.0)
         else:
             # imported here: scipy.integrate takes about 0.5 s to import
@@ -171,7 +170,7 @@ def _exact_samples(problem_name, p, sample_points):
                             t_eval=sample_points, rtol=1e-12, atol=1e-14)
             if sol.status != 0:
                 raise MRISRError(
-                    f"BDF reference for {problem_name} failed: {sol.message}")
+                    f"BDF reference for {p.name} failed: {sol.message}")
             out = (sol.y.T, _REF_FLOOR)
         _REF_CACHE[key] = out
     return _REF_CACHE[key]
@@ -218,7 +217,7 @@ def _run_fixed(cfg, H_of_k):
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
     pts = _sample_points(tEnd)
-    ref, floor = _exact_samples(cfg.problem, p, pts)
+    ref, floor = _exact_samples(p, pts)
     ceiling = np.max(np.abs(ref))
     records = []
     for m in cfg.methods:
@@ -281,7 +280,7 @@ def run_adaptive(cfg):
     p = make_problem(cfg.problem)
     tEnd = PROBLEM_TEND[cfg.problem]
     pts = _sample_points(tEnd)
-    ref, _ = _exact_samples(cfg.problem, p, pts)
+    ref, _ = _exact_samples(p, pts)
     tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []
     for m, t, rk in pairs:

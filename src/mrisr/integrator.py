@@ -37,13 +37,13 @@ __all__ = ["SplitIVP", "StepStats", "IntegrationRecord",
 class SplitIVP:
     """A three-way additively partitioned initial value problem.
 
-    fF/fE/fI map (t, y) -> dy, a vector of shape (dim,) like y0; step()
-    checks y_n, fF(t_n, y_n) and the first fE/fI values against it.
+    fF/fE/fI map (t, y) -> dy, a vector of y's shape; the problem's size
+    is y0's. step() checks that y_n is a vector, and fF(t_n, y_n) and the
+    first fE/fI values against its shape.
     jacI(t, y) returns the Jacobian of fI, dense ndarray or BandedMatrix;
     when None a forward finite-difference dense Jacobian is used.
     """
 
-    dim: int
     fF: callable
     fE: callable
     fI: callable
@@ -256,9 +256,9 @@ def implicit_stage_solve(p, base, gammaii, t_stage, H, stats, state):
     return y
 
 
-def _check_shape(name, shape, dim):
-    if shape != (dim,):
-        raise PreconditionError(f"{name} has shape {shape}, not {(dim,)}")
+def _check_shape(name, shape, want):
+    if shape != want:
+        raise PreconditionError(f"{name} has shape {shape}, not {want}")
 
 
 def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
@@ -275,9 +275,10 @@ def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
     passed to every row's fast solve, the embedding row's included. Work
     is counted in stats, a fresh StepStats when None. state is the run's
     NewtonState, a fresh one when None. PreconditionError (a ValueError)
-    unless H is positive and finite, M is a positive integer, and y_n,
-    fF(tn, yn) and stage 1's fE and fI have shape (p.dim,); StepFailure
-    names the stage whose fast or implicit solve could not finish.
+    unless H is positive and finite, M is a positive integer, y_n is a
+    vector, and fF(tn, yn) and stage 1's fE and fI have its shape;
+    StepFailure names the stage whose fast or implicit solve could not
+    finish.
     """
     require("H", H, POSITIVE_FINITE)
     require("M", M, POSITIVE_INTEGER)
@@ -289,7 +290,8 @@ def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
     rows = t.stage_rows if err_weights is not None else t.stage_rows[:s - 1]
     nk = t.n_omega
     yn = np.asarray(yn, dtype=float)
-    _check_shape("y_n", yn.shape, p.dim)
+    if yn.ndim != 1:
+        raise PreconditionError(f"y_n has shape {yn.shape}, not a vector's")
 
     Y = [yn]
     fast_errs = []
@@ -305,19 +307,19 @@ def step(p, t, inner, yn, tn, H, M, stats=None, err_weights=None,
             stats.slow_e_evals += 1
             stats.slow_i_evals += 1
             if i == 1:
-                _check_shape("fE(t_n, y_n)", fEj.shape, p.dim)
-                _check_shape("fI(t_n, y_n)", fIj.shape, p.dim)
+                _check_shape("fE(t_n, y_n)", fEj.shape, yn.shape)
+                _check_shape("fI(t_n, y_n)", fIj.shape, yn.shape)
             fI.append(fIj)
             F.append(fEj + fIj)
         try:
             if ci > 0.0:
-                coeffs = np.zeros((nk, p.dim))
+                coeffs = np.zeros((nk, len(yn)))
                 for k, j, w in om:
                     coeffs[k] += w * F[j]
                 if f0 is None:
                     f0 = p.fF(tn, yn)
                     stats.fast_f_evals += 1
-                    _check_shape("fF(t_n, y_n)", np.shape(f0), p.dim)
+                    _check_shape("fF(t_n, y_n)", np.shape(f0), yn.shape)
                 n_i = max(1, math.ceil(ci * M))
                 v, errs = solve_fast_ivp(p, coeffs, 1.0 / ci, tn, ci * H, yn,
                                          f0, inner, n_i, stats, err_weights)

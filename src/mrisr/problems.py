@@ -77,7 +77,7 @@ def kpr_problem():
         dg2 = 0.5 + (2.0 + math.cos(t)) / (2.0 * v * v)
         return np.array([[0.0, 0.0], [L21 * dg1, lamS * dg2]])
 
-    return SplitIVP(dim=2, fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,
+    return SplitIVP(fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,
                     y0=np.array([2.0, math.sqrt(3.0)]), name="kpr")
 
 
@@ -196,8 +196,7 @@ def brusselator_problem(params):
         return BandedMatrix(ml=1, mu=1, data=alpha_t(t) * pattern)
 
     name = f"brusselator-{'tv-' if tv else ''}{N}"
-    return SplitIVP(dim=3 * N, fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0,
-                    y0=y0, name=name)
+    return SplitIVP(fF=fF, fE=fE, fI=fI, jacI=jacI, t0=0.0, y0=y0, name=name)
 
 
 PROBLEMS = {

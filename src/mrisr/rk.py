@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import INTEGER, PreconditionError, one_of, require
+from .errors import INTEGER, STRING, PreconditionError, one_of, require
 
 __all__ = ["ButcherTable", "rk_order_residuals", "rk_order",
            "bushy_tree_residuals", "HEUN", "BOGACKI_SHAMPINE",
@@ -38,11 +38,12 @@ def _readonly(rows):
 class ButcherTable:
     """An explicit RK method, optionally with an embedded weight row.
 
-    A, b, c and bhat hold Fractions. Construction checks that A is strictly
-    lower triangular with row sums c, all sized by b, and that b (and bhat)
-    sum to 1, so every table has order >= 1. order and emb_order
-    are derived from the coefficients; floats and plans are the float forms
-    solve_fast_ivp reads. Each is built on first use and cached.
+    A, b, c and bhat hold Fractions. Construction checks that name is a
+    string, that A is strictly lower triangular with row sums c, all sized
+    by b, and that b (and bhat) sum to 1, so every table has order >= 1.
+    order and emb_order are derived from the coefficients; floats and plans
+    are the float forms solve_fast_ivp reads. Each is built on first use
+    and cached.
     """
 
     name: str
@@ -52,6 +53,7 @@ class ButcherTable:
     bhat: tuple = None
 
     def __post_init__(self):
+        require("name", self.name, STRING)
         s = len(self.b)
         if (len(self.A) != s or any(len(row) != s for row in self.A)
                 or len(self.c) != s
@@ -263,12 +265,8 @@ CASH_KARP = ButcherTable(
                 "277/14336", "1/4"]),
 )
 
-INNER_METHODS = {
-    "heun": HEUN,
-    "bogacki-shampine": BOGACKI_SHAMPINE,
-    "zonneveld": ZONNEVELD,
-    "cash-karp": CASH_KARP,
-}
+INNER_METHODS = {t.name: t for t in (HEUN, BOGACKI_SHAMPINE, ZONNEVELD,
+                                     CASH_KARP)}
 
 INNER_NAME = one_of(*INNER_METHODS)
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import LIST, PreconditionError, one_of, require
+from .errors import LIST, STRING, PreconditionError, one_of, require
 from .rk import _exact, _fmat, _fvec, _readonly
 
 __all__ = [
@@ -40,7 +40,8 @@ class MRISRTableau:
     Fractions); gamma is s-by-s. emb_omega/emb_gamma, given together, are the
     embedding rows (length s each, one omega row per k). The float forms
     `floats` and `stage_rows` are cached on the frozen tableau. Construction
-    raises PreconditionError with every finding of validate_structure.
+    raises PreconditionError naming a name that is not a string, or with
+    every finding of validate_structure.
     """
 
     name: str
@@ -51,6 +52,7 @@ class MRISRTableau:
     emb_gamma: tuple = None
 
     def __post_init__(self):
+        require("name", self.name, STRING)
         findings = validate_structure(self)
         if findings:
             raise PreconditionError(
@@ -335,14 +337,9 @@ def _make_merk(order):
                         gamma=_fmat([[0] * len(c)] * len(c)))
 
 
-_BUILTINS = {
-    "imex-mri-sr21": _SR21,
-    "imex-mri-sr32": _SR32,
-    "imex-mri-sr43": _SR43,
-}
+_BUILTINS = {t.name: t for t in (_SR21, _SR32, _SR43)}
 
-BUILTIN_NAMES = ("imex-mri-sr21", "imex-mri-sr32", "imex-mri-sr43",
-                 "merk2", "merk3", "merk4", "merk5")
+BUILTIN_NAMES = (*_BUILTINS, *(f"merk{n}" for n in _MERK_DEFAULT_C))
 METHOD_NAME = one_of(*BUILTIN_NAMES)
 
 

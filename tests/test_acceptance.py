@@ -129,7 +129,7 @@ def test_criterion_4_gark_equivalence():
     # coupling structure being verified enters at O(1) through zE and zI
     lamF, lamE, lamI = -0.03, -1.3, -0.7
     H, M = 1e-3, 10 ** 4
-    p = SplitIVP(dim=1, fF=lambda t, y: lamF * y, fE=lambda t, y: lamE * y,
+    p = SplitIVP(fF=lambda t, y: lamF * y, fE=lambda t, y: lamE * y,
                  fI=lambda t, y: lamI * y, y0=np.array([1.0]))
     for name in BUILTIN_NAMES:
         t = load_builtin(name)

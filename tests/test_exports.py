@@ -66,8 +66,7 @@ def test_every_raise_is_one_of_the_two_errors():
 
 @pytest.mark.parametrize("lookup", [
     load_builtin, inner_method, make_problem, default_inner,
-    lambda name: ExperimentConfig(kind="converge", methods=["merk2"],
-                                  problem=name),
+    lambda name: ExperimentConfig(methods=["merk2"], problem=name),
 ], ids=["load_builtin", "inner_method", "make_problem", "default_inner",
         "ExperimentConfig-problem"])
 @pytest.mark.parametrize("name", [

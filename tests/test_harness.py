@@ -63,11 +63,10 @@ def test_default_inner_pairing():
 
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(kind="converge", methods=["rk4"])
+        ExperimentConfig(methods=["rk4"])
     with pytest.raises(ValueError):
-        ExperimentConfig(kind="converge", methods=["merk2"], kmin=5, kmax=2)
-    cfg = ExperimentConfig(kind="converge", methods=["merk3"],
-                           inner={"merk3": "zonneveld"})
+        ExperimentConfig(methods=["merk2"], kmin=5, kmax=2)
+    cfg = ExperimentConfig(methods=["merk3"], inner={"merk3": "zonneveld"})
     assert cfg.inner_for("merk3").name == "zonneveld"
 
 
@@ -82,7 +81,7 @@ def test_experiment_config_validation():
         "H0-inf"])
 def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
     with pytest.raises(PreconditionError, match=named):
-        ExperimentConfig(kind="adaptive", methods=["imex-mri-sr21"], **kw)
+        ExperimentConfig(methods=["imex-mri-sr21"], **kw)
 
 
 @pytest.mark.parametrize("kw,named", [
@@ -126,14 +125,13 @@ def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
         "xi-negative", "xi-string", "inner-key", "inner-name", "inner-list"])
 def test_experiment_config_rejects_bad_input_by_field(kw, named):
     # at construction, so a study never starts on it
-    cfg = dict(kind="stability", methods=["imex-mri-sr21"])
+    cfg = dict(methods=["imex-mri-sr21"])
     with pytest.raises(PreconditionError, match=re.escape(named)):
         ExperimentConfig(**{**cfg, **kw})
 
 
 def _kpr_cfg(**kw):
-    base = dict(kind="converge", methods=["imex-mri-sr21"], problem="kpr",
-                kmin=2, kmax=4)
+    base = dict(methods=["imex-mri-sr21"], problem="kpr", kmin=2, kmax=4)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -160,7 +158,7 @@ def test_run_convergence_is_deterministic():
 
 
 def test_run_adaptive_kpr():
-    cfg = _kpr_cfg(kind="adaptive", tols=[1e-3, 1e-5])
+    cfg = _kpr_cfg(tols=[1e-3, 1e-5])
     recs = run_adaptive(cfg)
     rows = recs[0].rows
     assert [r["tol"] for r in rows] == [1e-3, 1e-5]
@@ -183,7 +181,7 @@ def test_rows_carry_every_counter():
     counters = set(StepStats().as_dict()) | {"accepted", "rejected"}
     assert len(counters) == 10 and counters <= set(RUN_KEYS)
     fixed = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
-    adaptive = run_adaptive(_kpr_cfg(kind="adaptive", tols=[1e-3]))[0].rows
+    adaptive = run_adaptive(_kpr_cfg(tols=[1e-3]))[0].rows
     failed, good = fixed[0], fixed[2]
     for row in (good, adaptive[0], failed):
         assert set(RUN_KEYS) <= set(row)
@@ -219,7 +217,7 @@ def test_run_adaptive_rejects_methods_without_embedding(monkeypatch):
     # wherever merk3 stands in the list
     calls = _no_adaptive_runs(monkeypatch)
     for methods in (["merk3", "imex-mri-sr21"], ["imex-mri-sr21", "merk3"]):
-        cfg = _kpr_cfg(kind="adaptive", methods=methods, tols=[1e-3])
+        cfg = _kpr_cfg(methods=methods, tols=[1e-3])
         with pytest.raises(PreconditionError, match="merk3 has no embedding"):
             run_adaptive(cfg)
     assert calls == []
@@ -227,8 +225,7 @@ def test_run_adaptive_rejects_methods_without_embedding(monkeypatch):
 
 def test_run_adaptive_rejects_requested_inner_without_embedding(monkeypatch):
     calls = _no_adaptive_runs(monkeypatch)
-    cfg = _kpr_cfg(kind="adaptive", inner={"imex-mri-sr21": "heun"},
-                   tols=[1e-3])
+    cfg = _kpr_cfg(inner={"imex-mri-sr21": "heun"}, tols=[1e-3])
     with pytest.raises(PreconditionError,
                        match="inner method heun of imex-mri-sr21"):
         run_adaptive(cfg)
@@ -237,7 +234,7 @@ def test_run_adaptive_rejects_requested_inner_without_embedding(monkeypatch):
 
 def test_run_adaptive_default_inner_falls_back_to_embedded_pair():
     # the default pairing of imex-mri-sr21, heun, has no embedding
-    rec = run_adaptive(_kpr_cfg(kind="adaptive", tols=[1e-3]))[0]
+    rec = run_adaptive(_kpr_cfg(tols=[1e-3]))[0]
     assert default_inner("imex-mri-sr21").name == "heun"
     assert rec.config["inner"] == "bogacki-shampine"
 
@@ -281,7 +278,7 @@ def test_run_verify_runs_each_check_once_per_tableau(monkeypatch):
 
 
 def test_run_stability_export_writes_grid(tmp_path):
-    cfg = ExperimentConfig(kind="stability", methods=["imex-mri-sr21"],
+    cfg = ExperimentConfig(methods=["imex-mri-sr21"],
                            which="E", alpha=45.0, rho=1.0,
                            window=(-3.0, 0.5, -2.0, 2.0), res=(6, 5),
                            out=str(tmp_path))
@@ -307,7 +304,7 @@ def test_write_csv_header_and_sidecar(tmp_path):
 
 def test_sidecar_records_versions(tmp_path):
     # read back from a stability export, against versions found here
-    cfg = ExperimentConfig(kind="stability", methods=["merk2"], which="E",
+    cfg = ExperimentConfig(methods=["merk2"], which="E",
                            alpha=45.0, rho=1.0,
                            window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2),
                            out=str(tmp_path))
@@ -324,7 +321,7 @@ def test_reference_cache_keys_on_the_sample_points():
     from mrisr.problems import kpr_exact, make_problem
     p = make_problem("kpr")
     for pts in ([0.5, 1.0, 1.5], [0.25, 0.75, 1.25]):
-        ref, _ = _exact_samples("kpr", p, pts)
+        ref, _ = _exact_samples(p, pts)
         assert np.array_equal(ref, [list(kpr_exact(s)) for s in pts])
 
 
@@ -335,11 +332,11 @@ def test_run_convergence_brusselator_end_to_end(monkeypatch):
     # the test takes about 10 s, most of it in the reference
     calls, real = [], harness._exact_samples
 
-    def spy(name, p, pts):
-        calls.append(real(name, p, pts))
+    def spy(p, pts):
+        calls.append(real(p, pts))
         return calls[-1]
     monkeypatch.setattr(harness, "_exact_samples", spy)
-    cfg = ExperimentConfig(kind="converge", methods=["imex-mri-sr21"],
+    cfg = ExperimentConfig(methods=["imex-mri-sr21"],
                            problem="brusselator-201", kmin=6, kmax=7)
     rows = run_convergence(cfg)[0].rows
     (ref, floor), = calls
@@ -353,16 +350,18 @@ def test_run_convergence_brusselator_end_to_end(monkeypatch):
 
 def test_reference_that_stops_short_is_an_error():
     # y' = y^2 from y(0) = 1 blows up at t = 1, before the last sample point
-    p = SplitIVP(dim=1, fF=lambda t, y: y * y, fE=lambda t, y: 0.0 * y,
-                 fI=lambda t, y: 0.0 * y, y0=np.array([1.0]))
+    p = SplitIVP(fF=lambda t, y: y * y, fE=lambda t, y: 0.0 * y,
+                 fI=lambda t, y: 0.0 * y, y0=np.array([1.0]), name="blowup")
     with pytest.raises(MRISRError, match="BDF reference for blowup failed"):
-        harness._exact_samples("blowup", p, [0.5, 2.0])
+        harness._exact_samples(p, [0.5, 2.0])
     assert ("blowup", (0.5, 2.0)) not in harness._REF_CACHE
 
 
 def test_problem_tables_cover_registry():
-    from mrisr.problems import PROBLEMS
+    from mrisr.problems import PROBLEMS, make_problem
     assert set(PROBLEM_TEND) == set(PROBLEMS) == set(PROBLEM_H0)
+    # the reference cache is keyed by the problem's name
+    assert all(make_problem(name).name == name for name in PROBLEMS)
     assert PROBLEM_TEND["kpr"] == pytest.approx(5.0 * math.pi / 2.0)
 
 

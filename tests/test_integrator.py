@@ -16,8 +16,7 @@ from mrisr.tableau import BUILTIN_NAMES, load_builtin
 
 
 def _linear_problem(lamF=-4.0, lamE=-0.9, lamI=-1.7):
-    return SplitIVP(dim=1,
-                    fF=lambda t, y: lamF * y,
+    return SplitIVP(fF=lambda t, y: lamF * y,
                     fE=lambda t, y: lamE * y,
                     fI=lambda t, y: lamI * y,
                     y0=np.array([1.0]))
@@ -25,8 +24,7 @@ def _linear_problem(lamF=-4.0, lamE=-0.9, lamI=-1.7):
 
 def _nonstiff_problem():
     # y' = -y (fast) + cos t (explicit) + -0.5 y (implicit)
-    return SplitIVP(dim=1,
-                    fF=lambda t, y: -1.0 * y,
+    return SplitIVP(fF=lambda t, y: -1.0 * y,
                     fE=lambda t, y: np.array([math.cos(t)]),
                     fI=lambda t, y: -0.5 * y,
                     y0=np.array([1.0]))
@@ -61,7 +59,7 @@ def test_zero_fast_limit_matches_base_imex_pair(name):
     inner = {1: "heun", 2: "heun", 3: "bogacki-shampine",
              4: "zonneveld"}[t.n_omega]
     lamE, lamI = -0.8, -1.1
-    p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=lambda tt, y: 0.0 * y,
                  fE=lambda tt, y: lamE * y, fI=lambda tt, y: lamI * y,
                  y0=np.array([1.0]))
     H = 0.3
@@ -91,7 +89,7 @@ def test_convergence_order_on_linear_problem(name):
 def test_fast_limit_exponential():
     # pure fast problem: the step reduces to M inner-RK substeps of y' = -y
     t = load_builtin("imex-mri-sr21")
-    p = SplitIVP(dim=1, fF=lambda tt, y: -1.0 * y,
+    p = SplitIVP(fF=lambda tt, y: -1.0 * y,
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([1.0]))
     y1, _, _ = step(p, t, inner_method("zonneveld"), p.y0, 0.0, 1.0, 50,
@@ -101,7 +99,7 @@ def test_fast_limit_exponential():
 
 def test_solve_fast_ivp_polynomial_forcing_exact():
     # v' = 3 theta^2 with fF = 0 is integrated exactly by a third-order RK
-    p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=lambda tt, y: 0.0 * y,
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([0.0]))
     v0 = np.array([0.0])
@@ -157,7 +155,7 @@ def _nonlinear_fast_problem(calls):
         calls.append(tt)
         return -2.0 * y * math.cos(3.0 * tt) + 0.5 * np.sin(y[::-1])
 
-    return SplitIVP(dim=3, fF=fF, fE=fF, fI=fF, y0=np.zeros(3))
+    return SplitIVP(fF=fF, fE=fF, fI=fF, y0=np.zeros(3))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 40])
@@ -277,7 +275,7 @@ def _reference_step(p, t, inner, yn, tn, H, M, stats, err_weights=None):
             F.append(fEj + fIj)
         try:
             if ci > 0.0:
-                coeffs = np.zeros((len(om), p.dim))
+                coeffs = np.zeros((len(om), len(yn)))
                 for k in range(len(om)):
                     for j, w in enumerate(om[k]):
                         if w != 0.0:
@@ -484,7 +482,7 @@ def test_step_rejects_bad_m_and_h():
 
 
 def _two_component_problem(**changes):
-    kw = dict(dim=2, fF=lambda tt, y: -y, fE=lambda tt, y: 0.0 * y,
+    kw = dict(fF=lambda tt, y: -y, fE=lambda tt, y: 0.0 * y,
               fI=lambda tt, y: -y, y0=np.array([1.0, 2.0]))
     return SplitIVP(**{**kw, **changes})
 
@@ -494,12 +492,13 @@ def _two_component_problem(**changes):
     (dict(fE=lambda tt, y: 0.0 * y[0]), "fE(t_n, y_n) has shape (), not (2,)"),
     (dict(fI=lambda tt, y: np.concatenate([-y, y])),
      "fI(t_n, y_n) has shape (4,), not (2,)"),
-    (dict(dim=3), "y_n has shape (2,), not (3,)"),
-], ids=["fF-short", "fE-scalar", "fI-long", "y0-short"])
+    (dict(y0=np.array([[1.0], [2.0]])),
+     "y_n has shape (2, 1), not a vector's"),
+], ids=["fF-short", "fE-scalar", "fI-long", "y0-column"])
 def test_wrong_shape_fails_the_run_naming_the_value(changes, named):
     # fF = -y[:1] used to be broadcast: y = [0.1352, 0.5032] at t = 1
-    # instead of [0.1352, 0.2704]; a short y0 ended in numpy's bare
-    # broadcast ValueError
+    # instead of [0.1352, 0.2704]. The problem's size is y0's, so y0 can
+    # only be wrong by not being a vector
     p = _two_component_problem(**changes)
     t, rk = load_builtin("imex-mri-sr21"), inner_method("heun")
     with pytest.raises(PreconditionError, match=re.escape(named)):
@@ -531,7 +530,7 @@ def test_integrate_fixed_samples_and_accuracy():
 
 def test_step_failure_reports_stage():
     # an implicit RHS whose Newton solve cannot converge
-    p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=lambda tt, y: 0.0 * y,
                  fE=lambda tt, y: 0.0 * y,
                  fI=lambda tt, y: np.array([float("nan")]),
                  y0=np.array([1.0]))
@@ -545,8 +544,7 @@ def test_step_failure_reports_stage():
 def test_nonfinite_shared_first_stage_fails_first_fast_stage(inner_name):
     # fF(tn, yn) is evaluated once per step; a non-finite value still fails
     # the first stage with c_i > 0 at its first substep
-    p = SplitIVP(dim=1,
-                 fF=lambda tt, y: np.array([math.nan]) if tt == 0.0 else -y,
+    p = SplitIVP(fF=lambda tt, y: np.array([math.nan]) if tt == 0.0 else -y,
                  fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: 0.0 * y,
                  y0=np.array([1.0]))
     with pytest.raises(StepFailure,
@@ -563,7 +561,7 @@ def test_integrate_fixed_partial_record_on_failure():
         seen["n"] += 1
         return np.array([math.inf]) if tt > 0.5 else -y
 
-    p = SplitIVP(dim=1, fF=fF, fE=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=fF, fE=lambda tt, y: 0.0 * y,
                  fI=lambda tt, y: 0.0 * y, y0=np.array([1.0]))
     t = load_builtin("imex-mri-sr21")
     rec = integrate_fixed(p, t, inner_method("heun"), 1.0, 0.25, 4)
@@ -577,7 +575,7 @@ def test_integrate_fixed_partial_record_on_failure():
 def _singular_at_first_stage():
     # I - H*gamma_22*J is exactly 0 for SR21 (gamma_22 = 11/23) at H = 0.1
     J = np.array([[1.0 / (0.1 * 11 / 23)]])
-    return SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y,
+    return SplitIVP(fF=lambda tt, y: 0.0 * y,
                     fE=lambda tt, y: 0.0 * y, fI=lambda tt, y: J @ y,
                     jacI=lambda tt, y: J, y0=np.array([1.0]))
 
@@ -622,7 +620,7 @@ def test_nonfinite_jacobian_fails_fixed_run(banded, bad):
         J = np.array([[bad]])
         return BandedMatrix(ml=0, mu=0, data=J) if banded else J
 
-    p = SplitIVP(dim=1, fF=lambda tt, y: 0.0 * y, fE=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=lambda tt, y: 0.0 * y, fE=lambda tt, y: 0.0 * y,
                  fI=lambda tt, y: -y, jacI=jacI, y0=np.array([1.0]))
     rec = integrate_fixed(p, load_builtin("imex-mri-sr21"),
                           inner_method("heun"), 0.2, 0.1, 2)
@@ -638,7 +636,7 @@ def test_fd_jacobian_calls_are_counted():
         calls["n"] += 1
         return np.array([-0.5 * y[0] + 0.1 * y[1] ** 2, -2.0 * y[1]])
 
-    p = SplitIVP(dim=2, fF=lambda tt, y: -y, fE=lambda tt, y: 0.3 * y,
+    p = SplitIVP(fF=lambda tt, y: -y, fE=lambda tt, y: 0.3 * y,
                  fI=fI, jacI=None, y0=np.array([1.0, 0.5]))
     rec = integrate_fixed(p, load_builtin("imex-mri-sr32"),
                           inner_method("bogacki-shampine"), 0.5, 0.125, 4)
@@ -757,7 +755,7 @@ def test_alternating_jacobian_matches_fresh_factorizations(monkeypatch):
         used.append((A, B)[len(used) % 2])
         return used[-1]
 
-    p = SplitIVP(dim=2, fF=lambda tt, y: -0.5 * y,
+    p = SplitIVP(fF=lambda tt, y: -0.5 * y,
                  fE=lambda tt, y: np.array([math.cos(tt), 0.0]),
                  fI=lambda tt, y: A @ y - 0.2 * y ** 3, jacI=jacI,
                  y0=np.array([1.0, 0.5]))
@@ -815,7 +813,7 @@ def test_diverging_fast_solve_counts_every_call():
         calls.append(tt)
         return 1e200 * y ** 3
 
-    p = SplitIVP(dim=1, fF=fF, fE=lambda tt, y: 0.0 * y,
+    p = SplitIVP(fF=fF, fE=lambda tt, y: 0.0 * y,
                  fI=lambda tt, y: 0.0 * y, y0=np.array([1.0]))
     stats = StepStats()
     with pytest.raises(StepFailure, match="non-finite fast state"):

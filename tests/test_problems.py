@@ -145,7 +145,7 @@ def test_direct_tv_brusselator_equals_registry():
     pd = brusselator_problem(BrusselatorParams(N=101, variant="time-varying"))
     pr = make_problem("brusselator-tv-101")
     assert pd.name == pr.name and np.array_equal(pd.y0, pr.y0)
-    y = pr.y0 * (1.0 + 0.05 * np.sin(np.arange(pr.dim)))
+    y = pr.y0 * (1.0 + 0.05 * np.sin(np.arange(len(pr.y0))))
     for t in (0.0, 0.37, 1.3):
         for f in ("fF", "fE", "fI"):
             assert getattr(pd, f)(t, y).tobytes() == \
@@ -214,10 +214,10 @@ def test_brusselator_callbacks_match_reference_bitwise(N, variant):
     rng = np.random.default_rng(N)
     bad = [math.nan, math.inf, -math.inf]
     for trial in range(24):
-        y = p.y0 * (1.0 + 0.5 * rng.standard_normal(p.dim))
+        y = p.y0 * (1.0 + 0.5 * rng.standard_normal(len(p.y0)))
         if trial % 3 == 1:
-            at = rng.choice([i for i in range(p.dim) if i not in ends],
-                            size=min(3, p.dim - 6), replace=False)
+            at = rng.choice([i for i in range(len(p.y0)) if i not in ends],
+                            size=min(3, len(p.y0) - 6), replace=False)
             y[at] = bad[:len(at)]
         elif trial % 3 == 2:
             y[ends] = rng.permutation(bad + bad)
@@ -238,7 +238,7 @@ def test_brusselator_callbacks_return_fresh_arrays(variant):
     for f in (p.fF, p.fE, p.fI):
         first = f(0.3, y)
         second = f(0.3, y)
-        assert first.shape == (p.dim,) and first.flags.c_contiguous
+        assert first.shape == p.y0.shape and first.flags.c_contiguous
         assert not np.shares_memory(first, y)
         assert not np.shares_memory(first, second)
         assert first.tobytes() == second.tobytes()
@@ -289,7 +289,7 @@ def test_registry():
     assert set(PROBLEMS) == {"kpr", "brusselator-201", "brusselator-801",
                              "brusselator-tv-101"}
     p = make_problem("brusselator-tv-101")
-    assert p.dim == 303 and p.name == "brusselator-tv-101"
+    assert len(p.y0) == 303 and p.name == "brusselator-tv-101"
     assert make_problem("kpr").name == "kpr"
     with pytest.raises(ValueError):
         make_problem("lorenz")

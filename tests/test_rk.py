@@ -64,6 +64,9 @@ def test_construction_rejects_bad_row_sums():
     with pytest.raises(PreconditionError,
                        match=r"^bad: row 2 of A does not sum to c$"):
         ButcherTable(name="bad", A=((0, 0), (0, 0)), b=HEUN.b, c=HEUN.c)
+    # the registries are keyed by name, so it must be a string
+    with pytest.raises(PreconditionError, match=r"^name = 5 is not a string$"):
+        ButcherTable(name=5, A=HEUN.A, b=HEUN.b, c=HEUN.c)
 
 
 def test_hand_built_table_derives_its_orders():

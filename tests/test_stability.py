@@ -102,7 +102,7 @@ def test_r_matches_resolved_time_step():
     t = load_builtin("imex-mri-sr43")
     lamF, lamE, lamI = -2.0, -0.3, -0.5
     H = 1.0
-    p = SplitIVP(dim=1, fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
+    p = SplitIVP(fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
                  fI=lambda tt, y: lamI * y, y0=np.array([1.0]))
     y1, _, _ = step(p, t, inner_method("zonneveld"), p.y0, 0.0, H, 400,
                     stats=StepStats())

@@ -147,9 +147,17 @@ def _no_emb_omega_dict():
      "invalid tableau 'merk2': embGamma without embOmega"),
     (lambda: tableau_from_dict(_no_emb_omega_dict()),
      "invalid tableau 'imex-mri-sr21': embGamma without embOmega"),
+    # a list name used to load, and fail only when the tableau was hashed
+    (lambda: tableau_from_dict(dict(
+        tableau_to_dict(load_builtin("imex-mri-sr21")), name=["x"])),
+     "name = ['x'] is not a string"),
+    (lambda: replace(load_builtin("merk2"), name=5),
+     "name = 5 is not a string"),
+    (lambda: replace(HEUN, name=None), "name = None is not a string"),
 ], ids=["c_s-half", "omega-2-4", "inner-diagonal", "inner-b-sum",
         "inner-bhat-sum", "json-empty-omega",
-        "emb-gamma-alone", "json-emb-gamma-alone"])
+        "emb-gamma-alone", "json-emb-gamma-alone", "json-name-list",
+        "name-int", "inner-name-none"])
 def test_invalid_table_fails_at_construction(build, message):
     with pytest.raises(PreconditionError, match="^" + re.escape(message)):
         build()

@@ -182,7 +182,7 @@ def test_step_equals_gark_flattening_at_m1(name):
     g = assemble_gark(t, inner)
     lamF, lamE, lamI = -3.0, -1.3, -0.7
     H = 0.4
-    p = SplitIVP(dim=1, fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
+    p = SplitIVP(fF=lambda tt, y: lamF * y, fE=lambda tt, y: lamE * y,
                  fI=lambda tt, y: lamI * y, y0=np.array([1.0]))
     oracle = gark_linear_step(g, lamF * H, lamE * H, lamI * H)
     y1, _, _ = step(p, t, inner, p.y0, 0.0, H, 1, stats=StepStats())
