@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import harness
-from .errors import MRISRError
+from .errors import BOOL, NONEMPTY_LIST, STRING, MRISRError, require
 from .rk import INNER_METHODS
 from .tableau import BUILTIN_NAMES
 
@@ -27,8 +27,12 @@ _ROW_KEYS = {
     "adaptive": ["method", "tol", *harness.RUN_KEYS, "failure"],
 }
 
-# flags whose names differ from their ExperimentConfig field
-_FLAG_FIELDS = {"m": "M", "tol": "tols", "json": "json_out"}
+# flags whose names differ from their study's setting
+_FLAG_FIELDS = {"m": "M", "tol": "tols"}
+
+_STUDIES = {"converge": harness.run_convergence,
+            "efficiency": harness.run_efficiency,
+            "adaptive": harness.run_adaptive}
 
 
 # every flag a subcommand may take: (argparse name, keyword arguments)
@@ -108,24 +112,24 @@ def _merge_config(args):
     return merged
 
 
-def _methods(opts, default_all=False):
-    raw = opts.get("method")
+def _methods(raw, default_all=False):
     if raw is None:
         if default_all:
             return list(BUILTIN_NAMES)
         raise ValueError("--method is required")
     if isinstance(raw, str):
         raw = [raw]
+    if not isinstance(raw, list):
+        raise ValueError(f"method {raw!r} is not NAME or a list of names")
     out = []
     for item in raw:
         out.extend(x.strip() for x in str(item).split(",") if x.strip())
+    # run_verify reads an empty list as all methods
+    require("methods", out, NONEMPTY_LIST)
     return out
 
 
-def _inner_map(opts, methods):
-    raw = opts.get("inner")
-    if raw is None:
-        return {}
+def _inner_map(raw, methods):
     if not isinstance(raw, list):
         raw = [raw]
     mapping = {}
@@ -144,33 +148,31 @@ def _inner_map(opts, methods):
     return mapping
 
 
-def _experiment_config(cmd, opts):
-    """ExperimentConfig from merged options, passed by field name."""
-    methods = _methods(opts, default_all=(cmd in ("verify", "stability")))
-    kw = dict(methods=methods, inner=_inner_map(opts, methods))
-    for key, value in opts.items():
-        if key not in ("method", "inner") and value is not None:
-            kw[_FLAG_FIELDS.get(key, key)] = value
+def _settings(opts):
+    """Merged options as a study's keyword arguments, by setting name; a
+    --window or --res string becomes its tuple."""
+    kw = {_FLAG_FIELDS.get(k, k): v for k, v in opts.items()
+          if v is not None}
     for key, sep, conv in (("window", ",", float), ("res", "x", int)):
         if isinstance(kw.get(key), str):
             try:
                 kw[key] = tuple(conv(x) for x in kw[key].lower().split(sep))
             except ValueError:
-                pass  # a string left as given: ExperimentConfig names it
-    return harness.ExperimentConfig(**kw)
+                pass  # a string left as given: the study names it
+    return kw
 
 
-def _emit_records(cmd, cfg, records):
+def _emit_records(cmd, records, out, json_out):
     keys = _ROW_KEYS[cmd]
     all_rows = [row for rec in records for row in rec.rows]
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, f"{cmd}-{cfg.problem}.csv")
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, f"{cmd}-{records[0].config['problem']}.csv")
         harness.write_csv(path, keys, all_rows, sidecar=dict(
             config=[rec.config for rec in records],
             slopes={rec.config["method"]: rec.slope for rec in records}))
         print(f"wrote {path}")
-    if cfg.json_out:
+    if json_out:
         print(json.dumps(dict(
             rows=all_rows,
             slopes={rec.config["method"]: rec.slope for rec in records}),
@@ -205,10 +207,14 @@ def main(argv=None):
                 print(m)
             print("inner methods:", ", ".join(sorted(INNER_METHODS)))
             return 0
+        kw = _settings(opts)
+        json_out = kw.pop("json", False)
+        require("json", json_out, BOOL)
+        methods = _methods(kw.pop("method", None),
+                           default_all=(cmd in ("verify", "stability")))
         if cmd == "verify":
-            cfg = _experiment_config("verify", opts)
-            report = harness.run_verify(cfg.methods)
-            if cfg.json_out:
+            report = harness.run_verify(methods)
+            if json_out:
                 print(json.dumps(report, indent=2, default=str))
             else:
                 for m, e in report.items():
@@ -217,16 +223,16 @@ def main(argv=None):
                           f"order={e['method_order']}")
             return 0
         if cmd == "stability":
-            cfg = _experiment_config("stability", opts)
-            files = harness.run_stability_export(cfg)
-            for f in files:
+            # --out is the study's own setting here
+            for f in harness.run_stability_export(methods, **kw):
                 print(f"wrote {f}")
             return 0
-        cfg = _experiment_config(cmd, opts)
-        runner = {"converge": harness.run_convergence,
-                  "efficiency": harness.run_efficiency,
-                  "adaptive": harness.run_adaptive}[cmd]
-        return _emit_records(cmd, cfg, runner(cfg))
+        out = kw.pop("out", None)
+        require("out", out, STRING.or_none())
+        if "inner" in kw:
+            kw["inner"] = _inner_map(kw["inner"], methods)
+        return _emit_records(cmd, _STUDIES[cmd](methods, **kw), out,
+                             json_out)
     except (MRISRError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

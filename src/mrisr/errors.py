@@ -6,8 +6,8 @@ from collections import namedtuple
 from collections.abc import Hashable
 
 __all__ = ["MRISRError", "PreconditionError", "StepFailure", "Rule",
-           "one_of", "require", "STRING", "LIST", "NONEMPTY_LIST", "DICT",
-           "INTEGER", "POSITIVE_INTEGER", "FINITE", "POSITIVE_FINITE",
+           "one_of", "require", "BOOL", "STRING", "LIST", "NONEMPTY_LIST",
+           "DICT", "INTEGER", "POSITIVE_INTEGER", "FINITE", "POSITIVE_FINITE",
            "FINITE_NONNEGATIVE", "ANGLE"]
 
 
@@ -57,6 +57,7 @@ def require(name, value, rule):
         raise PreconditionError(f"{name} = {value!r} is not {rule.what}")
 
 
+BOOL = Rule(lambda x: isinstance(x, bool), "a boolean")
 STRING = Rule(lambda x: isinstance(x, str), "a string")
 LIST = Rule(lambda x: isinstance(x, (list, tuple)), "a list")
 NONEMPTY_LIST = Rule(lambda x: LIST.test(x) and len(x) > 0,

@@ -7,21 +7,21 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adaptivity, stability, theory
-from .errors import (ANGLE, DICT, FINITE_NONNEGATIVE, INTEGER,
+from .errors import (ANGLE, BOOL, DICT, FINITE_NONNEGATIVE, INTEGER,
                      NONEMPTY_LIST, POSITIVE_FINITE, POSITIVE_INTEGER,
-                     MRISRError, PreconditionError, one_of, require)
+                     STRING, MRISRError, PreconditionError, one_of, require)
 from .integrator import IntegrationRecord, StepStats, integrate_fixed
 from .problems import PROBLEM_NAME, kpr_exact, make_problem
 from .rk import INNER_NAME, inner_method
 from .tableau import (BUILTIN_NAMES, METHOD_NAME, load_builtin,
                       validate_structure)
 
-__all__ = ["ExperimentConfig", "RunRecord", "default_inner", "fit_slope",
+__all__ = ["RunRecord", "default_inner", "fit_slope",
            "run_convergence", "run_efficiency", "run_adaptive",
            "run_stability_export", "run_verify", "versions", "write_csv",
            "PROBLEM_TEND", "PROBLEM_H0", "RUN_KEYS"]
@@ -59,64 +59,37 @@ def default_inner(method_name):
     return inner_method(_DEFAULT_INNER[method_name])
 
 
-# (fields, rule) of ExperimentConfig's one-field checks, shared with the
-# library objects it builds where they check the same value
-_FIELD_RULES = (
-    ("methods", NONEMPTY_LIST),
-    ("problem", PROBLEM_NAME),
-    ("kmin kmax", INTEGER),
-    ("M", POSITIVE_INTEGER),
-    ("H0", POSITIVE_FINITE.or_none()),
-    ("tols", NONEMPTY_LIST.or_none()),
-    ("inner", DICT),
-    ("which", stability.WHICH),
-    ("alpha beta", ANGLE),
-    ("rho xi", FINITE_NONNEGATIVE),
-    ("window", stability.WINDOW),
-    ("res", stability.RES),
-)
+# the rule of each study setting but methods and inner (_pairs), by name;
+# the scan settings share theirs with mrisr.stability
+_RULES = dict(problem=PROBLEM_NAME, kmin=INTEGER, kmax=INTEGER,
+              M=POSITIVE_INTEGER, H0=POSITIVE_FINITE.or_none(),
+              tols=NONEMPTY_LIST.or_none(), out=STRING.or_none(),
+              which=stability.WHICH, alpha=ANGLE, beta=ANGLE,
+              rho=FINITE_NONNEGATIVE, xi=FINITE_NONNEGATIVE,
+              window=stability.WINDOW, res=stability.RES, joint=BOOL)
 
 
-@dataclass
-class ExperimentConfig:
-    methods: list
-    problem: str = "kpr"
-    inner: dict = field(default_factory=dict)  # method -> inner name
-    H0: float = None
-    kmin: int = 0
-    kmax: int = 8
-    M: int = 10
-    tols: list = None
-    out: str = None
-    json_out: bool = False
-    # stability-scan settings
-    which: str = "E"
-    alpha: float = 45.0
-    rho: float = 100.0
-    beta: float = 45.0
-    xi: float = 1e4
-    window: tuple = (-8.0, 0.5, -6.0, 6.0)
-    res: tuple = (48, 48)
-    joint: bool = False
+def _check(**settings):
+    """settings, once each passes its rule in _RULES."""
+    for name, value in settings.items():
+        require(name, value, _RULES[name])
+    return settings
 
-    def __post_init__(self):
-        for names, rule in _FIELD_RULES:
-            for name in names.split():
-                require(name, getattr(self, name), rule)
-        for m in self.methods:
-            require("method", m, METHOD_NAME)
-        if self.kmin > self.kmax:
-            raise PreconditionError(f"kmin = {self.kmin} > kmax = {self.kmax}")
-        for tol in self.tols or ():
-            require("tol", tol, POSITIVE_FINITE)
-        for m, name in self.inner.items():
-            require("inner key", m, one_of(*self.methods))
-            require(f"inner[{m!r}]", name, INNER_NAME)
 
-    def inner_for(self, method):
-        if method in self.inner:
-            return inner_method(self.inner[method])
-        return default_inner(method)
+def _pairs(methods, inner=None):
+    """(name, tableau, inner method) of each builtin method in methods; the
+    inner method is the one inner names for it, else default_inner's."""
+    require("methods", methods, NONEMPTY_LIST)
+    for m in methods:
+        require("method", m, METHOD_NAME)
+    inner = {} if inner is None else inner
+    require("inner", inner, DICT)
+    for m, name in inner.items():
+        require("inner key", m, one_of(*methods))
+        require(f"inner[{m!r}]", name, INNER_NAME)
+    return [(m, load_builtin(m),
+             inner_method(inner[m]) if m in inner else default_inner(m))
+            for m in methods]
 
 
 @dataclass
@@ -211,38 +184,49 @@ def _fit_rows(rows, floor, ceiling):
     return fit_slope([g[0] for g in good], [g[1] for g in good])
 
 
-def _run_fixed(cfg, H_of_k):
+def _run_fixed(methods, inner, H_of_k, settings):
     """Fixed-step runs of each method over H = H_of_k(k, tEnd), k in
-    [kmin, kmax]; a run that raises is recorded as a failed row."""
-    p = make_problem(cfg.problem)
-    tEnd = PROBLEM_TEND[cfg.problem]
+    [kmin, kmax]; a run that raises is recorded as a failed row. A record's
+    config is settings with its method and inner method."""
+    problem, kmin, kmax, M = (settings[k] for k in ("problem", "kmin",
+                                                     "kmax", "M"))
+    if kmin > kmax:
+        raise PreconditionError(f"kmin = {kmin} > kmax = {kmax}")
+    pairs = _pairs(methods, inner)
+    p = make_problem(problem)
+    tEnd = PROBLEM_TEND[problem]
     pts = _sample_points(tEnd)
     ref, floor = _exact_samples(p, pts)
     ceiling = np.max(np.abs(ref))
     records = []
-    for m in cfg.methods:
-        t = load_builtin(m)
-        rk = cfg.inner_for(m)
+    for m, t, rk in pairs:
         rows = []
-        for k in range(cfg.kmin, cfg.kmax + 1):
+        for k in range(kmin, kmax + 1):
             H = H_of_k(k, tEnd)
-            rows.append(dict(method=m, k=k, H=H, M=cfg.M, **_run_row(
-                lambda: integrate_fixed(p, t, rk, pts[-1], H, cfg.M,
+            rows.append(dict(method=m, k=k, H=H, M=M, **_run_row(
+                lambda: integrate_fixed(p, t, rk, pts[-1], H, M,
                                         sample_points=pts), ref)))
-        records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
+        records.append(RunRecord(config=dict(settings, method=m,
+                                             inner=rk.name),
                                  rows=rows,
                                  slope=_fit_rows(rows, floor, ceiling)))
     return records
 
 
-def run_convergence(cfg):
-    """Fixed-step convergence study over H = H0 * 2^-k, k in [kmin, kmax]."""
-    H0 = cfg.H0 if cfg.H0 is not None else PROBLEM_H0[cfg.problem]
-    return _run_fixed(cfg, lambda k, tEnd: H0 * 2.0 ** (-k))
+def run_convergence(methods, problem="kpr", inner=None, H0=None, kmin=0,
+                    kmax=8, M=10):
+    """Fixed-step convergence study over H = H0 * 2^-k, k in [kmin, kmax]
+    (H0 defaults to PROBLEM_H0[problem]); inner maps a method to the name
+    of its inner method, default_inner's by default."""
+    settings = _check(problem=problem, H0=H0, kmin=kmin, kmax=kmax, M=M)
+    settings["H0"] = H0 = PROBLEM_H0[problem] if H0 is None else H0
+    return _run_fixed(methods, inner, lambda k, tEnd: H0 * 2.0 ** (-k),
+                      settings)
 
 
-def run_efficiency(cfg):
-    """Efficiency study over H = 0.1 * 2^-k; failures recorded as rows."""
+def run_efficiency(methods, problem="kpr", inner=None, kmin=0, kmax=8, M=10):
+    """Efficiency study over H = 0.1 * 2^-k, with the settings of
+    run_convergence; failures recorded as rows."""
     def H_of_k(k, tEnd):
         H = 0.1 * 2.0 ** (-k)
         n = (tEnd / N_SAMPLES) / H
@@ -251,70 +235,78 @@ def run_efficiency(cfg):
             H = (tEnd / N_SAMPLES) / math.ceil(n)
         return H
 
-    return _run_fixed(cfg, H_of_k)
+    return _run_fixed(methods, inner, H_of_k,
+                      _check(problem=problem, kmin=kmin, kmax=kmax, M=M))
 
 
-def run_adaptive(cfg):
+def run_adaptive(methods, problem="kpr", inner=None, H0=None, tols=None,
+                 M=10):
     """Adaptive runs over a tolerance schedule; reports achieved max error.
 
-    cfg.H0, when set, is every run's first step. Both the slow method and
-    its inner method need an embedding. Before any
-    run starts, PreconditionError names a method without one, and an inner
-    method without one that cfg.inner asks for. A default pairing without
-    one (heun, for imex-mri-sr21) is replaced by bogacki-shampine.
+    H0, when set, is every run's first step. Both the slow method and its
+    inner method need an embedding. Before any run starts,
+    PreconditionError names a method without one, and an inner method
+    without one that inner asks for. A default pairing without one (heun,
+    for imex-mri-sr21) is replaced by bogacki-shampine.
     """
+    settings = _check(problem=problem, H0=H0, tols=tols, M=M)
+    for tol in tols or ():
+        require("tol", tol, POSITIVE_FINITE)
     pairs = []
-    for m in cfg.methods:
-        t = load_builtin(m)
+    for m, t, rk in _pairs(methods, inner):
         if not t.has_embedding:
             raise PreconditionError(
                 f"{m} has no embedding; adaptive runs need one")
-        rk = cfg.inner_for(m)
         if rk.bhat is None:
-            if m in cfg.inner:
+            if m in (inner or ()):
                 raise PreconditionError(
                     f"inner method {rk.name} of {m} has no embedding; "
                     "adaptive runs need one")
             rk = inner_method("bogacki-shampine")
         pairs.append((m, t, rk))
-    p = make_problem(cfg.problem)
-    tEnd = PROBLEM_TEND[cfg.problem]
+    p = make_problem(problem)
+    tEnd = PROBLEM_TEND[problem]
     pts = _sample_points(tEnd)
     ref, _ = _exact_samples(p, pts)
-    tols = cfg.tols or [10.0 ** (-k) for k in range(2, 7)]
+    settings["tols"] = tols = tols or [10.0 ** (-k) for k in range(2, 7)]
     records = []
     for m, t, rk in pairs:
         rows = [dict(method=m, tol=tol, **_run_row(
             lambda: adaptivity.integrate_adaptive(
-                p, t, rk, tEnd, tol, sample_points=pts, H0=cfg.H0,
-                M0=cfg.M), ref))
+                p, t, rk, tEnd, tol, sample_points=pts, H0=H0, M0=M), ref))
             for tol in tols]
-        records.append(RunRecord(config=_echo(cfg, method=m, inner=rk.name),
+        records.append(RunRecord(config=dict(settings, method=m,
+                                             inner=rk.name),
                                  rows=rows))
     return records
 
 
-def run_stability_export(cfg):
-    """Region scans written as CSV grids with JSON metadata sidecars, in
-    cfg.out (default: the working directory)."""
-    outdir = cfg.out or "."
+def run_stability_export(methods, out=None, which="E", alpha=45.0,
+                         rho=100.0, beta=45.0, xi=1e4,
+                         window=(-8.0, 0.5, -6.0, 6.0), res=(48, 48),
+                         joint=False):
+    """Region scans, of `which` or with joint of zE and the zI sector
+    (beta, xi), written as CSV grids with their scan.meta as JSON sidecars,
+    in out (default: the working directory)."""
+    _check(out=out, which=which, alpha=alpha, rho=rho, beta=beta, xi=xi,
+           window=window, res=res, joint=joint)
+    pairs = _pairs(methods)
+    outdir = out or "."
     os.makedirs(outdir, exist_ok=True)
+    fast = stability.SectorSpec(alpha, rho)
     files = []
-    for m in cfg.methods:
-        t = load_builtin(m)
-        fast = stability.SectorSpec(cfg.alpha, cfg.rho)
-        if cfg.joint:
-            impl = stability.SectorSpec(cfg.beta, cfg.xi)
-            scan = stability.scan_joint_region(t, fast, impl, cfg.window,
-                                               cfg.res)
-            tag = f"{m}-joint-a{cfg.alpha:g}-b{cfg.beta:g}"
+    for m, t, _ in pairs:
+        if joint:
+            impl = stability.SectorSpec(beta, xi)
+            scan = stability.scan_joint_region(t, fast, impl, window, res)
+            tag = f"{m}-joint-a{alpha:g}-b{beta:g}"
         else:
-            scan = stability.scan_component_region(t, cfg.which, fast,
-                                                   cfg.window, cfg.res)
-            tag = f"{m}-{cfg.which}-a{cfg.alpha:g}"
+            scan = stability.scan_component_region(t, which, fast, window,
+                                                   res)
+            tag = f"{m}-{which}-a{alpha:g}"
         path = os.path.join(outdir, f"stability-{tag}.csv")
         write_csv(path, ["re", "im", "indicator", "maxAbsR"],
-                  list(scan.rows()), sidecar=dict(scan.meta, **_echo(cfg)))
+                  list(scan.rows()), sidecar=scan.meta)
         files.append(path)
     return files
 
@@ -338,12 +330,6 @@ def run_verify(methods=None):
                              "out of scope")
         report[m] = entry
     return report
-
-
-def _echo(cfg, **extra):
-    d = {k: v for k, v in asdict(cfg).items() if v is not None}
-    d.update(extra)
-    return d
 
 
 def versions():

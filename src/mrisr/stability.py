@@ -23,7 +23,7 @@ __all__ = ["phi", "eta_matrix", "stability_value", "SectorSpec",
            "sector_samples", "RegionScan", "scan_joint_region",
            "scan_component_region"]
 
-# the scan settings' rules, which harness.ExperimentConfig applies too
+# the scan settings' rules, which run_stability_export applies too
 WHICH = one_of("E", "I")
 WINDOW = FINITE.n_of(4, "four finite numbers")
 RES = INTEGER.at_least(2).n_of(2, "two integers >= 2")

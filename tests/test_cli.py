@@ -1,8 +1,11 @@
 import csv
+import inspect
 import json
+import math
 
 import pytest
 
+from mrisr import cli, harness
 from mrisr.cli import main
 
 
@@ -83,11 +86,13 @@ def test_bad_m_gives_failed_rows(command, args, m, capsys):
     ({"kmax": "8"}, "kmax = '8' is not an integer"),
     ({"inner": 5}, "inner 5 is not NAME, METHOD=NAME or a dict"),
     ({"inner": ["heun", 5]}, "inner 5 is not NAME, METHOD=NAME or a dict"),
+    ({"json": "no"}, "json = 'no' is not a boolean"),
 ], ids=["m-string", "kmin-float", "kmax-string", "inner-int",
-        "inner-list-int"])
+        "inner-list-int", "json-string"])
 def test_bad_config_value_is_a_usage_error(option, named, tmp_path, capsys):
-    # {"m": "10"} used to fail every row, and {"kmin": 2.5} and
-    # {"inner": 5} escaped as a TypeError from range() and from iterating 5
+    # {"m": "10"} used to fail every row, {"kmin": 2.5} and {"inner": 5}
+    # escaped as a TypeError from range() and from iterating 5, and
+    # {"json": "no"} printed JSON
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "imex-mri-sr21", "problem": "kpr",
                                "kmin": 2, "kmax": 3, **option}))
@@ -210,10 +215,12 @@ def test_stability_bad_grid_fails_before_any_output(flag, value, named,
     ({"rho": -1}, "rho = -1 is not a finite number >= 0"),
     ({"xi": -1e4}, "xi = -10000.0 is not a finite number >= 0"),
     ({"which": "X"}, "which = 'X' is not 'E' or 'I'"),
-], ids=["alpha", "beta-string", "rho", "xi", "which"])
+    ({"joint": "no"}, "joint = 'no' is not a boolean"),
+], ids=["alpha", "beta-string", "rho", "xi", "which", "joint-string"])
 def test_stability_bad_sector_fails_before_any_output(option, named,
                                                       tmp_path, capsys):
-    # alpha = 120 and which = 'X' used to fail after --out was created
+    # alpha = 120 and which = 'X' used to fail after --out was created, and
+    # joint = 'no' ran a joint scan
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps({"method": "imex-mri-sr21", **option}))
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 1
@@ -232,8 +239,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
-    # n_samples and M are ExperimentConfig names but no flag; a config file
-    # sets M through its flag name m; tol is a flag of adaptive only
+    # M is a setting of the study but no flag: a config file sets M
+    # through its flag name m; n_samples is no setting; tol is a flag of
+    # adaptive only
     for bad in ("kmaxx", "seed", "n_samples", "M", "tol"):
         cfg = tmp_path / f"{bad}.json"
         cfg.write_text(json.dumps({"method": "imex-mri-sr21",
@@ -261,8 +269,10 @@ def test_usage_errors(capsys):
     assert main(["converge"]) == 1  # --method required
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main(["converge", "--method", "rk99"]) == 1  # unknown method
-    # an empty method list used to print a header and exit 0
+    # an empty method list used to print a header and exit 0, and verify
+    # reads it as all methods
     assert main(["converge", "--method", ",", "--problem", "kpr"]) == 1
+    assert main(["verify", "--method", ","]) == 1
     assert main(["converge", "--method", "merk2", "--config",
                  "/nonexistent.json"]) == 1
     capsys.readouterr()
@@ -295,13 +305,53 @@ def test_misspelt_inner_key_is_a_usage_error(capsys):
 
 def test_failed_rows_exit_code(monkeypatch, capsys):
     # a run whose rows include failures exits 2
-    from mrisr import cli, harness
-
-    def fake(cfg):
-        return [harness.RunRecord(config=dict(method=cfg.methods[0]),
-                                  rows=[dict(method=cfg.methods[0], k=0,
+    def fake(methods, **settings):
+        return [harness.RunRecord(config=dict(method=methods[0]),
+                                  rows=[dict(method=methods[0], k=0,
                                              failed=1)])]
-    monkeypatch.setattr(harness, "run_convergence", fake)
+    monkeypatch.setitem(cli._STUDIES, "converge", fake)
     code = cli.main(["converge", "--method", "imex-mri-sr21", "--json"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,option,named", [
+    ("converge", {"method": 5}, "method 5 is not NAME"),
+    ("stability", {"method": 5}, "method 5 is not NAME"),
+    ("converge", {"method": "merk2", "out": 5}, "out = 5 is not a string"),
+    ("stability", {"method": "merk2", "out": 5}, "out = 5 is not a string"),
+], ids=["converge-method", "stability-method", "converge-out",
+        "stability-out"])
+def test_mistyped_method_or_out_is_a_usage_error(command, option, named,
+                                                 tmp_path, capsys):
+    # each escaped as a TypeError, from iterating 5 and from os.path.join
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(option))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {named}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["converge", "efficiency", "adaptive",
+                                     "stability"])
+def test_each_flag_is_a_setting_of_its_study(command):
+    # --out is the CLI's for the run studies, and --json always
+    study = cli._STUDIES.get(command, harness.run_stability_export)
+    settings = [{"method": "methods"}.get(f, cli._FLAG_FIELDS.get(f, f))
+                for f in cli._SUBCOMMAND_FLAGS[command]
+                if f != "json" and (f != "out" or command == "stability")]
+    assert sorted(settings) == sorted(inspect.signature(study).parameters)
+
+
+def test_converge_sidecar_records_the_settings_it_read(tmp_path, capsys):
+    # it used to hold every field of every study: 17 keys, 11 of them
+    # settings converge never reads (alpha, window, json_out, out, ...)
+    assert main(["converge", "--method", "imex-mri-sr32", "--problem", "kpr",
+                 "--kmin", "3", "--kmax", "4", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    side = json.loads((tmp_path / "converge-kpr.csv.json").read_text())
+    config, = side["config"]
+    assert config == dict(H0=math.pi, M=10, inner="bogacki-shampine",
+                          kmax=4, kmin=3, method="imex-mri-sr32",
+                          problem="kpr")

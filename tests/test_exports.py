@@ -8,7 +8,7 @@ import pytest
 
 import mrisr
 from mrisr.errors import PreconditionError
-from mrisr.harness import ExperimentConfig, default_inner
+from mrisr.harness import default_inner, run_convergence
 from mrisr.problems import make_problem
 from mrisr.rk import inner_method
 from mrisr.tableau import load_builtin
@@ -66,9 +66,9 @@ def test_every_raise_is_one_of_the_two_errors():
 
 @pytest.mark.parametrize("lookup", [
     load_builtin, inner_method, make_problem, default_inner,
-    lambda name: ExperimentConfig(methods=["merk2"], problem=name),
+    lambda name: run_convergence(["merk2"], problem=name),
 ], ids=["load_builtin", "inner_method", "make_problem", "default_inner",
-        "ExperimentConfig-problem"])
+        "run_convergence-problem"])
 @pytest.mark.parametrize("name", [
     ["heun"], {}, np.array(["merk2"]), np.array(["kpr", "heun"])],
     ids=["list", "dict", "array", "array-2"])

@@ -14,11 +14,12 @@ import mrisr
 from mrisr import adaptivity, errors, harness, stability, theory
 from mrisr.errors import MRISRError, PreconditionError
 from mrisr.harness import (PROBLEM_H0, PROBLEM_TEND, RUN_KEYS,
-                           ExperimentConfig, default_inner, fit_slope,
-                           run_adaptive, run_convergence, run_stability_export,
-                           run_verify, versions, write_csv)
+                           default_inner, fit_slope, run_adaptive,
+                           run_convergence, run_efficiency,
+                           run_stability_export, run_verify, versions,
+                           write_csv)
 from mrisr.integrator import SplitIVP, StepStats
-from mrisr.tableau import BUILTIN_NAMES
+from mrisr.tableau import BUILTIN_NAMES, load_builtin
 
 
 def test_fit_slope_recovers_synthetic_order():
@@ -62,12 +63,37 @@ def test_default_inner_pairing():
 
 
 def test_experiment_config_validation():
+    # a study's settings are its keyword arguments, checked by the study
     with pytest.raises(ValueError):
-        ExperimentConfig(methods=["rk4"])
+        run_convergence(["rk4"])
     with pytest.raises(ValueError):
-        ExperimentConfig(methods=["merk2"], kmin=5, kmax=2)
-    cfg = ExperimentConfig(methods=["merk3"], inner={"merk3": "zonneveld"})
-    assert cfg.inner_for("merk3").name == "zonneveld"
+        run_convergence(["merk2"], kmin=5, kmax=2)
+    (m, t, rk), = harness._pairs(["merk3"], {"merk3": "zonneveld"})
+    assert (m, t.name, rk.name) == ("merk3", "merk3", "zonneveld")
+
+
+SR21 = ["imex-mri-sr21"]
+
+
+def _assert_refused(study, kw, named, monkeypatch, tmp_path):
+    """study(**kw) raises PreconditionError naming named before any run,
+    reference solve, scan or file write."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+    for owner, name in ((harness, "integrate_fixed"),
+                        (harness, "_exact_samples"),
+                        (adaptivity, "integrate_adaptive"),
+                        (stability, "scan_component_region"),
+                        (stability, "scan_joint_region")):
+        monkeypatch.setattr(owner, name, spy)
+    if study is run_stability_export:
+        kw = dict(kw, out=str(tmp_path / "out"))
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        study(**{"methods": SR21, **kw})
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kw,named", [
@@ -79,65 +105,71 @@ def test_experiment_config_validation():
     (dict(H0=float("inf")), "H0 = inf"),
 ], ids=["tol-negative", "tol-nan", "tol-string", "tols-scalar", "H0-zero",
         "H0-inf"])
-def test_experiment_config_rejects_bad_tols_and_h0(kw, named):
-    with pytest.raises(PreconditionError, match=named):
-        ExperimentConfig(methods=["imex-mri-sr21"], **kw)
+def test_experiment_config_rejects_bad_tols_and_h0(kw, named, monkeypatch,
+                                                   tmp_path):
+    _assert_refused(run_adaptive, kw, named, monkeypatch, tmp_path)
 
 
-@pytest.mark.parametrize("kw,named", [
-    (dict(methods=["rk4"]), "method = 'rk4' is not 'imex-mri-sr21' or"),
-    (dict(problem="nope"), "problem = 'nope' is not 'kpr' or"),
+@pytest.mark.parametrize("study,kw,named", [
+    (run_convergence, dict(methods=["rk4"]),
+     "method = 'rk4' is not 'imex-mri-sr21' or"),
+    (run_convergence, dict(problem="nope"),
+     "problem = 'nope' is not 'kpr' or"),
     # an empty list used to run nothing, or the default tols
-    (dict(methods=[]), "methods = [] is not a list of one or more entries"),
-    (dict(methods="merk2"), "methods = 'merk2' is not a list"),
-    (dict(tols=[]), "tols = [] is not a list of one or more entries"),
-    (dict(kmin=5, kmax=2), "kmin = 5 > kmax = 2"),
-    (dict(window=(1.0, 2.0, 3.0)), "window = (1.0, 2.0, 3.0)"),
-    (dict(window=(-8.0, 0.5, -6.0, math.inf)), "window = "),
-    (dict(window="-8,0.5,-6,6"), "window = "),
-    (dict(res=(1, 5)), "res = (1, 5)"),
-    (dict(res=(48.0, 48)), "res = "),
-    (dict(res=48), "res = 48"),
-    (dict(M=0), "M = 0 is not a positive integer"),
-    (dict(M="10"), "M = '10' is not a positive integer"),
-    (dict(M=2.0), "M = 2.0 is not a positive integer"),
-    (dict(M=True), "M = True is not a positive integer"),
-    (dict(kmin=2.5), "kmin = 2.5 is not an integer"),
-    (dict(kmax="8"), "kmax = '8' is not an integer"),
-    (dict(which="X"), "which = 'X' is not 'E' or 'I'"),
-    (dict(alpha=120.0), "alpha = 120.0 is not an angle in [0, 90] degrees"),
-    (dict(beta=-1.0), "beta = -1.0 is not an angle"),
-    (dict(alpha=float("nan")), "alpha = nan is not an angle"),
-    (dict(rho=-1.0), "rho = -1.0 is not a finite number >= 0"),
-    (dict(xi=-5), "xi = -5 is not a finite number >= 0"),
-    (dict(xi="1e4"), "xi = '1e4' is not a finite number >= 0"),
-    (dict(inner={"imex-mri-sr12": "zonneveld"}),
+    (run_convergence, dict(methods=[]),
+     "methods = [] is not a list of one or more entries"),
+    (run_convergence, dict(methods="merk2"),
+     "methods = 'merk2' is not a list"),
+    (run_adaptive, dict(tols=[]),
+     "tols = [] is not a list of one or more entries"),
+    (run_convergence, dict(kmin=5, kmax=2), "kmin = 5 > kmax = 2"),
+    (run_stability_export, dict(window=(1.0, 2.0, 3.0)),
+     "window = (1.0, 2.0, 3.0)"),
+    (run_stability_export, dict(window=(-8.0, 0.5, -6.0, math.inf)),
+     "window = "),
+    (run_stability_export, dict(window="-8,0.5,-6,6"), "window = "),
+    (run_stability_export, dict(res=(1, 5)), "res = (1, 5)"),
+    (run_stability_export, dict(res=(48.0, 48)), "res = "),
+    (run_stability_export, dict(res=48), "res = 48"),
+    (run_convergence, dict(M=0), "M = 0 is not a positive integer"),
+    (run_convergence, dict(M="10"), "M = '10' is not a positive integer"),
+    (run_convergence, dict(M=2.0), "M = 2.0 is not a positive integer"),
+    (run_convergence, dict(M=True), "M = True is not a positive integer"),
+    (run_convergence, dict(kmin=2.5), "kmin = 2.5 is not an integer"),
+    (run_efficiency, dict(kmax="8"), "kmax = '8' is not an integer"),
+    (run_stability_export, dict(which="X"), "which = 'X' is not 'E' or 'I'"),
+    (run_stability_export, dict(alpha=120.0),
+     "alpha = 120.0 is not an angle in [0, 90] degrees"),
+    (run_stability_export, dict(beta=-1.0), "beta = -1.0 is not an angle"),
+    (run_stability_export, dict(alpha=float("nan")),
+     "alpha = nan is not an angle"),
+    (run_stability_export, dict(rho=-1.0),
+     "rho = -1.0 is not a finite number >= 0"),
+    (run_stability_export, dict(xi=-5), "xi = -5 is not a finite number >= 0"),
+    (run_stability_export, dict(xi="1e4"),
+     "xi = '1e4' is not a finite number >= 0"),
+    (run_stability_export, dict(joint="no"), "joint = 'no' is not a boolean"),
+    (run_convergence, dict(inner={"imex-mri-sr12": "zonneveld"}),
      "inner key = 'imex-mri-sr12' is not 'imex-mri-sr21'"),
-    (dict(methods=["imex-mri-sr21", "imex-mri-sr32"],
-          inner={"imex-mri-sr32": "rk4"}),
+    (run_convergence, dict(methods=["imex-mri-sr21", "imex-mri-sr32"],
+                           inner={"imex-mri-sr32": "rk4"}),
      "inner['imex-mri-sr32'] = 'rk4' is not 'heun' or"),
-    (dict(inner=["heun"]), "inner = ['heun'] is not a dict"),
+    (run_convergence, dict(inner=["heun"]), "inner = ['heun'] is not a dict"),
 ], ids=["method", "problem", "methods-empty", "methods-string",
         "tols-empty", "kmin-kmax", "window-three", "window-inf",
         "window-string", "res-one", "res-float", "res-scalar", "M-zero",
         "M-string", "M-float", "M-bool", "kmin-float", "kmax-string", "which",
         "alpha-over-90", "beta-negative", "alpha-nan", "rho-negative",
-        "xi-negative", "xi-string", "inner-key", "inner-name", "inner-list"])
-def test_experiment_config_rejects_bad_input_by_field(kw, named):
-    # at construction, so a study never starts on it
-    cfg = dict(methods=["imex-mri-sr21"])
-    with pytest.raises(PreconditionError, match=re.escape(named)):
-        ExperimentConfig(**{**cfg, **kw})
-
-
-def _kpr_cfg(**kw):
-    base = dict(methods=["imex-mri-sr21"], problem="kpr", kmin=2, kmax=4)
-    base.update(kw)
-    return ExperimentConfig(**base)
+        "xi-negative", "xi-string", "joint-string", "inner-key",
+        "inner-name", "inner-list"])
+def test_experiment_config_rejects_bad_input_by_field(study, kw, named,
+                                                      monkeypatch, tmp_path):
+    # by the study that reads the setting, before it starts anything
+    _assert_refused(study, kw, named, monkeypatch, tmp_path)
 
 
 def test_run_convergence_kpr_second_order():
-    recs = run_convergence(_kpr_cfg())
+    recs = run_convergence(SR21, kmin=2, kmax=4)
     assert len(recs) == 1
     rec = recs[0]
     assert len(rec.rows) == 3
@@ -150,16 +182,15 @@ def test_run_convergence_kpr_second_order():
 
 
 def test_run_convergence_is_deterministic():
-    a = run_convergence(_kpr_cfg())[0].rows
-    b = run_convergence(_kpr_cfg())[0].rows
+    a = run_convergence(SR21, kmin=2, kmax=4)[0].rows
+    b = run_convergence(SR21, kmin=2, kmax=4)[0].rows
     for ra, rb in zip(copy.deepcopy(a), copy.deepcopy(b)):
         ra.pop("runtime"), rb.pop("runtime")
         assert ra == rb
 
 
 def test_run_adaptive_kpr():
-    cfg = _kpr_cfg(tols=[1e-3, 1e-5])
-    recs = run_adaptive(cfg)
+    recs = run_adaptive(SR21, tols=[1e-3, 1e-5])
     rows = recs[0].rows
     assert [r["tol"] for r in rows] == [1e-3, 1e-5]
     assert all(not r["failed"] for r in rows)
@@ -170,7 +201,7 @@ def test_run_adaptive_kpr():
 def test_run_convergence_records_h_that_does_not_divide_interval():
     # H = pi leaves 2.5 steps on [0, 5pi/2]; H = pi/2 misses the sample
     # points pi/4, 3pi/4, ...; the study records both and goes on
-    rows = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
+    rows = run_convergence(SR21, kmin=0, kmax=2)[0].rows
     assert [r["k"] for r in rows] == [0, 1, 2]
     assert rows[0]["failed"] and "2.5 is not an integer" in rows[0]["failure"]
     assert rows[1]["failed"] and "not a step boundary" in rows[1]["failure"]
@@ -180,8 +211,8 @@ def test_run_convergence_records_h_that_does_not_divide_interval():
 def test_rows_carry_every_counter():
     counters = set(StepStats().as_dict()) | {"accepted", "rejected"}
     assert len(counters) == 10 and counters <= set(RUN_KEYS)
-    fixed = run_convergence(_kpr_cfg(kmin=0, kmax=2))[0].rows
-    adaptive = run_adaptive(_kpr_cfg(tols=[1e-3]))[0].rows
+    fixed = run_convergence(SR21, kmin=0, kmax=2)[0].rows
+    adaptive = run_adaptive(SR21, tols=[1e-3])[0].rows
     failed, good = fixed[0], fixed[2]
     for row in (good, adaptive[0], failed):
         assert set(RUN_KEYS) <= set(row)
@@ -202,7 +233,7 @@ def test_value_error_inside_a_run_is_not_a_failed_row(monkeypatch):
 
     monkeypatch.setattr("mrisr.harness.integrate_fixed", broken)
     with pytest.raises(ValueError, match="broadcast"):
-        run_convergence(_kpr_cfg(kmin=2, kmax=2))
+        run_convergence(SR21, kmin=2, kmax=2)
 
 
 def _no_adaptive_runs(monkeypatch):
@@ -217,24 +248,22 @@ def test_run_adaptive_rejects_methods_without_embedding(monkeypatch):
     # wherever merk3 stands in the list
     calls = _no_adaptive_runs(monkeypatch)
     for methods in (["merk3", "imex-mri-sr21"], ["imex-mri-sr21", "merk3"]):
-        cfg = _kpr_cfg(methods=methods, tols=[1e-3])
         with pytest.raises(PreconditionError, match="merk3 has no embedding"):
-            run_adaptive(cfg)
+            run_adaptive(methods, tols=[1e-3])
     assert calls == []
 
 
 def test_run_adaptive_rejects_requested_inner_without_embedding(monkeypatch):
     calls = _no_adaptive_runs(monkeypatch)
-    cfg = _kpr_cfg(inner={"imex-mri-sr21": "heun"}, tols=[1e-3])
     with pytest.raises(PreconditionError,
                        match="inner method heun of imex-mri-sr21"):
-        run_adaptive(cfg)
+        run_adaptive(SR21, inner={"imex-mri-sr21": "heun"}, tols=[1e-3])
     assert calls == []
 
 
 def test_run_adaptive_default_inner_falls_back_to_embedded_pair():
     # the default pairing of imex-mri-sr21, heun, has no embedding
-    rec = run_adaptive(_kpr_cfg(tols=[1e-3]))[0]
+    rec = run_adaptive(SR21, tols=[1e-3])[0]
     assert default_inner("imex-mri-sr21").name == "heun"
     assert rec.config["inner"] == "bogacki-shampine"
 
@@ -278,11 +307,9 @@ def test_run_verify_runs_each_check_once_per_tableau(monkeypatch):
 
 
 def test_run_stability_export_writes_grid(tmp_path):
-    cfg = ExperimentConfig(methods=["imex-mri-sr21"],
-                           which="E", alpha=45.0, rho=1.0,
-                           window=(-3.0, 0.5, -2.0, 2.0), res=(6, 5),
-                           out=str(tmp_path))
-    files = run_stability_export(cfg)
+    files = run_stability_export(SR21, out=str(tmp_path), which="E",
+                                 alpha=45.0, rho=1.0,
+                                 window=(-3.0, 0.5, -2.0, 2.0), res=(6, 5))
     assert len(files) == 1
     lines = open(files[0]).read().strip().splitlines()
     assert lines[0] == "re,im,indicator,maxAbsR"
@@ -304,16 +331,36 @@ def test_write_csv_header_and_sidecar(tmp_path):
 
 def test_sidecar_records_versions(tmp_path):
     # read back from a stability export, against versions found here
-    cfg = ExperimentConfig(methods=["merk2"], which="E",
-                           alpha=45.0, rho=1.0,
-                           window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2),
-                           out=str(tmp_path))
-    files = run_stability_export(cfg)
+    files = run_stability_export(["merk2"], out=str(tmp_path), which="E",
+                                 alpha=45.0, rho=1.0,
+                                 window=(-3.0, 0.5, -2.0, 2.0), res=(3, 2))
     meta = json.load(open(files[0] + ".json"))
     assert meta["versions"] == dict(
         mrisr=mrisr.__version__, python=platform.python_version(),
         numpy=np.__version__, scipy=scipy.__version__)
     assert meta["method"] == "merk2"
+
+
+def test_stability_sidecar_is_the_scan_meta(tmp_path):
+    # it used to echo every setting of every study too (problem, M, kmin,
+    # ...), and repeat which, alpha and rho as grid_role and sectors.F
+    window, res = (-3.0, 0.5, -2.0, 2.0), (3, 2)
+    files = run_stability_export(["merk2"], out=str(tmp_path), rho=1.0,
+                                 window=window, res=res)
+    scan = stability.scan_component_region(
+        load_builtin("merk2"), "E", stability.SectorSpec(45.0, 1.0), window,
+        res)
+    side = json.load(open(files[0] + ".json"))
+    assert side == dict(json.loads(json.dumps(scan.meta)),
+                        versions=versions())
+
+
+def test_adaptive_record_echoes_the_settings_it_read():
+    # H0 = None: the driver chose each run's first step
+    rec, = run_adaptive(SR21, tols=[1e-3], M=4)
+    assert rec.config == dict(problem="kpr", H0=None, tols=[1e-3], M=4,
+                              method="imex-mri-sr21",
+                              inner="bogacki-shampine")
 
 
 def test_reference_cache_keys_on_the_sample_points():
@@ -336,9 +383,8 @@ def test_run_convergence_brusselator_end_to_end(monkeypatch):
         calls.append(real(p, pts))
         return calls[-1]
     monkeypatch.setattr(harness, "_exact_samples", spy)
-    cfg = ExperimentConfig(methods=["imex-mri-sr21"],
-                           problem="brusselator-201", kmin=6, kmax=7)
-    rows = run_convergence(cfg)[0].rows
+    rows = run_convergence(SR21, problem="brusselator-201", kmin=6,
+                           kmax=7)[0].rows
     (ref, floor), = calls
     stored = np.load(Path(__file__).parents[1] / "perfbench" / "refs.npz")
     assert np.max(np.abs(ref - stored["bruss201_bdf"])) < 0.1 * floor
@@ -366,11 +412,12 @@ def test_problem_tables_cover_registry():
 
 
 def test_experiment_config_and_scans_share_their_rules():
-    # the CLI's checks are the library's, so they cannot drift apart
-    rules = {name: rule for names, rule in harness._FIELD_RULES
-             for name in names.split()}
+    # a study checks its settings with the library's rules, so they cannot
+    # drift apart
+    rules = harness._RULES
     assert rules["which"] is stability.WHICH
     assert rules["window"] is stability.WINDOW
     assert rules["res"] is stability.RES
     assert rules["alpha"] is rules["beta"] is errors.ANGLE
     assert rules["rho"] is rules["xi"] is errors.FINITE_NONNEGATIVE
+    assert rules["joint"] is errors.BOOL

@@ -6,8 +6,9 @@ the mrisr of this checkout, and hashes its whole output: an integration
 record's samples (t and the bytes of every y), its StepStats, failure and
 step_log; the verify report; every array of a stability scan. Then it runs
 each command of EXPERIMENTS through mrisr.cli.main with --json and hashes
-the printed rows and slopes, each row without its runtime. Two checkouts
-produce bitwise-identical outputs when their digests match:
+what it prints: the rows and slopes, each row without its runtime, or the
+verify report. Two checkouts produce bitwise-identical outputs when their
+digests match:
 
     python3 tools/digest_outputs.py > a.txt     # in one checkout
     python3 tools/digest_outputs.py > b.txt     # in the other
@@ -35,6 +36,9 @@ EXPERIMENTS = (
                   "--problem", "kpr", "--kmin", "2", "--kmax", "5"]),
     ("adaptive", ["adaptive", "--method", "imex-mri-sr32", "--problem",
                   "kpr", "--tol", "1e-3"]),
+    ("efficiency", ["efficiency", "--method", "imex-mri-sr21,imex-mri-sr32",
+                    "--problem", "kpr", "--kmin", "0", "--kmax", "2"]),
+    ("verify", ["verify"]),
 )
 
 
@@ -66,7 +70,8 @@ def _feed(h, x):
 
 
 def _experiment_output(argv):
-    """The JSON that mrisr prints for argv --json, without the runtimes."""
+    """The JSON that mrisr prints for argv --json, without the runtimes of
+    its rows (verify's report has none)."""
     from mrisr import cli
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -74,7 +79,7 @@ def _experiment_output(argv):
     if code == 1:
         raise SystemExit(f"mrisr {' '.join(argv)}: usage error")
     report = json.loads(out.getvalue())
-    for row in report["rows"]:
+    for row in report.get("rows", ()):
         del row["runtime"]
     return report
 
